@@ -534,11 +534,7 @@ def conditional_pdf_t1_given_t2_in_interval(
         if denom < 1e-12:
             raise ZeroProbabilityError("conditioning interval has zero probability")
         s = math.sqrt((nu + 1.0) / (nu + zt1 * zt1))
-        num = _std_t_pdf(zt1, nu) * _t_cdf_diff(
-            s * w_lo if np.isfinite(w_lo) else w_lo,
-            s * w_hi if np.isfinite(w_hi) else w_hi,
-            nu + 1.0,
-        )
+        num = _std_t_pdf(zt1, nu) * _t_cdf_diff(s * w_lo, s * w_hi, nu + 1.0)
         return num / (t1 * theta.sigma1 * denom)
 
     denom = _marginal_prob(spec, b_lo, b_hi)
@@ -557,15 +553,11 @@ def conditional_pdf_t1_given_t2_in_interval(
 
 
 def _phi_diff(a: float, b: float) -> float:
-    fa = specfun.std_normal_cdf(a) if np.isfinite(a) else (0.0 if a < 0 else 1.0)
-    fb = specfun.std_normal_cdf(b) if np.isfinite(b) else (0.0 if b < 0 else 1.0)
-    return fb - fa
+    return specfun.std_normal_cdf(b) - specfun.std_normal_cdf(a)
 
 
 def _t_cdf_diff(a: float, b: float, nu: float) -> float:
-    fa = specfun.student_t_cdf(a, nu) if np.isfinite(a) else (0.0 if a < 0 else 1.0)
-    fb = specfun.student_t_cdf(b, nu) if np.isfinite(b) else (0.0 if b < 0 else 1.0)
-    return fb - fa
+    return specfun.student_t_cdf(b, nu) - specfun.student_t_cdf(a, nu)
 
 
 def _marginal_prob(spec: GeneratorSpec, b_lo: float, b_hi: float) -> float:

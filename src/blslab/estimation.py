@@ -4,15 +4,18 @@ The likelihood is maximized in the unconstrained parametrization
 (log eta1, log eta2, log sigma1, log sigma2, atanh rho) with the analytic
 score mapped through the chain rule, by L-BFGS-B followed by a few Newton
 polishing steps on the same gradient; estimates are reported in the original
-coordinates. The Bessel-K0 family's likelihood is unbounded (a logarithmic
-spike sits at every data pair), so for that family the reported estimator is
-the maximizer of a C^1-winsorized likelihood whose kernel is extended
-linearly below a small squared-radius floor (see _xq_floor); on the typical
-sample no observation sits below the floor at the optimum and the result is
-an exact stationary point of the true likelihood. Standard errors come from
-the observed information: a central finite-difference Jacobian of the
-estimating equation's score (i.e. a numerical Hessian of the negative
-log-likelihood) at the fitted point.
+coordinates. Where the score ratio r is singular at 0 the likelihood is not
+smooth at the data pairs: the Bessel-K0 family's is unbounded (a logarithmic
+spike sits at every data pair), and the power-exponential family with xi > 0
+has a cusp there, so no gradient test can pass when the optimum sits on a
+pair. For these families the reported estimator is the maximizer of a
+C^1-winsorized likelihood whose kernel is extended linearly below a small
+squared-radius floor (see _xq_floor); on the typical sample no observation
+sits below the floor at the optimum and the result is an exact stationary
+point of the true likelihood. Standard errors come from the observed
+information: a central finite-difference Jacobian of the estimating
+equation's score (i.e. a numerical Hessian of the negative log-likelihood) at
+the fitted point.
 """
 
 from __future__ import annotations
@@ -186,19 +189,25 @@ _BAD_NLL = 1e30
 
 # The Bessel-K0 likelihood is unbounded: a logarithmic spike sits at every
 # data pair, and gradient methods, EM, and root finders all get captured by
-# whichever data pair drifts closest to (eta1, eta2). The estimator of
-# record for that family is therefore the maximizer of the C^1-winsorized
-# likelihood (see _ll_and_score) with floor 0.05/n: the cap bounds one
-# observation's pull at r(floor) ~ n/log n, so the smooth bulk of the sample
-# keeps control, while the floor shrinks fast enough that the winsorized and
-# exact maximizers coincide whenever no squared radius falls below it --
-# which is the typical sample, where the fit is an exact stationary point of
-# the true likelihood.
+# whichever data pair drifts closest to (eta1, eta2). The power-exponential
+# likelihood with xi > 0 is bounded but has a cusp at every data pair
+# (log g = -x^(1/(1+xi))/2 with r(x) -> -inf as x -> 0), so when the optimum
+# sits on a pair no gradient test can pass there. The estimator of record for
+# both is therefore the maximizer of the C^1-winsorized likelihood (see
+# _ll_and_score) with floor 0.05/n: the cap bounds one observation's pull at
+# r(floor), so the smooth bulk of the sample keeps control, while the floor
+# shrinks fast enough that the winsorized and exact maximizers coincide
+# whenever no squared radius falls below it -- which is the typical sample,
+# where the fit is an exact stationary point of the true likelihood.
+# logslash's r is a 0/0 form at 0 with a finite limit, so it stays exact.
 _SPIKE_COEF = 0.05
 
 
 def _xq_floor(spec: GeneratorSpec, n: int) -> float:
-    return _SPIKE_COEF / n if spec.id is GeneratorId.LAPLACE else 0.0
+    singular = spec.id is GeneratorId.LAPLACE or (
+        spec.id is GeneratorId.POWER_EXP and spec.params.xi > 0.0
+    )
+    return _SPIKE_COEF / n if singular else 0.0
 
 
 def _negloglik_and_grad(
@@ -400,9 +409,10 @@ def standard_errors(fit: FitResult, data) -> np.ndarray:
     analytic score in the ORIGINAL coordinates (equivalently, a numerical
     Hessian of the negative log-likelihood that differentiates numerically
     only once); steps adapt to the parameter scale and keep rho interior.
-    For the Bessel-K0 family the differentiated score is the winsorized
-    estimating equation the fit solves (see _xq_floor), whose curvature at
-    the optimum is well defined even when a data pair sits near the center.
+    For the families with a winsorization floor (see _xq_floor) the
+    differentiated score is the winsorized estimating equation the fit
+    solves, whose curvature at the optimum is well defined even when a data
+    pair sits near the center.
     """
     if not fit.converged:
         raise DomainError("standard errors require a converged fit")

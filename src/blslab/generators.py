@@ -193,7 +193,8 @@ def log_g(spec: GeneratorSpec, x):
         out = np.full_like(xa, np.inf)
         pos = xa > 0.0
         u = np.sqrt(2.0 * xa[pos])
-        out[pos] = np.log(specfun.bessel_k0e(u)) - u
+        with np.errstate(divide="ignore"):  # k0e(inf) = 0: log g(inf) = -inf
+            out[pos] = np.log(specfun.bessel_k0e(u)) - u
     elif gid is GeneratorId.SLASH:
         s = 0.5 * (p.nu + 1.0)
         out = np.empty_like(xa)

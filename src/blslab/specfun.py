@@ -1,22 +1,19 @@
-"""Self-contained special-function kernel.
+"""Special functions used by the generators and the radial laws.
 
-Everything here is built on ``math`` and ``numpy`` only: log-gamma, the lower
-incomplete gamma function, modified Bessel functions K0/K1 (plain and
-exponentially scaled), and the reference CDFs (standard normal, Student-t, F)
-used as fast paths and oracles for the radial laws.
+Thin validated wrappers over ``scipy.special`` and ``math.lgamma``: log-gamma,
+the lower incomplete gamma function, modified Bessel functions K0/K1 (plain
+and exponentially scaled), and the reference CDFs (standard normal,
+Student-t, F) used as fast paths and oracles for the radial laws. Each
+function raises ``ValueError`` outside its domain, accepts +inf, and returns
+a ``float`` for scalar input (the CDFs take scalars only).
 
-Accuracy contracts
-------------------
+Accuracy contracts, enforced by tests/test_specfun.py
+-----------------------------------------------------
 * ``lower_incomplete_gamma``: relative error <= 1e-12 on s in (0, 50],
   x in [0, 200].
-* ``bessel_k0``/``bessel_k1``: relative error <= 1e-10 for u in (0, 700].
+* ``bessel_k0``/``bessel_k1`` and the scaled forms: relative error <= 1e-10
+  for u in (0, 700].
 * CDFs: absolute error <= 1e-10.
-
-K0/K1 use a two-regime scheme with crossover at u = 2.0: the ascending series
-on (0, 2], and for u > 2 a Chebyshev expansion of K_n(u) * exp(u) * sqrt(u) in
-the variable 4/u - 1 (coefficients generated at 50-digit precision, see
-tools/gen_bessel_chebyshev.py; the raw asymptotic series cannot reach 1e-10
-near the crossover).
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "ln_gamma",
@@ -37,73 +35,10 @@ __all__ = [
     "f_cdf",
 ]
 
-_EULER_GAMMA = 0.5772156649015328606
-_EPS = 2.220446049250313e-16
-_FPMIN = 1e-300
 
-# Chebyshev coefficients of K0(u)*exp(u)*sqrt(u) and K1(u)*exp(u)*sqrt(u) on
-# u in [2, inf), tau = 4/u - 1 in (-1, 1].  First coefficient enters Clenshaw
-# with weight 1/2.
-_K0_CHEB = np.array([
-    2.4403030820659554547,
-    -0.031448101311964500543,
-    0.0015698838857300533749,
-    -0.00012849549581627802638,
-    1.3949813718876499364e-05,
-    -1.8317555227191194848e-06,
-    2.7668136394450150761e-07,
-    -4.6604898976879476656e-08,
-    8.5740340174142260858e-09,
-    -1.6975345093890615156e-09,
-    3.5773972814003284472e-10,
-    -7.9574892444773970377e-11,
-    1.855949114954926555e-11,
-    -4.5145978833745191751e-12,
-    1.1403405882073442347e-12,
-    -2.9800969231481783548e-13,
-    8.0328907750683743694e-14,
-    -2.2275133267462963604e-14,
-    6.3400764762766459642e-15,
-    -1.8485933779209071651e-15,
-    5.5120559994043332676e-16,
-    -1.6782311257549004166e-16,
-    5.210391777643549035e-17,
-    -1.6475805939842515956e-17,
-    5.3004337711770654714e-18,
-    -1.7331712005814715966e-18,
-    5.7551092028680416494e-19,
-    -1.9390956052838415779e-19,
-])
-_K1_CHEB = np.array([
-    2.7206261904844426694,
-    0.10392373657681723844,
-    -0.0028578168596227793868,
-    0.00019521551847135163111,
-    -1.93619797416608296e-05,
-    2.4064849478372171171e-06,
-    -3.5019606030878125421e-07,
-    5.7410841254500492923e-08,
-    -1.0345762465678097027e-08,
-    2.0150497551970346161e-09,
-    -4.1903547593419255842e-10,
-    9.2183151876053141258e-11,
-    -2.1299678384277910216e-11,
-    5.1396396734823435404e-12,
-    -1.2891739609498229352e-12,
-    3.3484196660522431201e-13,
-    -8.9767051820101460691e-14,
-    2.4771544242195986812e-14,
-    -7.0198370892147688493e-15,
-    2.0387031662398608755e-15,
-    -6.0570472706430177212e-16,
-    1.838093575243045194e-16,
-    -5.6894628491936430675e-17,
-    1.7940510478863450716e-17,
-    -5.7567444820730196429e-18,
-    1.8778651901616688517e-18,
-    -6.2216452873372238705e-19,
-    2.091912526946938434e-19,
-])
+def _like(x, out):
+    # float for scalar input, array otherwise
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def ln_gamma(x: float) -> float:
@@ -113,227 +48,56 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-# ---------------------------------------------------------------------------
-# lower incomplete gamma
-
-
-def _ligamma_series(s: float, x: np.ndarray) -> np.ndarray:
-    # gamma(s, x) = x^s e^-x sum_k x^k / (s (s+1) ... (s+k)),  for x < s+1
-    term = np.full(x.shape, 1.0 / s)
-    total = term.copy()
-    active = np.ones(x.shape, dtype=bool)
-    ap = s
-    for _ in range(500):
-        ap += 1.0
-        term = term * x / ap
-        total = np.where(active, total + term, total)
-        active = np.abs(term) > np.abs(total) * _EPS
-        if not active.any():
-            break
-    else:  # pragma: no cover - series converges well inside the loop cap
-        raise RuntimeError("incomplete gamma series failed to converge")
-    return total * np.exp(s * np.log(np.where(x > 0, x, 1.0)) - x) * (x > 0)
-
-
-def _ligamma_contfrac(s: float, x: np.ndarray) -> np.ndarray:
-    # Lentz continued fraction for the regularized upper tail Q(s, x), x >= s+1
-    b = x + 1.0 - s
-    c = np.full(x.shape, 1.0 / _FPMIN)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, 500):
-        an = -i * (i - s)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) < 10.0 * _EPS):
-            break
-    else:  # pragma: no cover
-        raise RuntimeError("incomplete gamma continued fraction failed to converge")
-    q = np.exp(-x + s * np.log(x) - math.lgamma(s)) * h
-    return math.gamma(s) * (1.0 - q) if s < 171 else np.exp(math.lgamma(s)) * (1.0 - q)
-
-
 def lower_incomplete_gamma(s: float, x):
     """Unregularized lower incomplete gamma gamma(s, x) = int_0^x t^(s-1) e^-t dt.
 
     ``s`` is a positive scalar; ``x`` may be a nonnegative scalar or array.
-    Series for x < s + 1, continued fraction otherwise.
     """
     if not s > 0.0:
         raise ValueError(f"lower_incomplete_gamma requires s > 0, got {s}")
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
     if np.any(xa < 0.0):
         raise ValueError("lower_incomplete_gamma requires x >= 0")
-    out = np.empty_like(xa)
-    small = xa < s + 1.0
-    if small.any():
-        out[small] = _ligamma_series(s, xa[small])
-    if (~small).any():
-        out[~small] = _ligamma_contfrac(s, xa[~small])
-    return float(out[0]) if scalar else out
+    return _like(x, special.gammainc(s, xa) * special.gamma(s))
 
 
-# ---------------------------------------------------------------------------
-# modified Bessel K0 / K1
-
-
-def _k01_series(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # ascending series for K0 and K1 on (0, 2]
-    q = 0.25 * u * u
-    lg = np.log(0.5 * u)
-    i0 = np.ones_like(u)
-    i1sum = np.ones_like(u)          # I1 = (u/2) * i1sum
-    k0sum = np.zeros_like(u)         # sum H_k q^k / (k!)^2
-    k1sum = np.ones_like(u)          # sum (H_k + H_{k+1}) q^k / (k! (k+1)!); k=0 term is H_0+H_1 = 1
-    t0 = np.ones_like(u)
-    t1 = np.ones_like(u)
-    hk = 0.0
-    for k in range(1, 20):
-        t0 = t0 * q / (k * k)
-        t1 = t1 * q / (k * (k + 1))
-        i0 = i0 + t0
-        i1sum = i1sum + t1
-        hk += 1.0 / k
-        k0sum = k0sum + hk * t0
-        w1 = 2.0 * hk + 1.0 / (k + 1)  # H_k + H_{k+1}
-        k1sum = k1sum + w1 * t1
-    i1 = 0.5 * u * i1sum
-    k0 = -(lg + _EULER_GAMMA) * i0 + k0sum
-    k1 = 1.0 / u + lg * i1 - 0.25 * u * (k1sum - 2.0 * _EULER_GAMMA * i1sum)
-    return k0, k1
-
-
-def _cheb_scaled(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # Clenshaw evaluation of K_n(u) e^u sqrt(u) at tau = 4/u - 1
-    tau = 4.0 / u - 1.0
-    b1 = np.zeros_like(u)
-    b2 = np.zeros_like(u)
-    for c in coeffs[:0:-1]:
-        b1, b2 = 2.0 * tau * b1 - b2 + c, b1
-    return tau * b1 - b2 + 0.5 * coeffs[0]
-
-
-def _k01_dispatch(u, which: int, scaled: bool):
+def _bessel(fn, u):
     ua = np.asarray(u, dtype=float)
-    is_scalar = ua.ndim == 0
-    ua = np.atleast_1d(ua)
     if np.any(ua <= 0.0):
         raise ValueError("bessel_k requires u > 0")
-    out = np.empty_like(ua)
-    small = ua <= 2.0
-    if small.any():
-        k0, k1 = _k01_series(ua[small])
-        v = k0 if which == 0 else k1
-        out[small] = v * np.exp(ua[small]) if scaled else v
-    big = ~small
-    if big.any():
-        coeffs = _K0_CHEB if which == 0 else _K1_CHEB
-        f = _cheb_scaled(coeffs, ua[big]) / np.sqrt(ua[big])
-        out[big] = f if scaled else f * np.exp(-ua[big])
-    return float(out[0]) if is_scalar else out
+    return _like(u, fn(ua))
 
 
 def bessel_k0(u):
     """Modified Bessel function of the second kind K0(u), u > 0."""
-    return _k01_dispatch(u, 0, scaled=False)
+    return _bessel(special.k0, u)
 
 
 def bessel_k1(u):
     """Modified Bessel function of the second kind K1(u), u > 0."""
-    return _k01_dispatch(u, 1, scaled=False)
+    return _bessel(special.k1, u)
 
 
 def bessel_k0e(u):
     """Exponentially scaled K0: exp(u) * K0(u).  Stable for large u."""
-    return _k01_dispatch(u, 0, scaled=True)
+    return _bessel(special.k0e, u)
 
 
 def bessel_k1e(u):
     """Exponentially scaled K1: exp(u) * K1(u)."""
-    return _k01_dispatch(u, 1, scaled=True)
-
-
-# ---------------------------------------------------------------------------
-# reference CDFs
+    return _bessel(special.k1e, u)
 
 
 def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via erfc."""
-    return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    # Lentz continued fraction for the regularized incomplete beta
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 10.0 * _EPS:
-            return h
-    raise RuntimeError("incomplete beta continued fraction failed to converge")
-
-
-def _betainc_reg(a: float, b: float, x: float) -> float:
-    # regularized incomplete beta I_x(a, b)
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(
-        a * math.log(x)
-        + b * math.log1p(-x)
-        - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    """Standard normal CDF."""
+    return float(special.ndtr(float(x)))
 
 
 def student_t_cdf(x: float, nu: float) -> float:
     """CDF of Student's t with nu > 0 degrees of freedom."""
     if not nu > 0.0:
         raise ValueError(f"student_t_cdf requires nu > 0, got {nu}")
-    x = float(x)
-    if x == 0.0:
-        return 0.5
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
-    p = 0.5 * _betainc_reg(0.5 * nu, 0.5, nu / (nu + x * x))
-    return p if x < 0.0 else 1.0 - p
+    return float(special.stdtr(nu, float(x)))
 
 
 def f_cdf(x: float, d1: float, d2: float) -> float:
@@ -343,8 +107,4 @@ def f_cdf(x: float, d1: float, d2: float) -> float:
     x = float(x)
     if x < 0.0:
         raise ValueError(f"f_cdf requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    return _betainc_reg(0.5 * d1, 0.5 * d2, d1 * x / (d1 * x + d2))
+    return float(special.fdtr(d1, d2, x))

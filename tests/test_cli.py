@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blslab
 from blslab.cli import build_parser, dispatch
 from blslab.datakit import COMPARISON_COLUMNS, Dataset, load_csv, save_csv
 from blslab.distribution import BLSParams, sample
@@ -305,3 +310,16 @@ def test_help_exits_zero(capsys):
 def test_version_flag(capsys):
     assert dispatch(["--version"]) == 0
     assert capsys.readouterr().out.startswith("blslab ")
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(blslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-m", "blslab.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == f"blslab {blslab.__version__}\n"

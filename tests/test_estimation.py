@@ -242,6 +242,17 @@ def test_fit_near_degenerate_correlation():
     assert np.all(np.isfinite(fit.theta_hat.as_array()))
 
 
+@pytest.mark.parametrize("seed", [295, 302])
+def test_fit_logpexp_converges_with_optimum_on_a_data_pair(seed):
+    # on these samples the logpexp(xi=1) optimum sits on a data pair, where
+    # log g = -x^(1/2)/2 has a cusp; the winsorized estimator still converges
+    x = dist.sample(BLSParams(1.0, 2.0, 0.5, 0.3, 0.4), SL4, 50, seed=seed)
+    fit = est.fit_mle(x, make_generator("logpexp", xi=1.0))
+    assert fit.converged
+    assert fit.std_errors is not None
+    assert np.all(np.isfinite(fit.std_errors))
+
+
 def test_default_starts_are_robust_moments():
     x = dist.sample(THETA, LN, 500, seed=8)
     s1, _ = est.default_starts(x)

@@ -130,6 +130,10 @@ def test_log_g_stable_for_extreme_arguments():
         math.log(math.gamma(2.5)) - 2.5 * math.log(1e8), rel=1e-10
     )
     assert np.isfinite(gen.log_g(make_generator("loghyperbolic", nu=2.0), 1e8))
+    # the far tail itself: every family has g(inf) = 0
+    for spec in SPECS:
+        assert gen.g(spec, math.inf) == 0.0
+        assert gen.log_g(spec, math.inf) == -math.inf
 
 
 def test_g_log_g_consistency():
