@@ -11,8 +11,9 @@ with xq = (zt1^2 - 2 rho zt1 zt2 + zt2^2) / (1 - rho^2),
 zti = (log ti - log etai) / sigmai, and Z the family partition constant.
 
 The squared Mahalanobis radius xq follows the radial law with density
-pi g(x) / Z; closed forms exist for lognormal (chi-square with 2 df) and
-logt (2 * F(2, nu)).
+pi g(x) / Z. Every family has a closed survival function for it
+(``generators.radial_sf``) and an inverse (``generators.radial_isf``),
+which carry the radial CDF and quantile, the sampler and the marginal CDF.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ __all__ = [
     "reciprocal_standardized",
 ]
 
-_TRUNC_TAIL = 1e-10  # truncation mass for 2-D quadrature and sampling tables
+_TRUNC_TAIL = 1e-10  # radial tail mass cut off by the joint_cdf quadrature box
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,9 @@ def _as_positive_array(t, name: str) -> tuple[np.ndarray, bool]:
     return ta, scalar
 
 
-def _checked_quad(f, a, b, epsabs=1e-11, epsrel=1e-10, tol=None, **kw):
+def _checked_quad(f, a, b, epsabs=1e-11, epsrel=1e-10, **kw):
     val, err = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200, **kw)
-    budget = tol if tol is not None else max(1e-9, 1e-7 * abs(val))
+    budget = max(1e-9, 1e-7 * abs(val))
     if not np.isfinite(val) or err > budget:
         raise IntegrationError(
             f"quadrature failed on [{a}, {b}]: value {val}, error estimate {err}"
@@ -183,144 +184,25 @@ def mahalanobis_pdf(spec: GeneratorSpec, x):
 def mahalanobis_cdf(spec: GeneratorSpec, x) -> float:
     """CDF of the squared Mahalanobis radius at scalar x."""
     x = float(x)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"mahalanobis_cdf requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    gid = spec.id
-    if gid is GeneratorId.LOGNORMAL:
-        return -math.expm1(-0.5 * x)  # chi-square, 2 df
-    if gid is GeneratorId.STUDENT_T:
-        nu = spec.params.nu  # 2 F(2, nu)
-        return -math.expm1(0.5 * nu * (math.log(nu) - math.log(x + nu)))
-    z = _z_const(spec)
-    # head mass on geometric panels: one adaptive quad per panel so no single
-    # call spans a huge interval (power-tailed g would defeat the subdivision)
-    head = 0.0
-    lo = 0.0
-    hi_edge = min(1.0, x)
-    while True:
-        head += _checked_quad(lambda u: gen.g(spec, u), lo, hi_edge, tol=1e-10)
-        if hi_edge >= x:
-            break
-        lo, hi_edge = hi_edge, min(2.0 * hi_edge, x)
-    head *= math.pi / z
-    if head <= 0.7:
-        return min(head, 1.0)
-    # upper tail via u = x/s, s in (0, 1]: well-behaved for power-law tails
-    # once x sits at or beyond the bulk of the law
-    tail = (
-        math.pi
-        / z
-        * x
-        * _checked_quad(lambda s: gen.g(spec, x / s) / (s * s), 0.0, 1.0, tol=1e-10)
-    )
-    return max(0.0, 1.0 - tail)
+    return 1.0 - gen.radial_sf(spec, x)
 
 
 def mahalanobis_quantile(spec: GeneratorSpec, p: float) -> float:
-    """Quantile of the squared Mahalanobis radius, p in [0, 1)."""
+    """Quantile of the squared Mahalanobis radius, p in [0, 1).
+
+    DomainError where the quantile exceeds the double range.
+    """
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise DomainError(f"mahalanobis_quantile requires p in [0, 1), got {p}")
-    if p == 0.0:
-        return 0.0
-    gid = spec.id
-    if gid is GeneratorId.LOGNORMAL:
-        return -2.0 * math.log1p(-p)
-    if gid is GeneratorId.STUDENT_T:
-        nu = spec.params.nu
-        return nu * math.expm1(-2.0 / nu * math.log1p(-p))
-    hi = 1.0
-    for _ in range(400):
-        if mahalanobis_cdf(spec, hi) >= p:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover
-        raise RootFindingError(f"failed to bracket radial quantile at p={p}")
-    try:
-        root = optimize.brentq(
-            lambda u: mahalanobis_cdf(spec, u) - p, 0.0, hi, xtol=1e-13, rtol=1e-15
-        )
-    except Exception as e:  # pragma: no cover
-        raise RootFindingError(f"radial quantile refinement failed at p={p}: {e}")
-    if abs(mahalanobis_cdf(spec, root) - p) > 1e-9:
-        raise RootFindingError(
-            f"radial quantile did not reach 1e-9 probability accuracy at p={p}"
-        )
-    return root
+    return gen.radial_isf(spec, 1.0 - p)
 
 
 # ---------------------------------------------------------------------------
 # sampling: polar representation Z = (R cos A, R sin A) with R^2 from the
 # radial law and A uniform on [0, 2 pi)
-
-# 16-point Gauss-Legendre rule on [-1, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-
-_RADIAL_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _radial_table(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone (nodes, cdf) interpolation table for the generic radial law.
-
-    2048 geometrically spaced nodes covering p in [1e-7, 1 - 1e-10]; segment
-    integrals by fixed 16-point Gauss-Legendre.  Cached per (family, params);
-    a benign rebuild race only wastes work.
-    """
-    key = spec.key()
-    tab = _RADIAL_TABLES.get(key)
-    if tab is not None:
-        return tab
-    z_lo = mahalanobis_quantile(spec, 1e-7)
-    z_hi = mahalanobis_quantile(spec, 1.0 - _TRUNC_TAIL)
-    nodes = np.geomspace(z_lo, z_hi, 2048)
-    a, b = nodes[:-1], nodes[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    pts = mid[:, None] + half[:, None] * _GL_X[None, :]
-    vals = math.pi / _z_const(spec) * gen.g(spec, pts.ravel()).reshape(pts.shape)
-    seg = half * (vals @ _GL_W)
-    cdf = np.concatenate(([1e-7], 1e-7 + np.cumsum(seg)))
-    tab = (nodes, cdf)
-    _RADIAL_TABLES[key] = tab
-    return tab
-
-
-def _radial_ppf_generic(spec: GeneratorSpec, p: np.ndarray) -> np.ndarray:
-    nodes, cdf = _radial_table(spec)
-    out = np.empty_like(p)
-    inside = (p >= cdf[0]) & (p <= cdf[-1])
-    for i in np.nonzero(~inside)[0]:  # rare tail draws: exact scalar inversion
-        out[i] = mahalanobis_quantile(spec, p[i])
-    if inside.any():
-        pi_ = p[inside]
-        idx = np.clip(np.searchsorted(cdf, pi_), 1, len(cdf) - 1)
-        a, b = nodes[idx - 1], nodes[idx]
-        ca, cb = cdf[idx - 1], cdf[idx]
-        z = a + (b - a) * (pi_ - ca) / (cb - ca)
-        zfac = math.pi / _z_const(spec)
-        for _ in range(3):  # Newton refinement against the exact density
-            half = 0.5 * (z - a)
-            mid = 0.5 * (z + a)
-            pts = mid[:, None] + half[:, None] * _GL_X[None, :]
-            fvals = zfac * gen.g(spec, np.maximum(pts.ravel(), 0.0)).reshape(pts.shape)
-            F = ca + half * (fvals @ _GL_W)
-            pdf = zfac * gen.g(spec, z)
-            step = np.where(pdf > 0, (F - pi_) / np.where(pdf > 0, pdf, 1.0), 0.0)
-            z = np.clip(z - step, a, b)
-        out[inside] = z
-    return out
-
-
-def _radial_ppf(spec: GeneratorSpec, p: np.ndarray) -> np.ndarray:
-    gid = spec.id
-    if gid is GeneratorId.LOGNORMAL:
-        return -2.0 * np.log1p(-p)
-    if gid is GeneratorId.STUDENT_T:
-        nu = spec.params.nu
-        return nu * np.expm1(-2.0 / nu * np.log1p(-p))
-    return _radial_ppf_generic(spec, p)
 
 
 def sample(theta: BLSParams, spec: GeneratorSpec, n: int, seed) -> np.ndarray:
@@ -333,7 +215,7 @@ def sample(theta: BLSParams, spec: GeneratorSpec, n: int, seed) -> np.ndarray:
         raise DomainError(f"sample size must be a positive integer, got {n}")
     rng = np.random.default_rng(seed)
     u = rng.random((int(n), 2))
-    d2 = _radial_ppf(spec, u[:, 0])
+    d2 = gen.radial_isf(spec, 1.0 - u[:, 0])  # tail probability in (0, 1]
     rad = np.sqrt(d2)
     ang = 2.0 * math.pi * u[:, 1]
     z1 = rad * np.cos(ang)
@@ -359,7 +241,7 @@ def joint_cdf(theta: BLSParams, spec: GeneratorSpec, t1: float, t2: float) -> fl
     if not (t1 > 0.0 and t2 > 0.0):
         raise DomainError("joint_cdf requires t1 > 0 and t2 > 0")
     a, b = standardize(theta, t1, t2)
-    R = math.sqrt(mahalanobis_quantile(spec, 1.0 - _TRUNC_TAIL))
+    R = math.sqrt(gen.radial_isf(spec, _TRUNC_TAIL))
     if a <= -R or b <= -R:
         return 0.0
     rho = theta.rho
@@ -399,31 +281,33 @@ def joint_cdf(theta: BLSParams, spec: GeneratorSpec, t1: float, t2: float) -> fl
 def marginal_pdf_z(spec: GeneratorSpec, zv: float) -> float:
     """Density of one standardized log-scale component Z1 at zv.
 
-    f(z) = int_{|z|}^inf 2 g(w^2) / sqrt(1 - z^2/w^2) dw / Z, evaluated through
-    the substitution w = |z|/cos(phi) which removes the endpoint singularity;
-    at z = 0 it reduces to 2 int_0^inf g(v^2) dv / Z.
+    f(z) = 2 int_0^inf g(z^2 + v^2) dv / Z.
     """
     zv = float(zv)
+    zq = zv * zv
     z = _z_const(spec)
-    if zv == 0.0:
-        return 2.0 / z * _checked_quad(lambda v: gen.g(spec, v * v), 0.0, np.inf)
-    az = abs(zv)
-
-    def integrand(phi):
-        cp = math.cos(phi)
-        return gen.g(spec, (az / cp) ** 2) / (cp * cp)
-
-    return 2.0 * az / z * _checked_quad(integrand, 0.0, 0.5 * math.pi)
+    return 2.0 / z * _checked_quad(lambda v: gen.g(spec, zq + v * v), 0.0, np.inf)
 
 
 def marginal_cdf_z(spec: GeneratorSpec, zv: float) -> float:
-    """CDF of the standardized component; symmetric about 0."""
+    """CDF of the standardized component; symmetric about 0.
+
+    P(0 < Z1 <= z) = (1/pi) int_0^inf z F(z^2 + w^2) / (z^2 + w^2) dw, with
+    F = 1 - S the radial CDF.
+    """
     zv = float(zv)
     if zv == 0.0:
         return 0.5
-    half = _checked_quad(
-        lambda w: marginal_pdf_z(spec, w), 0.0, abs(zv), epsabs=1e-10, epsrel=1e-9
-    )
+    az = abs(zv)
+    zq = az * az
+    if not math.isfinite(zq):
+        raise DomainError(f"marginal_cdf_z: z^2 is beyond the double range at z={zv}")
+
+    def integrand(w):
+        xq = zq + w * w
+        return az * (1.0 - gen.radial_sf(spec, xq)) / xq
+
+    half = _checked_quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12) / math.pi
     half = min(half, 0.5)
     return 0.5 + half if zv > 0 else 0.5 - half
 

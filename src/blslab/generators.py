@@ -2,7 +2,8 @@
 
 Each family is a nonnegative density generator g(x) on [0, inf) together with
 its normalizing partition constant Z = pi * int_0^inf g(u) du, its score ratio
-r(x) = g'(x)/g(x), and optional extra parameters.  The eight families:
+r(x) = g'(x)/g(x), the survival function of its radial law pi g(x) / Z and
+that function's inverse, and optional extra parameters.  The eight families:
 
     lognormal             g(x) = exp(-x/2)
     logt(nu)              g(x) = (1 + x/nu)^(-(nu+2)/2),            nu > 0
@@ -23,10 +24,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from . import specfun
-from .errors import DomainError, IntegrationError
+from .errors import DomainError, IntegrationError, RootFindingError
 
 __all__ = [
     "GeneratorId",
@@ -37,12 +38,15 @@ __all__ = [
     "log_g",
     "r",
     "partition_closed",
+    "radial_sf",
+    "radial_isf",
     "partition_numeric",
     "characteristic_generator",
     "FAMILY_NAMES",
 ]
 
 _SLASH_SERIES_X = 1e-5  # below this, slash g and r switch to their series forms
+_SQRT2 = math.sqrt(2.0)
 
 
 class GeneratorId(Enum):
@@ -118,10 +122,6 @@ class GeneratorSpec:
     def has_characteristic_generator(self) -> bool:
         # closed-form moment generator vartheta(x) is only available here
         return self.id is GeneratorId.LOGNORMAL
-
-    @property
-    def has_closed_radial_law(self) -> bool:
-        return self.id in (GeneratorId.LOGNORMAL, GeneratorId.STUDENT_T)
 
     def key(self) -> tuple:
         return (self.id.value, self.params.nu, self.params.xi, self.params.theta)
@@ -259,7 +259,10 @@ def r(spec: GeneratorSpec, x):
         if np.any(xa == 0.0):
             raise DomainError("loglaplace score ratio is singular at x = 0")
         u = np.sqrt(2.0 * xa)
-        out = -specfun.bessel_k1e(u) / (u * specfun.bessel_k0e(u))
+        # k0e and k1e both vanish at x = inf, where r ~ -1/sqrt(2x) is -0
+        out = np.full_like(xa, -0.0)
+        fin = u < np.inf
+        out[fin] = -specfun.bessel_k1e(u[fin]) / (u[fin] * specfun.bessel_k0e(u[fin]))
     elif gid is GeneratorId.SLASH:
         if np.any(xa == 0.0):
             raise DomainError("logslash score ratio is singular at x = 0 (0/0 form)")
@@ -274,9 +277,12 @@ def r(spec: GeneratorSpec, x):
             S = 1.0 - s * ys / (s + 1.0) + s * ys * ys / (2.0 * (s + 2.0))
             out[small] = (s / xa[small]) * num / S
         if (~small).any():
-            yb = y[~small]
+            xb, yb = xa[~small], y[~small]
             S = s * specfun.lower_incomplete_gamma(s, yb) * yb**-s
-            out[~small] = (s / xa[~small]) * (np.exp(-yb) - S) / S
+            e = np.exp(-yb)
+            # once e^-y underflows (x > 1490) r = -s/x exactly; S follows it
+            # to 0 beyond x ~ 1e123 (s = 2.5)
+            out[~small] = np.divide((s / xb) * (e - S), S, out=-s / xb, where=e > 0.0)
     elif gid is GeneratorId.POWER_EXP:
         if p.xi > 0.0 and np.any(xa == 0.0):
             raise DomainError("logpexp score ratio is singular at x = 0 for xi > 0")
@@ -321,6 +327,166 @@ def partition_closed(spec: GeneratorSpec) -> float:
     if gid is GeneratorId.LOGISTIC:
         return 0.5 * math.pi
     raise DomainError(f"unknown generator {gid}")  # pragma: no cover
+
+
+# ---------------------------------------------------------------------------
+# radial law: the squared Mahalanobis radius X has density pi g(x) / Z
+
+
+def radial_sf(spec: GeneratorSpec, x):
+    """Survival function S(x) = P(X > x) of the radial law pi g(x) / Z.
+
+    Closed form for every family, computed as the upper tail itself, so a
+    tail probability keeps its relative accuracy (no 1 - F cancellation).
+    """
+    xa, scalar = _as_nonneg_array(x)
+    out = (xa == 0.0).astype(float)  # S(0) = 1, S(inf) = 0
+    inner = (xa > 0.0) & (xa < np.inf)
+    x, gid, p = xa[inner], spec.id, spec.params
+    if gid is GeneratorId.LOGNORMAL:
+        sf = np.exp(-0.5 * x)
+    elif gid is GeneratorId.STUDENT_T:
+        sf = np.exp(-0.5 * p.nu * np.log1p(x / p.nu))
+    elif gid is GeneratorId.PEARSON_VII:
+        sf = np.exp((1.0 - p.xi) * np.log1p(x / p.theta))
+    elif gid is GeneratorId.LAPLACE:
+        v = _SQRT2 * np.sqrt(x)  # 2x may overflow
+        sf = v * specfun.bessel_k1e(v) * np.exp(-v)
+    elif gid in (GeneratorId.HYPERBOLIC, GeneratorId.SLASH):
+        sf = np.exp(_radial_log_tails(spec, x)[0])
+    elif gid is GeneratorId.POWER_EXP:
+        a = 1.0 + p.xi
+        w = 0.5 * x ** (1.0 / a)
+        # w underflows as xi -> -1; there 1 - S = P(a, w) = w^a / Gamma(a + 1)
+        head = 1.0 - x / (2.0**a * math.gamma(1.0 + a))
+        sf = np.where(w > 1e-100, special.gammaincc(a, w), head)
+    else:  # loglogistic
+        sf = 2.0 * special.expit(-x)
+    out[inner] = sf
+    return _ret(out, scalar)
+
+
+def radial_isf(spec: GeneratorSpec, q):
+    """Inverse survival function: the x with S(x) = q, for q in (0, 1].
+
+    Closed for five families; loghyperbolic, loglaplace and logslash invert
+    S by a safeguarded Newton iteration. DomainError where x exceeds the
+    double range.
+    """
+    scalar = np.ndim(q) == 0
+    qa = np.atleast_1d(np.asarray(q, dtype=float))
+    if not np.all((qa > 0.0) & (qa <= 1.0)):
+        raise DomainError("radial_isf requires q in (0, 1]")
+    out = np.zeros_like(qa)  # isf(1) = 0
+    inner = qa < 1.0
+    q, gid, p = qa[inner], spec.id, spec.params
+    lq = -np.log(q)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        if gid is GeneratorId.LOGNORMAL:
+            x = 2.0 * lq
+        elif gid is GeneratorId.STUDENT_T:
+            x = p.nu * np.expm1(2.0 / p.nu * lq)
+        elif gid is GeneratorId.PEARSON_VII:
+            x = p.theta * np.expm1(lq / (p.xi - 1.0))
+        elif gid is GeneratorId.HYPERBOLIC:
+            d = lq / p.nu  # S = e^(-nu d) (1 + nu d / (nu + 1)) with d = sqrt(1+x) - 1
+            x = _radial_isf_newton(spec, q, np.log(d * (2.0 + d)))
+        elif gid is GeneratorId.LAPLACE:
+            v = lq + 0.5 * np.log1p(0.5 * math.pi * lq)  # tail: S ~ sqrt(pi v/2) e^-v
+            x = _radial_isf_newton(spec, q, np.log(np.maximum(lq, 0.5 * v * v)))
+        elif gid is GeneratorId.SLASH:
+            # start from logpvii(xi = theta = s): the same head and tail order
+            s = 0.5 * (p.nu + 1.0)
+            a = lq / (s - 1.0)
+            t0 = math.log(2.0 * s) + a + np.log(-np.expm1(-a))
+            x = _radial_isf_newton(spec, q, t0)
+        elif gid is GeneratorId.POWER_EXP:
+            a = 1.0 + p.xi
+            w = special.gammainccinv(a, q)
+            # w underflows as xi -> -1; there 1 - q = P(a, w) = w^a / Gamma(a + 1)
+            head = 2.0**a * math.gamma(1.0 + a) * (1.0 - q)
+            x = np.where(w > 1e-100, (2.0 * w) ** a, head)
+        else:  # loglogistic
+            x = np.log1p(2.0 * (1.0 - q) / q)
+    if np.any(np.isinf(x)):
+        raise DomainError(
+            f"{spec.label()}: the radial quantile at tail probability "
+            f"{np.min(q):g} exceeds the double range"
+        )
+    out[inner] = x
+    return _ret(out, scalar)
+
+
+# loglaplace head: 1 - v K1(v) = -sum_k c_k (2x)^(k+1) (log(x/2) - d_k), v = sqrt(2x)
+_HEAD_K = np.arange(7)
+_LAPLACE_HEAD_C = 1.0 / (
+    4.0 ** (_HEAD_K + 1) * special.factorial(_HEAD_K) * special.factorial(_HEAD_K + 1)
+)
+_LAPLACE_HEAD_D = special.digamma(_HEAD_K + 1.0) + special.digamma(_HEAD_K + 2.0)
+
+
+def _radial_log_tails(spec: GeneratorSpec, x: np.ndarray):
+    """log S(x), log F(x) = log(1 - S(x)) and log(x f(x)), f = pi g / Z, for
+    loghyperbolic, loglaplace and logslash; F without 1 - S cancellation."""
+    if spec.id is GeneratorId.HYPERBOLIC:
+        nu = spec.params.nu
+        d = x / (1.0 + np.sqrt(1.0 + x))  # sqrt(1 + x) - 1 without cancellation
+        log_sf = np.log1p(nu * d / (nu + 1.0)) - nu * d
+        log_xf = np.log(x) - nu * d + math.log(0.5 * nu * nu / (nu + 1.0))
+        return log_sf, np.log(-np.expm1(log_sf)), log_xf
+    if spec.id is GeneratorId.LAPLACE:
+        v = _SQRT2 * np.sqrt(x)  # 2x may overflow
+        log_sf = np.log(v * specfun.bessel_k1e(v)) - v
+        cdf = -np.expm1(log_sf)
+        xh = x[v < 0.5, None]
+        terms = _LAPLACE_HEAD_C * (2.0 * xh) ** (_HEAD_K + 1)
+        cdf[v < 0.5] = -np.sum(terms * (np.log(0.5 * xh) - _LAPLACE_HEAD_D), axis=1)
+        return log_sf, np.log(cdf), np.log(x * specfun.bessel_k0e(v)) - v
+    # logslash: S = T + e^-y with T = y^(1-s) gamma(s, y) = 2^s y g(x), y = x/2,
+    # and x f(x) = (s - 1) T; log_g keeps log T finite (series near 0)
+    s = 0.5 * (spec.params.nu + 1.0)
+    log_t = log_g(spec, x) + np.log(x) + (s - 1.0) * math.log(2.0)
+    log_cdf = np.log(-np.expm1(-0.5 * x) - np.exp(log_t))
+    return np.logaddexp(log_t, -0.5 * x), log_cdf, math.log(s - 1.0) + log_t
+
+
+_X_MAX = np.finfo(float).max
+_LOG_X_LO, _LOG_X_HI = math.log(np.finfo(float).tiny), math.log(_X_MAX)
+
+
+def _radial_isf_newton(spec: GeneratorSpec, q: np.ndarray, t: np.ndarray):
+    """Solve S(e^t) = q by Newton in t = log x from the guess t, vectorized.
+
+    For q > 1/2 it solves log F = log(1 - q), else log S = log q, so the
+    residual keeps its relative accuracy. Each evaluation narrows a bracket,
+    initially the double range, and a step leaving it bisects instead. The
+    residual is known to about 1 ulp while the slope can tend to 0, so a
+    point stops when its step is <= 1e-12 or its residual is within 4 ulp of
+    max(1, |target|); either test alone can cycle forever. Roots beyond the
+    double range are +inf.
+    """
+    x = np.full_like(q, np.inf)
+    idx = np.nonzero(np.log(q) >= _radial_log_tails(spec, np.array([_X_MAX]))[0])[0]
+    q, t = q[idx], np.clip(t[idx], _LOG_X_LO, _LOG_X_HI)
+    head = q > 0.5
+    target = np.where(head, np.log1p(-q), np.log(q))
+    lo, hi = np.full_like(t, _LOG_X_LO), np.full_like(t, _LOG_X_HI)
+    for _ in range(100):
+        if idx.size == 0:
+            return x
+        log_sf, log_cdf, log_xf = _radial_log_tails(spec, np.exp(t))
+        f = np.where(head, target - log_cdf, log_sf - target)  # > 0 below the root
+        slope = -np.exp(log_xf - np.where(head, log_cdf, log_sf))
+        lo, hi = np.where(f > 0.0, t, lo), np.where(f < 0.0, t, hi)
+        t_new = t - f / np.minimum(slope, -np.finfo(float).tiny)
+        t_new = np.where((lo < t_new) & (t_new < hi), t_new, 0.5 * (lo + hi))
+        small = np.abs(f) <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(target))
+        done = small | (np.abs(t_new - t) <= 1e-12)
+        x[idx[done]] = np.exp(np.where(small, t, t_new)[done])
+        idx, head, target, t, lo, hi = (
+            a[~done] for a in (idx, head, target, t_new, lo, hi)
+        )
+    raise RootFindingError(f"{spec.label()}: radial quantile did not converge")
 
 
 def partition_numeric(spec: GeneratorSpec, epsrel: float = 1e-10) -> float:

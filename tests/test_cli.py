@@ -317,9 +317,10 @@ def test_module_entry_point_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
-    proc = subprocess.run(
-        [sys.executable, "-m", "blslab.cli", "--version"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == f"blslab {blslab.__version__}\n"
+    for module in ("blslab.cli", "blslab"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "--version"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == f"blslab {blslab.__version__}\n"

@@ -88,6 +88,51 @@ def test_marginal_quantile_domain():
         dist.marginal_quantile(THETA, LN, 1, 1.0)
 
 
+SMALL_Z = [1e-7, -1e-7, 1e-4, -1e-4, 0.01, -0.01]
+EIGHT = [
+    LN,
+    LT4,
+    make_generator("logpvii", xi=5.0, theta=22.0),
+    make_generator("loghyperbolic", nu=2.0),
+    make_generator("loglaplace"),
+    SL4,
+    make_generator("logpexp", xi=0.5),
+    make_generator("loglogistic"),
+]
+
+
+def test_marginal_cdf_near_zero_matches_closed_margins():
+    for z in SMALL_Z:
+        assert abs(dist.marginal_cdf_z(LN, z) - stats.norm.cdf(z)) <= 1e-12
+        assert abs(dist.marginal_cdf_z(LT4, z) - stats.t.cdf(z, 4)) <= 1e-12
+    assert dist.marginal_pdf_z(LN, 1e-6) == pytest.approx(stats.norm.pdf(1e-6), rel=1e-10)
+    assert dist.marginal_pdf_z(LT4, 1e-6) == pytest.approx(stats.t.pdf(1e-6, 4), rel=1e-10)
+
+
+@pytest.mark.parametrize("spec", EIGHT, ids=lambda s: s.label())
+def test_marginal_laws_near_zero(spec):
+    cdf = [dist.marginal_cdf_z(spec, z) for z in SMALL_Z]
+    assert all(0.0 < c < 1.0 for c in cdf)
+    assert all(c > 0.5 for c in cdf[0::2]) and all(c < 0.5 for c in cdf[1::2])
+    assert dist.marginal_pdf_z(spec, 1e-6) > 0.0
+    t1 = THETA.eta1 * math.exp(THETA.sigma1 * 1e-6)
+    assert dist.conditional_pdf_t2_given_t1(THETA, spec, t1, 2.0) > 0.0
+
+
+def test_marginal_cdf_rejects_a_square_beyond_double_range():
+    for z in (1e200, -1e200, math.nan):
+        with pytest.raises(DomainError):
+            dist.marginal_cdf_z(LN, z)
+
+
+@pytest.mark.parametrize("spec", [LN, SL4], ids=lambda s: s.label())
+def test_marginal_quantile_just_above_the_median(spec):
+    q = dist.marginal_quantile(THETA, spec, 1, 0.501)
+    z = (math.log(q) - math.log(THETA.eta1)) / THETA.sigma1
+    assert z > 0.0
+    assert dist.marginal_cdf_z(spec, z) == pytest.approx(0.501, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # conditional density of T2 given T1 = t1
 

@@ -154,6 +154,13 @@ def test_g_examples():
     assert gen.g(make_generator("loglaplace"), 0.0) == np.inf
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+def test_score_ratio_finite_at_huge_arguments(spec):
+    # logslash r -> -s/x and loglaplace r -> -1/sqrt(2x); both reach -0 at inf
+    out = gen.r(spec, np.array([1e124, 1e300, np.inf]))
+    assert np.all(np.isfinite(out)) and np.all(out <= 0.0)
+
+
 def test_characteristic_generator():
     ln = make_generator("lognormal")
     assert ln.has_characteristic_generator
@@ -161,20 +168,6 @@ def test_characteristic_generator():
     for spec in SPECS[1:]:
         assert not spec.has_characteristic_generator
         assert gen.characteristic_generator(spec, 1.0) is None
-
-
-def test_closed_radial_law_flags():
-    assert make_generator("lognormal").has_closed_radial_law
-    assert make_generator("logt", nu=4.0).has_closed_radial_law
-    for name, kw in [
-        ("logpvii", dict(xi=5.0, theta=22.0)),
-        ("loghyperbolic", dict(nu=2.0)),
-        ("loglaplace", {}),
-        ("logslash", dict(nu=4.0)),
-        ("logpexp", dict(xi=0.3)),
-        ("loglogistic", {}),
-    ]:
-        assert not make_generator(name, **kw).has_closed_radial_law
 
 
 def test_parameter_validation():
