@@ -343,25 +343,26 @@ def radial_sf(spec: GeneratorSpec, x):
     out = (xa == 0.0).astype(float)  # S(0) = 1, S(inf) = 0
     inner = (xa > 0.0) & (xa < np.inf)
     x, gid, p = xa[inner], spec.id, spec.params
-    if gid is GeneratorId.LOGNORMAL:
-        sf = np.exp(-0.5 * x)
-    elif gid is GeneratorId.STUDENT_T:
-        sf = np.exp(-0.5 * p.nu * np.log1p(x / p.nu))
-    elif gid is GeneratorId.PEARSON_VII:
-        sf = np.exp((1.0 - p.xi) * np.log1p(x / p.theta))
-    elif gid is GeneratorId.LAPLACE:
-        v = _SQRT2 * np.sqrt(x)  # 2x may overflow
-        sf = v * specfun.bessel_k1e(v) * np.exp(-v)
-    elif gid in (GeneratorId.HYPERBOLIC, GeneratorId.SLASH):
-        sf = np.exp(_radial_log_tails(spec, x)[0])
-    elif gid is GeneratorId.POWER_EXP:
-        a = 1.0 + p.xi
-        w = 0.5 * x ** (1.0 / a)
-        # w underflows as xi -> -1; there 1 - S = P(a, w) = w^a / Gamma(a + 1)
-        head = 1.0 - x / (2.0**a * math.gamma(1.0 + a))
-        sf = np.where(w > 1e-100, special.gammaincc(a, w), head)
-    else:  # loglogistic
-        sf = 2.0 * special.expit(-x)
+    with np.errstate(over="ignore"):  # x / nu or x^(1/a) may overflow: then S = 0
+        if gid is GeneratorId.LOGNORMAL:
+            sf = np.exp(-0.5 * x)
+        elif gid is GeneratorId.STUDENT_T:
+            sf = np.exp(-0.5 * p.nu * np.log1p(x / p.nu))
+        elif gid is GeneratorId.PEARSON_VII:
+            sf = np.exp((1.0 - p.xi) * np.log1p(x / p.theta))
+        elif gid is GeneratorId.LAPLACE:
+            v = _SQRT2 * np.sqrt(x)  # 2x may overflow
+            sf = v * specfun.bessel_k1e(v) * np.exp(-v)
+        elif gid in (GeneratorId.HYPERBOLIC, GeneratorId.SLASH):
+            sf = np.exp(_radial_log_tails(spec, x)[0])
+        elif gid is GeneratorId.POWER_EXP:
+            a = 1.0 + p.xi
+            w = 0.5 * x ** (1.0 / a)
+            # w underflows as xi -> -1; there 1 - S = P(a, w) = w^a / Gamma(a + 1)
+            head = 1.0 - x / (2.0**a * math.gamma(1.0 + a))
+            sf = np.where(w > 1e-100, special.gammaincc(a, w), head)
+        else:  # loglogistic
+            sf = 2.0 * special.expit(-x)
     out[inner] = sf
     return _ret(out, scalar)
 

@@ -11,7 +11,7 @@ import pytest
 import blslab
 from blslab.cli import build_parser, dispatch
 from blslab.datakit import COMPARISON_COLUMNS, Dataset, load_csv, save_csv
-from blslab.distribution import BLSParams, sample
+from blslab.distribution import BLSParams, joint_cdf, sample
 from blslab.generators import GeneratorId, make_generator
 
 LN = make_generator(GeneratorId.LOGNORMAL)
@@ -60,6 +60,25 @@ def test_eval_cdf_is_a_probability(capsys):
     hi, mid = (float(v) for v in capsys.readouterr().out.strip().split("\n"))
     assert hi > 0.99
     assert 0.0 < mid < 1.0
+
+
+def test_eval_cdf_prints_the_library_value(capsys):
+    argv = ["eval", "--model", "logt", "--nu", "1", "--theta", "1,2,0.5,0.3,0.4",
+            "--cdf", "1.3,2.1"]
+    assert dispatch(argv) == 0
+    theta = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+    expected = joint_cdf(theta, make_generator("logt", nu=1.0), 1.3, 2.1)
+    assert capsys.readouterr().out == f"{expected:.12g}\n"
+
+
+def test_eval_cdf_of_a_law_whose_quantiles_leave_the_double_range(capsys):
+    # logslash(nu = 1.01) has radial quantiles beyond 1e308; its joint CDF at
+    # the medians is still the orthant probability 1/4 + asin(rho)/(2 pi)
+    argv = ["eval", "--model", "logslash", "--nu", "1.01", "--theta", "1,2,0.5,0.3,0.4",
+            "--cdf", "1,2"]
+    assert dispatch(argv) == 0
+    orthant = 0.25 + math.asin(0.4) / (2.0 * math.pi)
+    assert float(capsys.readouterr().out) == pytest.approx(orthant, abs=1e-11)
 
 
 @pytest.mark.parametrize(

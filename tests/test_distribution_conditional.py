@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate, stats
 
 from blslab import distribution as dist
+from blslab import generators as gen
 from blslab.distribution import BLSParams
 from blslab.errors import DomainError, ZeroProbabilityError
 from blslab.generators import make_generator
@@ -117,6 +118,29 @@ def test_marginal_laws_near_zero(spec):
     assert dist.marginal_pdf_z(spec, 1e-6) > 0.0
     t1 = THETA.eta1 * math.exp(THETA.sigma1 * 1e-6)
     assert dist.conditional_pdf_t2_given_t1(THETA, spec, t1, 2.0) > 0.0
+
+
+@pytest.mark.parametrize("nu", [0.05, 1.0])
+def test_marginal_cdf_of_heavy_logt_is_student_t(nu):
+    # S(z^2 / s^2) ~ |s|^nu near the angle where s = 0: a singularity the
+    # angle rule must grade down to, for small and large |z| alike
+    spec = make_generator("logt", nu=nu)
+    for z in (-30.0, -1.0, 1e-3, 0.5, 3.0, 30.0):
+        assert abs(dist.marginal_cdf_z(spec, z) - stats.t.cdf(z, nu)) <= 1e-12
+
+
+@pytest.mark.parametrize("xi", [-0.5, -0.9, -0.99, -0.999])
+def test_marginal_cdf_of_steep_logpexp_matches_direct_quadrature(xi):
+    # as xi -> -1 the radial law tends to the uniform disc and its survival
+    # function drops to 0 within a relative width 1 + xi of x = 1
+    spec = make_generator("logpexp", xi=xi)
+    for z in (0.1, 0.3, 0.7, 1.0, 1.2):
+        # P(0 < Z1 <= z) = (1/pi) int_0^inf z F(z^2 + w^2) / (z^2 + w^2) dw
+        half, _ = integrate.quad(
+            lambda w: z * (1.0 - gen.radial_sf(spec, z * z + w * w)) / (z * z + w * w),
+            0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=200,
+        )
+        assert abs(dist.marginal_cdf_z(spec, z) - (0.5 + half / math.pi)) <= 1e-12
 
 
 def test_marginal_cdf_rejects_a_square_beyond_double_range():

@@ -113,6 +113,63 @@ def test_joint_cdf_monotone():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+# standardized points (a, b): near the origin, the far corners, and wedges
+# whose apex lies 1e-9 off the z2 axis and off the z1 axis (rho = 0.4)
+EDGE_Z = [
+    (0.5, 0.25), (-0.5, -0.1), (1.0, 0.8), (0.0, -0.7), (1e-8, 1e-8),
+    (-1e-8, -1e-8), (0.0, 0.0), (6.0, 6.0), (-6.0, -6.0), (6.0, -6.0),
+    (-6.0, 6.0), (1e-9, 3.0), (2.0, 0.8 + 1e-9 * math.sqrt(0.84)),
+]
+
+
+def test_joint_cdf_lognormal_matches_bivariate_normal_at_edge_points():
+    rho = 0.4
+    th = BLSParams(1.0, 1.0, 1.0, 1.0, rho)
+    mvn = stats.multivariate_normal(
+        mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]], abseps=1e-14, releps=1e-14
+    )
+    for z1, z2 in EDGE_Z:
+        t1, t2 = math.exp(z1), math.exp(z2)
+        ref = mvn.cdf(dist.standardize(th, t1, t2))
+        assert abs(dist.joint_cdf(th, LN, t1, t2) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("nu", [1.0, 4.0])
+def test_joint_cdf_logt_matches_multivariate_t(nu):
+    # the standardized logt pair is bivariate t; at nu = 1 the radial tail is
+    # so heavy that any truncation box misses mass. scipy's randomized rule
+    # with 10^6 points is within 1e-7 at these points.
+    th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+    mvt = stats.multivariate_t(loc=[0.0, 0.0], shape=[[1.0, 0.4], [0.4, 1.0]], df=nu)
+    spec = make_generator("logt", nu=nu)
+    for z1, z2 in [(0.5, 0.25), (-0.5, -0.1), (1.0, 0.8), (0.0, -0.7)]:
+        t1 = th.eta1 * math.exp(th.sigma1 * z1)
+        t2 = th.eta2 * math.exp(th.sigma2 * z2)
+        ref = mvt.cdf(dist.standardize(th, t1, t2), maxpts=10**6, random_state=1)
+        assert abs(dist.joint_cdf(th, spec, t1, t2) - ref) <= 1e-6
+
+
+EIGHT = [
+    LN,
+    LT4,
+    make_generator("logpvii", xi=5.0, theta=22.0),
+    HYP2,
+    make_generator("loglaplace"),
+    SL4,
+    make_generator("logpexp", xi=0.5),
+    LOGIS,
+]
+
+
+@pytest.mark.parametrize("rho", [-0.95, 0.0, 0.4, 0.99])
+def test_joint_cdf_orthant_identity(rho):
+    # at the medians every elliptical law gives 1/4 + asin(rho)/(2 pi)
+    th = BLSParams(1.0, 2.0, 0.5, 0.7, rho)
+    orthant = 0.25 + math.asin(rho) / (2.0 * math.pi)
+    for spec in EIGHT:
+        assert abs(dist.joint_cdf(th, spec, 1.0, 2.0) - orthant) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # moments and correlation
 

@@ -85,6 +85,26 @@ def test_sf_inverts_isf(spec, qs):
     assert np.all(err[tail] <= 1e-9 * q[fin][tail])
 
 
+# standardized log-scale coordinates: the origin, points near it, and a range
+# reaching far into every family's tail
+ZS = st.one_of(st.sampled_from([0.0, 1e-8, -1e-8]), _pos(-40.0, 40.0))
+
+
+@PROFILE
+@given(SPECS, _pos(-0.99, 0.99), ZS, ZS, _pos(0.0, 5.0), _pos(0.0, 5.0))
+def test_joint_cdf_is_a_monotone_probability(spec, rho, a, b, da, db):
+    th = BLSParams(1.0, 1.0, 1.0, 1.0, rho)
+
+    def cdf(z1, z2):
+        return dist.joint_cdf(th, spec, math.exp(z1), math.exp(z2))
+
+    f = cdf(a, b)
+    assert 0.0 <= f <= 1.0
+    # non-decreasing in t1 and in t2, up to the rule's rounding
+    assert cdf(a + da, b) >= f - 1e-14
+    assert cdf(a, b + db) >= f - 1e-14
+
+
 @pytest.mark.parametrize(
     "spec",
     [make_generator("logpvii", xi=1.01, theta=1.0), make_generator("logslash", nu=1.01)],
@@ -97,8 +117,10 @@ def test_quantile_beyond_double_range_is_domain_error(spec):
         dist.mahalanobis_quantile(spec, 1.0 - 1e-15)
     with pytest.raises(DomainError):
         dist.sample(THETA, spec, 10**4, seed=3)
-    with pytest.raises(DomainError):
-        dist.joint_cdf(THETA, spec, 1.0, 2.0)
+    # the joint CDF needs no truncation radius: at the medians it is the
+    # orthant probability 1/4 + asin(rho)/(2 pi) of any elliptical law
+    orthant = 0.25 + math.asin(THETA.rho) / (2.0 * math.pi)
+    assert abs(dist.joint_cdf(THETA, spec, THETA.eta1, THETA.eta2) - orthant) <= 1e-14
 
 
 @pytest.mark.parametrize(
