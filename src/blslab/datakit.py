@@ -219,7 +219,12 @@ def summarize(ds: Dataset) -> SummaryStats:
 # ------------------------------------------------------------- comparison
 
 def default_grid(family: GeneratorId) -> list[GeneratorParams] | None:
-    """Profiling grids for the extra-parameter families (None: no extras)."""
+    """Profiling grids for the extra-parameter families (None: no extras).
+
+    The logpvii grid crosses xi with theta, but theta is confounded with the
+    scales (see blslab.generators): at each xi every theta reaches the same
+    maximum, and profile_fit then reports the smallest theta.
+    """
     if family is GeneratorId.STUDENT_T:
         return [GeneratorParams(nu=float(v)) for v in range(2, 16)]
     if family is GeneratorId.PEARSON_VII:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, optimize
 
 from . import generators as gen
 from . import specfun
@@ -34,6 +33,9 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .generators import GeneratorId, GeneratorSpec
+
+integrate = specfun.LazyModule("scipy.integrate")
+optimize = specfun.LazyModule("scipy.optimize")
 
 __all__ = [
     "BLSParams",

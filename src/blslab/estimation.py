@@ -1,21 +1,21 @@
 """Maximum-likelihood estimation for the bivariate log-symmetric model.
 
 The likelihood is maximized in the unconstrained parametrization
-(log eta1, log eta2, log sigma1, log sigma2, atanh rho) with the analytic
-score mapped through the chain rule, by L-BFGS-B followed by a few Newton
-polishing steps on the same gradient; estimates are reported in the original
-coordinates. Where the score ratio r is singular at 0 the likelihood is not
-smooth at the data pairs: the Bessel-K0 family's is unbounded (a logarithmic
-spike sits at every data pair), and the power-exponential family with xi > 0
-has a cusp there, so no gradient test can pass when the optimum sits on a
-pair. For these families the reported estimator is the maximizer of a
-C^1-winsorized likelihood whose kernel is extended linearly below a small
-squared-radius floor (see _xq_floor); on the typical sample no observation
-sits below the floor at the optimum and the result is an exact stationary
-point of the true likelihood. Standard errors come from the observed
-information: a central finite-difference Jacobian of the estimating
-equation's score (i.e. a numerical Hessian of the negative log-likelihood) at
-the fitted point.
+phi = (log eta1, log eta2, log sigma1, log sigma2, atanh rho) by a damped
+Newton iteration (_newton) on the analytic log-likelihood, score and Hessian
+(_ll_score_hess; the Hessian uses the closed-form generators.dr = r');
+estimates are reported in the original coordinates.
+Where the score ratio r is singular at 0 the likelihood is not smooth at the
+data pairs: the Bessel-K0 family's is unbounded (a logarithmic spike sits at
+every data pair), and the power-exponential family with xi > 0 has a cusp
+there, so no gradient test can pass when the optimum sits on a pair. For
+these families the reported estimator is the maximizer of a C^1-winsorized
+likelihood whose kernel is extended linearly below a small squared-radius
+floor (see _xq_floor), reached through a coarser floor first; on the typical
+sample no observation sits below the floor at the optimum and the result is
+an exact stationary point of the true likelihood. Standard errors come from
+the observed information: minus the same analytic Hessian at the fitted
+point, mapped to the original coordinates.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import generators as gen
 from .distribution import BLSParams
@@ -34,8 +33,10 @@ from .generators import GeneratorId, GeneratorParams, GeneratorSpec
 
 _MIN_OBS = 5
 _GRAD_TOL = 1e-6  # scaled infinity norm in the unconstrained parametrization
-_MAX_NEWTON = 5
+_MAX_TRIALS = 200  # Newton trial steps per homotopy stage
+_ARMIJO = 1e-4
 _RHO_CAP = 0.985  # initialization clip, not an optimization constraint
+_UPPER = np.triu_indices(5)
 
 __all__ = [
     "FitResult",
@@ -70,38 +71,70 @@ def _standardized(theta: BLSParams, x: np.ndarray):
     return zt1, zt2, xq, c2
 
 
-def _ll_and_score(theta: BLSParams, spec: GeneratorSpec, x: np.ndarray, floor: float):
-    """Log-likelihood and score, optionally on a winsorized surrogate.
+def _ll_score_hess(phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: float):
+    """Log-likelihood, score and Hessian in phi, optionally winsorized.
 
-    With floor > 0 the kernel gets a C^1 linear extension below the floor:
-    log g(u) for u < floor becomes log g(floor) + r(floor) * (u - floor) and
-    the score ratio freezes at r(floor). Value and slope match at the floor,
-    so the surrogate is exactly the true likelihood whenever every squared
-    radius stays above it; all it changes is to bound the contribution a
-    single near-center observation can make. floor = 0 is the exact
-    likelihood.
+    phi = (log eta1, log eta2, log sigma1, log sigma2, atanh rho). With
+    floor > 0 the kernel gets a C^1 linear extension below the floor:
+    log g(q) for q < floor becomes log g(floor) + r(floor) * (q - floor), so
+    a clipped radius has score ratio r(floor) and no r' term. Value and slope
+    match at the floor, so the surrogate is exactly the true likelihood
+    whenever every squared radius stays above it; all it changes is to bound
+    the contribution a single near-center observation can make. floor = 0 is
+    the exact likelihood.
+
+    With z_k = (log t_k - a_k)/sigma_k, c = atanh rho and u = z1 cosh c -
+    z2 sinh c, the squared radius is q = u^2 + z2^2 and the log-likelihood
+    sum_i log g(q_i) - n (log Z + b1 + b2 - log cosh c) - sum log t. Its
+    Hessian is sum_i [r_i grad^2 q_i + r'_i grad q_i grad q_i^T] +
+    n sech^2 c e5 e5^T; the first sum needs only six r-weighted moments of
+    z1 and z2.
     """
     n = x.shape[0]
-    zt1, zt2, xq, c2 = _standardized(theta, x)
-    xq_eff = np.maximum(xq, floor) if floor > 0.0 else xq
-    const = -math.log(gen.partition_closed(spec)) - math.log(
-        theta.sigma1 * theta.sigma2
-    ) - 0.5 * math.log(c2)
-    G = gen.r(spec, xq_eff)
-    base = gen.log_g(spec, xq_eff)
+    s1, s2 = math.exp(phi[2]), math.exp(phi[3])
+    ch, sh = math.cosh(phi[4]), math.sinh(phi[4])
+    logs = np.log(x)
+    z1 = (logs[:, 0] - phi[0]) / s1
+    z2 = (logs[:, 1] - phi[1]) / s2
+    u = ch * z1 - sh * z2
+    q = u * u + z2 * z2
+    q_eff = np.maximum(q, floor)
+    G = gen.r(spec, q_eff)
+    dG = gen.dr(spec, q_eff)
+    base = gen.log_g(spec, q_eff)
     if floor > 0.0:
         # linear extension term; identically zero for unclipped radii
-        base = base + G * (xq - xq_eff)
-    ll = float(np.sum(base) + n * const - np.sum(np.log(x)))
-    rho = theta.rho
-    w1 = (zt1 - rho * zt2) / c2
-    w2 = (zt2 - rho * zt1) / c2
-    d_eta1 = -2.0 / (theta.sigma1 * theta.eta1) * float(np.sum(G * w1))
-    d_eta2 = -2.0 / (theta.sigma2 * theta.eta2) * float(np.sum(G * w2))
-    d_sig1 = -(2.0 * float(np.sum(G * w1 * zt1)) + n) / theta.sigma1
-    d_sig2 = -(2.0 * float(np.sum(G * w2 * zt2)) + n) / theta.sigma2
-    d_rho = 2.0 / c2 * float(np.sum(G * (rho * xq - zt1 * zt2))) + n * rho / c2
-    return ll, np.array([d_eta1, d_eta2, d_sig1, d_sig2, d_rho])
+        base = base + G * (q - q_eff)
+        dG = np.where(q < floor, 0.0, dG)
+    const = math.log(gen.partition_closed(spec)) + phi[2] + phi[3] - math.log(ch)
+    ll = float(np.sum(base) - n * const - np.sum(logs))
+    # dq/dz1, dq/dz2 and dq/dc; dz_k/da_k = -1/sigma_k and dz_k/db_k = -z_k
+    q1 = 2.0 * ch * u
+    q2 = 2.0 * (z2 - sh * u)
+    qc = 2.0 * u * (sh * z1 - ch * z2)
+    t1, t2 = 1.0 / s1, 1.0 / s2
+    Dq = np.array([-t1 * q1, -t2 * q2, -q1 * z1, -q2 * z2, qc])  # (5, n)
+    score = Dq @ G + n * np.array([0.0, 0.0, -1.0, -1.0, sh / ch])
+    # sum_i r_i grad^2 q_i from r-weighted moments of z1 and z2, with
+    # d2q/dz^2 = [[A, -S], [-S, A]], A = 2 cosh^2 c, S = sinh 2c, C = cosh 2c
+    Z = np.array([z1, z2])
+    ZG = Z * G
+    m0 = float(np.sum(G))
+    m1, m2 = ZG.sum(axis=1).tolist()
+    (m11, m12), (_, m22) = (ZG @ Z.T).tolist()
+    A, S, C = 2.0 * ch * ch, 2.0 * sh * ch, ch * ch + sh * sh
+    hess = (Dq * dG) @ Dq.T
+    hess[_UPPER] += [  # the upper triangle, row by row
+        A * m0 * t1 * t1, -S * m0 * t1 * t2,
+        (2 * A * m1 - S * m2) * t1, -S * m2 * t1, 2 * (C * m2 - S * m1) * t1,
+        A * m0 * t2 * t2, -S * m1 * t2,
+        (2 * A * m2 - S * m1) * t2, 2 * (C * m1 - S * m2) * t2,
+        2 * A * m11 - S * m12, -S * m12, 2 * (C * m12 - S * m11),
+        2 * A * m22 - S * m12, 2 * (C * m12 - S * m22),
+        2 * C * (m11 + m22) - 4 * S * m12 + n / (ch * ch),
+    ]
+    hess.T[_UPPER] = hess[_UPPER]
+    return ll, score, hess
 
 
 def log_likelihood(theta: BLSParams, spec: GeneratorSpec, data) -> float:
@@ -125,7 +158,7 @@ def score(theta: BLSParams, spec: GeneratorSpec, data) -> np.ndarray:
     at (eta1, eta2) raises a domain error.
     """
     x = as_sample_matrix(data)
-    return _ll_and_score(theta, spec, x, 0.0)[1]
+    return _ll_score_hess(_theta_to_phi(theta), spec, x, 0.0)[1] / _dtheta_dphi(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +187,9 @@ def _phi_to_theta(phi: np.ndarray) -> BLSParams:
     )
 
 
-def _chain(theta: BLSParams, s: np.ndarray) -> np.ndarray:
-    """Map the original-coordinate score to the unconstrained coordinates."""
-    return s * np.array(
+def _dtheta_dphi(theta: BLSParams) -> np.ndarray:
+    """The diagonal Jacobian d theta / d phi."""
+    return np.array(
         [
             theta.eta1,
             theta.eta2,
@@ -194,7 +227,7 @@ _BAD_NLL = 1e30
 # (log g = -x^(1/(1+xi))/2 with r(x) -> -inf as x -> 0), so when the optimum
 # sits on a pair no gradient test can pass there. The estimator of record for
 # both is therefore the maximizer of the C^1-winsorized likelihood (see
-# _ll_and_score) with floor 0.05/n: the cap bounds one observation's pull at
+# _ll_score_hess) with floor 0.05/n: the cap bounds one observation's pull at
 # r(floor), so the smooth bulk of the sample keeps control, while the floor
 # shrinks fast enough that the winsorized and exact maximizers coincide
 # whenever no squared radius falls below it -- which is the typical sample,
@@ -210,66 +243,56 @@ def _xq_floor(spec: GeneratorSpec, n: int) -> float:
     return _SPIKE_COEF / n if singular else 0.0
 
 
-def _negloglik_and_grad(
-    phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: float = 0.0
-):
+def _objective(phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: float):
+    """Negative log-likelihood, its gradient and Hessian in phi, guarded."""
+    bad = (_BAD_NLL, np.zeros(5), np.zeros((5, 5)))
     # the 60-box keeps exp() in range; no interior optimum lives anywhere near it
     if not np.all(np.isfinite(phi)) or float(np.max(np.abs(phi))) > 60.0:
-        return _BAD_NLL, np.zeros(5)
+        return bad
+    if not abs(math.tanh(phi[4])) < 1.0:  # rho must not round to +-1
+        return bad
     try:
-        theta = _phi_to_theta(phi)
-        ll, s = _ll_and_score(theta, spec, x, floor)
-        if not math.isfinite(ll):
-            return _BAD_NLL, np.zeros(5)
-        g = _chain(theta, s)
+        ll, s, h = _ll_score_hess(phi, spec, x, floor)
     except (DomainError, OverflowError):
-        return _BAD_NLL, np.zeros(5)
-    if not np.all(np.isfinite(g)):
-        return _BAD_NLL, np.zeros(5)
-    return -ll, -g
+        return bad
+    if not (math.isfinite(ll) and np.isfinite(s).all() and np.isfinite(h).all()):
+        return bad
+    return -ll, -s, -h
 
 
-def _fd_hessian_phi(
-    phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: float = 0.0
-) -> np.ndarray:
-    """Central-difference Jacobian of the unconstrained-gradient at phi."""
-    h = 1e-5 * np.maximum(1.0, np.abs(phi))
-    H = np.empty((5, 5))
-    for j in range(5):
-        ej = np.zeros(5)
-        ej[j] = h[j]
-        _, gp = _negloglik_and_grad(phi + ej, spec, x, floor)
-        _, gm = _negloglik_and_grad(phi - ej, spec, x, floor)
-        H[:, j] = (gp - gm) / (2.0 * h[j])
-    return 0.5 * (H + H.T)
+def _newton(phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: float):
+    """Levenberg-Marquardt-damped Newton on _objective from phi.
 
-
-def _newton_polish(phi, nll, ngrad, spec, x, floor=0.0):
-    """A few Newton steps on the analytic gradient: L-BFGS-B stops on its own
-    criteria a few digits short of the 1e-6-per-coordinate agreement the
-    closed-form oracles require."""
-    iterations = 0
-    for _ in range(_MAX_NEWTON):
-        gnorm = float(np.max(np.abs(ngrad)))
-        if gnorm <= 1e-10 * max(1.0, abs(nll)):
+    Each trial step solves (|H| + lam I) step = -grad in the eigenbasis of
+    the Hessian H, where |H| takes the absolute value of each eigenvalue
+    (floored at 1e-8 of the largest): near the optimum this is Newton's step,
+    and where H is indefinite -- the spikes of the winsorized loglaplace
+    likelihood -- it descends a direction of negative curvature instead of
+    following it to the nearest data pair. A step is accepted when nll falls
+    by the Armijo fraction of the predicted decrease, up to rounding in nll;
+    lam grows tenfold on a rejected step and shrinks tenfold on an accepted
+    one. Stops at a scaled gradient <= 1e-10, or when no step lowers nll.
+    """
+    nll, grad, H = _objective(phi, spec, x, floor)
+    lam, steps = 0.0, 0
+    for _ in range(_MAX_TRIALS):
+        if nll >= 0.5 * _BAD_NLL or np.max(np.abs(grad)) <= 1e-10 * max(1.0, abs(nll)):
             break
-        H = _fd_hessian_phi(phi, spec, x, floor)
-        try:
-            step = np.linalg.solve(H, -ngrad)
-        except np.linalg.LinAlgError:
+        w, V = np.linalg.eigh(H)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        step = -V @ ((V.T @ grad) / (np.maximum(np.abs(w), 1e-8 * scale) + lam))
+        cand = phi + step
+        nll_c, grad_c, H_c = _objective(cand, spec, x, floor)
+        slack = 4.0 * np.finfo(float).eps * max(1.0, abs(nll))
+        if nll_c <= nll + _ARMIJO * float(grad @ step) + slack:
+            phi, nll, grad, H = cand, nll_c, grad_c, H_c
+            steps += 1
+            lam *= 0.1
+            continue
+        lam = max(10.0 * lam, 1e-6 * scale)
+        if lam > 1e12 * scale:
             break
-        improved = False
-        for scale in (1.0, 0.5, 0.25):
-            cand = phi + scale * step
-            nll_c, ngrad_c = _negloglik_and_grad(cand, spec, x, floor)
-            if nll_c <= nll and np.max(np.abs(ngrad_c)) < np.max(np.abs(ngrad)):
-                phi, nll, ngrad = cand, nll_c, ngrad_c
-                improved = True
-                iterations += 1
-                break
-        if not improved:
-            break
-    return phi, nll, ngrad, iterations
+    return phi, nll, grad, steps
 
 
 def _minimize_from(phi0: np.ndarray, spec: GeneratorSpec, x: np.ndarray):
@@ -279,28 +302,18 @@ def _minimize_from(phi0: np.ndarray, spec: GeneratorSpec, x: np.ndarray):
     # single exact stage
     stages = (1e-2, floor) if 0.0 < floor < 1e-2 else (floor,)
     phi = np.asarray(phi0, dtype=float)
-    nit = 0
+    steps = 0
     for f in stages:
-        res = optimize.minimize(
-            _negloglik_and_grad,
-            phi,
-            args=(spec, x, f),
-            method="L-BFGS-B",
-            jac=True,
-            options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-8},
-        )
-        phi = np.asarray(res.x, dtype=float)
-        nit += int(res.nit)
-    nll, ngrad = _negloglik_and_grad(phi, spec, x, floor)
-    phi, nll, ngrad, extra = _newton_polish(phi, nll, ngrad, spec, x, floor)
-    if floor > 0.0:
+        phi, nll, ngrad, k = _newton(phi, spec, x, f)
+        steps += k
+    if floor > 0.0 and nll < 0.5 * _BAD_NLL:
         # convergence is judged on the winsorized estimating equation, but
         # the reported log-likelihood is the exact one (the quantity AIC and
         # BIC compare across families)
-        nll_exact, _ = _negloglik_and_grad(phi, spec, x)
-        if nll_exact < 0.5 * _BAD_NLL:
-            nll = nll_exact
-    return phi, nll, ngrad, nit + extra
+        ll_exact = log_likelihood(_phi_to_theta(phi), spec, x)
+        if math.isfinite(ll_exact):
+            nll = -ll_exact
+    return phi, nll, ngrad, steps
 
 
 def fit_mle(
@@ -312,8 +325,10 @@ def fit_mle(
     """Maximize the log-likelihood; see the module docstring for the method.
 
     With init=None the shipped starts are tried in order and the first one
-    that converges wins; if none does, the attempt with the smallest
-    objective is reported with converged=False.
+    that converges (scaled gradient <= 1e-6) wins; if none does, the attempt
+    with the smallest objective is reported with converged=False.
+    FitResult.iterations counts the accepted Newton steps of that attempt,
+    over both homotopy stages where there are two.
     """
     x = as_sample_matrix(data)
     n = x.shape[0]
@@ -405,31 +420,25 @@ class FitResult:
 def standard_errors(fit: FitResult, data) -> np.ndarray:
     """Observed-information standard errors at the fitted parameters.
 
-    The information matrix is the negative central-difference Jacobian of the
-    analytic score in the ORIGINAL coordinates (equivalently, a numerical
-    Hessian of the negative log-likelihood that differentiates numerically
-    only once); steps adapt to the parameter scale and keep rho interior.
-    For the families with a winsorization floor (see _xq_floor) the
-    differentiated score is the winsorized estimating equation the fit
-    solves, whose curvature at the optimum is well defined even when a data
-    pair sits near the center.
+    The information is minus the analytic Hessian of the log-likelihood (see
+    _ll_score_hess), mapped from phi to the ORIGINAL coordinates theta with
+    the exact second-order chain rule, so it is the observed information in
+    theta even where the score is not exactly 0. For the families with a
+    winsorization floor (see _xq_floor) it is the curvature of the
+    winsorized estimating equation the fit solves, which is well defined
+    even when a data pair sits near the center.
     """
     if not fit.converged:
         raise DomainError("standard errors require a converged fit")
     x = as_sample_matrix(data)
     floor = _xq_floor(fit.spec, x.shape[0])
-    th = np.asarray(fit.theta_hat.as_array(), dtype=float)
-    eps3 = float(np.cbrt(np.finfo(float).eps))
-    h = eps3 * np.maximum(np.abs(th), 0.01)
-    h[4] = min(h[4], (1.0 - abs(th[4])) / 10.0)
-    J = np.empty((5, 5))
-    for j in range(5):
-        ej = np.zeros(5)
-        ej[j] = h[j]
-        sp = _ll_and_score(BLSParams.from_array(th + ej), fit.spec, x, floor)[1]
-        sm = _ll_and_score(BLSParams.from_array(th - ej), fit.spec, x, floor)[1]
-        J[:, j] = (sp - sm) / (2.0 * h[j])
-    info = -0.5 * (J + J.T)
+    th = fit.theta_hat
+    _, s, h = _ll_score_hess(_theta_to_phi(th), fit.spec, x, floor)
+    # H_phi = J H_theta J + diag(s_theta * d2theta/dphi2), with J = dtheta/dphi
+    # and s_theta * d2theta/dphi2 = s_phi * (1, 1, 1, 1, -2 rho)
+    h = h - np.diag(s * np.array([1.0, 1.0, 1.0, 1.0, -2.0 * th.rho]))
+    jac = _dtheta_dphi(th)
+    info = -h / np.outer(jac, jac)
     try:
         L = np.linalg.cholesky(info)
     except np.linalg.LinAlgError:
@@ -455,36 +464,35 @@ def profile_fit(
 ) -> tuple[GeneratorParams, FitResult]:
     """Grid profile likelihood over the extra generator parameter(s).
 
-    Fits every grid point (without standard errors), keeps the best maximized
-    log-likelihood with ties broken toward the smaller parameter value, and
-    refits the winner once with standard errors if requested. The selection
-    is deterministic and independent of grid order.
+    Fits every grid point (without standard errors) and keeps the smallest
+    parameter value among the points whose maximized log-likelihood is
+    within 1e-9 * max(1, |ll|) of the best, so a flat direction (logpvii's
+    theta, see generators.PEARSON_VII) and rounding noise cannot decide the
+    winner. The winner is refit once with standard errors if requested. The
+    selection is deterministic and independent of grid order.
     """
     if not grid:
         raise DomainError("profile_fit requires a nonempty grid")
     x = as_sample_matrix(data)
     gid = family if isinstance(family, GeneratorId) else gen.FAMILY_NAMES[family]
-    best: tuple[GeneratorParams, FitResult] | None = None
+    fits: list[tuple[GeneratorParams, FitResult]] = []
     failures: list[str] = []
     for params in grid:
         spec = GeneratorSpec(gid, params)
         try:
-            fit = fit_mle(x, spec, compute_se=False)
+            fits.append((params, fit_mle(x, spec, compute_se=False)))
         except (DomainError, RootFindingError) as e:
             failures.append(f"{spec.label()}: {e}")
-            continue
-        if best is None:
-            best = (params, fit)
-            continue
-        cur_ll, new_ll = best[1].log_lik, fit.log_lik
-        if new_ll > cur_ll or (
-            new_ll == cur_ll and _params_key(params) < _params_key(best[0])
-        ):
-            best = (params, fit)
-    if best is None:
+    if not fits:
         raise RootFindingError(
             "all profile grid points failed: " + "; ".join(failures)
         )
+    top = max(fit.log_lik for _, fit in fits)
+    tol = 1e-9 * max(1.0, abs(top))
+    best = min(
+        ((p, fit) for p, fit in fits if fit.log_lik >= top - tol),
+        key=lambda pf: _params_key(pf[0]),
+    )
     if compute_se:
         final = fit_mle(x, GeneratorSpec(gid, best[0]), compute_se=True)
         return best[0], final

@@ -2,8 +2,9 @@
 
 Each family is a nonnegative density generator g(x) on [0, inf) together with
 its normalizing partition constant Z = pi * int_0^inf g(u) du, its score ratio
-r(x) = g'(x)/g(x), the survival function of its radial law pi g(x) / Z and
-that function's inverse, and optional extra parameters.  The eight families:
+r(x) = g'(x)/g(x) and that ratio's derivative r'(x), the survival function of
+its radial law pi g(x) / Z and that function's inverse, and optional extra
+parameters.  The eight families:
 
     lognormal             g(x) = exp(-x/2)
     logt(nu)              g(x) = (1 + x/nu)^(-(nu+2)/2),            nu > 0
@@ -13,6 +14,10 @@ that function's inverse, and optional extra parameters.  The eight families:
     logslash(nu)          g(x) = x^(-(nu+1)/2) gamma((nu+1)/2, x/2), nu > 1
     logpexp(xi)           g(x) = exp(-x^(1/(1+xi)) / 2),            -1 < xi <= 1
     loglogistic           g(x) = exp(-x) / (1 + exp(-x))^2
+
+logpvii's theta is confounded with the scales: sigma -> c sigma together with
+theta -> theta / c^2 leaves the bivariate density unchanged, so a likelihood
+profile over theta at fixed xi is flat.
 
 The enum values double as the CLI family names.
 """
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import specfun
 from .errors import DomainError, IntegrationError, RootFindingError
@@ -37,6 +42,7 @@ __all__ = [
     "g",
     "log_g",
     "r",
+    "dr",
     "partition_closed",
     "radial_sf",
     "radial_isf",
@@ -45,7 +51,9 @@ __all__ = [
     "FAMILY_NAMES",
 ]
 
-_SLASH_SERIES_X = 1e-5  # below this, slash g and r switch to their series forms
+integrate = specfun.LazyModule("scipy.integrate")
+
+_SLASH_SERIES_X = 1e-5  # below this, slash g and log_g switch to their series forms
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -246,6 +254,10 @@ def r(spec: GeneratorSpec, x):
     (loglaplace, logslash, logpexp with xi > 0).
     """
     xa, scalar = _as_nonneg_array(x)
+    return _ret(_r(spec, xa), scalar)
+
+
+def _r(spec: GeneratorSpec, xa: np.ndarray) -> np.ndarray:
     gid, p = spec.id, spec.params
     if gid is GeneratorId.LOGNORMAL:
         out = np.full_like(xa, -0.5)
@@ -264,25 +276,12 @@ def r(spec: GeneratorSpec, x):
         fin = u < np.inf
         out[fin] = -specfun.bessel_k1e(u[fin]) / (u[fin] * specfun.bessel_k0e(u[fin]))
     elif gid is GeneratorId.SLASH:
-        if np.any(xa == 0.0):
-            raise DomainError("logslash score ratio is singular at x = 0 (0/0 form)")
-        s = 0.5 * (p.nu + 1.0)
-        y = 0.5 * xa
-        out = np.empty_like(xa)
-        small = xa < _SLASH_SERIES_X
+        s, small, out = _slash_split(spec, xa)
         if small.any():
-            ys = y[small]
-            # num = e^-y - S(y), S(y) = s gamma(s,y) y^-s, both by series
-            num = -ys / (s + 1.0) + ys * ys / (s + 2.0) - ys**3 / (2.0 * (s + 3.0))
-            S = 1.0 - s * ys / (s + 1.0) + s * ys * ys / (2.0 * (s + 2.0))
-            out[small] = (s / xa[small]) * num / S
-        if (~small).any():
-            xb, yb = xa[~small], y[~small]
-            S = s * specfun.lower_incomplete_gamma(s, yb) * yb**-s
-            e = np.exp(-yb)
-            # once e^-y underflows (x > 1490) r = -s/x exactly; S follows it
-            # to 0 beyond x ~ 1e123 (s = 2.5)
-            out[~small] = np.divide((s / xb) * (e - S), S, out=-s / xb, where=e > 0.0)
+            P, _, M = _slash_kummer(s, 0.5 * xa[small])
+            out[small] = -0.5 * s * P / M
+        xb, h = _slash_h(s, xa, ~small)
+        out[~small] = h - s / xb
     elif gid is GeneratorId.POWER_EXP:
         if p.xi > 0.0 and np.any(xa == 0.0):
             raise DomainError("logpexp score ratio is singular at x = 0 for xi > 0")
@@ -291,7 +290,92 @@ def r(spec: GeneratorSpec, x):
         out = -np.tanh(0.5 * xa)
     else:  # pragma: no cover
         raise DomainError(f"unknown generator {gid}")
+    return out
+
+
+def dr(spec: GeneratorSpec, x):
+    """Derivative r'(x) of the score ratio, in closed form for every family.
+
+    Singular at x = 0 where r is (same DomainError); finite or -0 at +inf,
+    except for logpexp with xi < -1/2, whose r' tends to -inf.
+    """
+    xa, scalar = _as_nonneg_array(x)
+    gid, p = spec.id, spec.params
+    if gid is GeneratorId.LOGNORMAL:
+        out = np.zeros_like(xa)
+    elif gid is GeneratorId.STUDENT_T:
+        t = 1.0 / (p.nu + xa)
+        out = 0.5 * (p.nu + 2.0) * t * t
+    elif gid is GeneratorId.PEARSON_VII:
+        t = 1.0 / (p.theta + xa)
+        out = p.xi * t * t
+    elif gid is GeneratorId.HYPERBOLIC:
+        t = 1.0 / (1.0 + xa)
+        out = 0.25 * p.nu * t * np.sqrt(t)
+    elif gid is GeneratorId.LAPLACE:
+        # g = K0(sqrt(2x)) solves 2x g'' + 2g' - g = 0
+        rx = _r(spec, xa)
+        out = (0.5 - rx) / xa - rx * rx
+    elif gid is GeneratorId.SLASH:
+        s, small, out = _slash_split(spec, xa)
+        if small.any():
+            P, dP, M = _slash_kummer(s, 0.5 * xa[small])
+            out[small] = -0.25 * s * (dP - P * P) / (M * M)
+        # r = h - s/x with h' = -h (1/2 + h + (1 - s)/x)
+        xb, h = _slash_h(s, xa, ~small)
+        out[~small] = s / xb / xb - h * (0.5 + h + (1.0 - s) / xb)
+    elif gid is GeneratorId.POWER_EXP:
+        if p.xi > 0.0 and np.any(xa == 0.0):
+            raise DomainError("logpexp score ratio is singular at x = 0 for xi > 0")
+        a = 1.0 + p.xi
+        if p.xi == 0.0:
+            out = np.zeros_like(xa)
+        else:
+            # r' = k r / x with r = -x^k / (2a), k = -xi/a; -inf at 0 for
+            # -1/2 < xi < 0 and at inf for xi < -1/2, as the limits are
+            with np.errstate(divide="ignore", over="ignore"):
+                out = p.xi / (2.0 * a * a) * xa ** (-(1.0 + 2.0 * p.xi) / a)
+    elif gid is GeneratorId.LOGISTIC:
+        e = np.exp(-xa)
+        out = -2.0 * e / ((1.0 + e) * (1.0 + e))
+    else:  # pragma: no cover
+        raise DomainError(f"unknown generator {gid}")
     return _ret(out, scalar)
+
+
+_KUMMER_TERMS = 28
+
+
+def _slash_split(spec: GeneratorSpec, xa: np.ndarray):
+    # below x = max(1, s/2) r and r' come from Kummer's series: the closed
+    # form cancels there, and the series ratio y / (s + k) stays below 1/4
+    if np.any(xa == 0.0):
+        raise DomainError("logslash score ratio is singular at x = 0 (0/0 form)")
+    s = 0.5 * (spec.params.nu + 1.0)
+    return s, xa < max(1.0, 0.5 * s), np.empty_like(xa)
+
+
+def _slash_kummer(s: float, y: np.ndarray):
+    """P, P' and M at y = x/2, where M(y) = sum_k y^k / (s+1)_k is Kummer's
+    1F1(1; s+1; y) = e^y s gamma(s, y) y^-s and P = (M - 1)/y; then
+    r = -(s/2) P/M and r' = -(s/4)(P' - P^2)/M^2, free of the 0/0 form."""
+    k = np.arange(1, _KUMMER_TERMS + 1)
+    c = 1.0 / np.cumprod(s + k)  # 1 / (s+1)_k
+    V = np.vander(y, _KUMMER_TERMS, increasing=True)
+    P = V @ c
+    dP = V[:, :-1] @ (k[:-1] * c[1:])
+    return P, dP, 1.0 + y * P
+
+
+def _slash_h(s: float, xa: np.ndarray, mask: np.ndarray):
+    """x and h = r + s/x = (s/x) e^-y / S, S = s gamma(s, y) y^-s, y = x/2."""
+    xb = xa[mask]
+    y = 0.5 * xb
+    S = s * specfun.lower_incomplete_gamma(s, y) * y**-s
+    e = np.exp(-y)
+    # once e^-y underflows (x > 1490) h is 0 and r = -s/x exactly; S follows
+    # it to 0 beyond x ~ 1e123 (s = 2.5)
+    return xb, np.divide((s / xb) * e, S, out=np.zeros_like(xb), where=e > 0.0)
 
 
 # ---------------------------------------------------------------------------

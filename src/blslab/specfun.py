@@ -14,10 +14,15 @@ Accuracy contracts, enforced by tests/test_specfun.py
 * ``bessel_k0``/``bessel_k1`` and the scaled forms: relative error <= 1e-10
   for u in (0, 700].
 * CDFs: absolute error <= 1e-10.
+
+``LazyModule`` stands in for the scipy modules that only a few calls use
+(``scipy.integrate``, ``scipy.optimize``), so importing blslab does not load
+them.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -34,6 +39,21 @@ __all__ = [
     "student_t_cdf",
     "f_cdf",
 ]
+
+
+class LazyModule:
+    """A module imported on first attribute access.
+
+    Every access goes through ``importlib.import_module``, whose per-module
+    import lock makes a first use from several threads safe (Python 3.11's
+    ``importlib.util.LazyLoader`` is not).
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
 
 
 def _like(x, out):

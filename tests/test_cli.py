@@ -343,3 +343,34 @@ def test_module_entry_point_runs_the_cli():
         )
         assert proc.returncode == 0
         assert proc.stdout == f"blslab {blslab.__version__}\n"
+
+
+def test_cli_commands_do_not_load_scipy_optimize_or_integrate(data_csv, tmp_path):
+    # the library binds scipy.integrate and scipy.optimize lazily; none of
+    # these commands needs them, so neither package may have been executed
+    src = str(Path(blslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    env.pop("BLSLAB_THREADS", None)
+    commands = [
+        ["summary", "--data", data_csv],
+        ["fit", "--data", data_csv, "--model", "logslash"],
+        ["compare", "--data", data_csv],
+        ["diagnose", "--data", data_csv, "--model", "logslash", "--nu", "4"],
+        ["eval", "--model", "logslash", "--nu", "4", "--theta", "1,2,0.5,0.3,0.4",
+         "--pdf", "1.1,1.9", "--quantile", "0.9"],
+    ]
+    script = (
+        "import sys\n"
+        "from blslab.cli import dispatch\n"
+        f"codes = [dispatch(argv) for argv in {commands!r}]\n"
+        "mods = ('scipy.optimize._minimize', 'scipy.integrate._quadpack_py')\n"
+        "print(codes, [m for m in mods if m in sys.modules], file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] []"

@@ -160,6 +160,46 @@ def test_score_singular_family_at_center_point():
         est.score(BLSParams(1.0, 2.0, 0.5, 0.7, 0.0), LAP, x)
 
 
+def _differenced_score_hessian(phi, spec, x, floor):
+    """Central-difference Jacobian of the analytic score in phi."""
+    h = 1e-5 * np.maximum(1.0, np.abs(phi))
+    H = np.empty((5, 5))
+    for j in range(5):
+        ej = np.zeros(5)
+        ej[j] = h[j]
+        sp = est._ll_score_hess(phi + ej, spec, x, floor)[1]
+        sm = est._ll_score_hess(phi - ej, spec, x, floor)[1]
+        H[:, j] = (sp - sm) / (2.0 * h[j])
+    return 0.5 * (H + H.T)
+
+
+HESSIAN_CASES = [(spec, 0.0) for spec in ALL_SPECS] + [
+    # winsorized surrogates with radii below the floor: a clipped radius
+    # contributes r(floor) and no r' term
+    (LAP, 1e-2),
+    (make_generator("logpexp", xi=1.0), 1e-2),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,floor", HESSIAN_CASES, ids=lambda v: v.label() if hasattr(v, "label") else str(v)
+)
+def test_analytic_hessian_matches_differenced_score(spec, floor):
+    th = BLSParams(1.2, 1.7, 0.6, 0.8, -0.4)
+    x = dist.sample(th, spec, 40, seed=17)
+    if floor > 0.0:
+        # two pairs next to the centre, well inside the floor
+        x[:2] = [[1.2 * math.exp(0.6 * 1e-3), 1.7], [1.2, 1.7 * math.exp(-0.8 * 2e-3)]]
+    phi = est._theta_to_phi(th)
+    if floor > 0.0:
+        q = dist.mahalanobis_sq(th, x[:, 0], x[:, 1])
+        assert np.sum(q < floor) >= 2
+        assert np.min(np.abs(q / floor - 1.0)) > 1e-2  # no radius on the kink
+    _, s, H = est._ll_score_hess(phi, spec, x, floor)
+    ref = _differenced_score_hessian(phi, spec, x, floor)
+    np.testing.assert_allclose(H, ref, rtol=1e-6, atol=1e-6 * np.max(np.abs(H)))
+
+
 @pytest.mark.parametrize("spec", [SL4, LOGIS], ids=lambda s: s.label())
 def test_rewritten_likelihood_equations_at_root(spec):
     x = dist.sample(BLSParams(1.0, 1.0, 0.5, 0.5, 0.5), spec, 150, seed=77)
@@ -352,6 +392,18 @@ def test_profile_fit_degenerate_grid_matches_fit_mle():
     assert best.nu == 4.0
     assert fit.log_lik == pytest.approx(direct.log_lik, abs=1e-9)
     assert fit.std_errors == pytest.approx(direct.std_errors)
+
+
+def test_profile_fit_breaks_likelihood_ties_toward_the_smaller_parameter():
+    # logpvii's theta is not identified: sigma -> c sigma with theta ->
+    # theta / c^2 leaves the density unchanged, so every theta below reaches
+    # the same maximum up to rounding, and rounding must not pick the winner
+    x = dist.sample(BLSParams(1.0, 2.0, 0.5, 0.3, 0.4), SL4, 50, seed=2)
+    grid = [GeneratorParams(xi=3.0, theta=t) for t in (5.0, 10.0, 16.0, 22.0, 30.0)]
+    best, fit = est.profile_fit(x, "logpvii", grid, compute_se=False)
+    assert best == GeneratorParams(xi=3.0, theta=5.0)
+    assert fit.spec.params == best
+    assert est.profile_fit(x, "logpvii", grid[::-1], compute_se=False)[0] == best
 
 
 def test_profile_fit_empty_grid():

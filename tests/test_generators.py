@@ -112,6 +112,8 @@ def test_singular_score_ratios_raise_at_zero():
     ]:
         with pytest.raises(DomainError):
             gen.r(spec, 0.0)
+        with pytest.raises(DomainError):
+            gen.dr(spec, 0.0)
     # but not for families regular at 0
     assert gen.r(make_generator("lognormal"), 0.0) == -0.5
     assert gen.r(make_generator("logpexp", xi=-0.3), 0.0) == 0.0
@@ -159,6 +161,25 @@ def test_score_ratio_finite_at_huge_arguments(spec):
     # logslash r -> -s/x and loglaplace r -> -1/sqrt(2x); both reach -0 at inf
     out = gen.r(spec, np.array([1e124, 1e300, np.inf]))
     assert np.all(np.isfinite(out)) and np.all(out <= 0.0)
+    # r' as well, and without an overflow warning (an error under pytest)
+    d = gen.dr(spec, np.array([1e124, 1e300, np.inf]))
+    assert np.all(np.isfinite(d)) and d[-1] == 0.0
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+def test_score_ratio_derivative_matches_central_differences(spec):
+    xs = list(np.geomspace(1e-6, 1e6, 25))
+    if spec.id is GeneratorId.SLASH:
+        # both sides of the switch from Kummer's series to the closed form
+        switch = max(1.0, (spec.params.nu + 1.0) / 4.0)
+        xs += [switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)]
+    eps = np.finfo(float).eps
+    for x in xs:
+        h = 1e-4 * x
+        fd = (gen.r(spec, x + h) - gen.r(spec, x - h)) / (2.0 * h)
+        # the difference quotient carries a rounding error of ~eps |r| / h
+        tol = 1e-6 * abs(fd) + 4.0 * eps * abs(gen.r(spec, x)) / h
+        assert abs(gen.dr(spec, x) - fd) <= tol, x
 
 
 def test_characteristic_generator():
