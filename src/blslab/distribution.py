@@ -97,13 +97,10 @@ class CorrelationResult(NamedTuple):
     mc_se: float | None  # None for the closed-form path
 
 
-def _as_positive_array(t, name: str) -> tuple[np.ndarray, bool]:
-    ta = np.asarray(t, dtype=float)
-    scalar = ta.ndim == 0
-    ta = np.atleast_1d(ta)
-    if np.any(~(ta > 0.0)):
-        raise DomainError(f"{name} must be strictly positive")
-    return ta, scalar
+def _positive(t, name: str):
+    # a float for 0-d input, else a float array; t > 0 everywhere, not NaN
+    msg = f"{name} must be strictly positive"
+    return specfun.checked(t, msg, DomainError, strict=True)
 
 
 def _checked_quad(f, a, b, epsabs=1e-11, epsrel=1e-10, **kw):
@@ -121,14 +118,16 @@ def _checked_quad(f, a, b, epsabs=1e-11, epsrel=1e-10, **kw):
 
 
 def standardize(theta: BLSParams, t1, t2):
-    """Map observations to standardized log scale: zti = (log ti - log etai)/sigmai."""
-    t1a, s1 = _as_positive_array(t1, "t1")
-    t2a, s2 = _as_positive_array(t2, "t2")
-    zt1 = (np.log(t1a) - math.log(theta.eta1)) / theta.sigma1
-    zt2 = (np.log(t2a) - math.log(theta.eta2)) / theta.sigma2
-    if s1 and s2:
-        return float(zt1[0]), float(zt2[0])
-    return zt1, zt2
+    """Map observations to standardized log scale: zti = (log ti - log etai)/sigmai.
+
+    Floats for two 0-d inputs, else two arrays.
+    """
+    t1, t2 = _positive(t1, "t1"), _positive(t2, "t2")
+    zt1 = (np.log(t1) - math.log(theta.eta1)) / theta.sigma1
+    zt2 = (np.log(t2) - math.log(theta.eta2)) / theta.sigma2
+    if isinstance(t1, float) and isinstance(t2, float):
+        return float(zt1), float(zt2)
+    return np.atleast_1d(zt1), np.atleast_1d(zt2)
 
 
 def _quad_form(zt1, zt2, rho):
@@ -145,11 +144,15 @@ def mahalanobis_sq(theta: BLSParams, t1, t2):
 
 
 def joint_log_pdf(theta: BLSParams, spec: GeneratorSpec, t1, t2):
-    """log of the joint density, computed without forming the density itself."""
-    t1a, s1 = _as_positive_array(t1, "t1")
-    t2a, s2 = _as_positive_array(t2, "t2")
-    zt1 = (np.log(t1a) - math.log(theta.eta1)) / theta.sigma1
-    zt2 = (np.log(t2a) - math.log(theta.eta2)) / theta.sigma2
+    """log of the joint density, computed without forming the density itself.
+
+    Two 0-d inputs give a float, otherwise the inputs broadcast to an
+    array. DomainError unless t1, t2 > 0 (NaN included).
+    """
+    t1, t2 = _positive(t1, "t1"), _positive(t2, "t2")
+    log_t1, log_t2 = np.log(t1), np.log(t2)
+    zt1 = (log_t1 - math.log(theta.eta1)) / theta.sigma1
+    zt2 = (log_t2 - math.log(theta.eta2)) / theta.sigma2
     xq = _quad_form(zt1, zt2, theta.rho)
     const = (
         -math.log(gen.partition_closed(spec))
@@ -157,14 +160,14 @@ def joint_log_pdf(theta: BLSParams, spec: GeneratorSpec, t1, t2):
         - math.log(theta.sigma2)
         - 0.5 * (math.log1p(-theta.rho) + math.log1p(theta.rho))
     )
-    out = gen.log_g(spec, xq) + const - np.log(t1a) - np.log(t2a)
-    return float(out[0]) if (s1 and s2) else out
+    out = gen.log_g(spec, xq) + const - log_t1 - log_t2
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def joint_pdf(theta: BLSParams, spec: GeneratorSpec, t1, t2):
-    """Joint density f(t1, t2)."""
-    out = joint_log_pdf(theta, spec, t1, t2)
-    return math.exp(out) if np.isscalar(out) else np.exp(out)
+    """Joint density f(t1, t2); a float for two 0-d inputs, as joint_log_pdf."""
+    out = np.exp(joint_log_pdf(theta, spec, t1, t2))
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,8 @@ def joint_pdf(theta: BLSParams, spec: GeneratorSpec, t1, t2):
 
 
 def mahalanobis_pdf(spec: GeneratorSpec, x):
-    """Density pi g(x) / Z of the squared Mahalanobis radius, x >= 0."""
+    """Density pi g(x) / Z of the squared Mahalanobis radius, x >= 0; a float
+    for 0-d x, as generators.g."""
     return math.pi * gen.g(spec, x) / gen.partition_closed(spec)
 
 

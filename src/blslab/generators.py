@@ -55,6 +55,7 @@ integrate = specfun.LazyModule("scipy.integrate")
 
 _SLASH_SERIES_X = 1e-5  # below this, slash g and log_g switch to their series forms
 _SQRT2 = math.sqrt(2.0)
+_LOG2 = math.log(2.0)
 
 
 class GeneratorId(Enum):
@@ -165,96 +166,104 @@ def make_generator(
 # generator evaluation
 
 
-def _as_nonneg_array(x) -> tuple[np.ndarray, bool]:
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    if np.any(xa < 0.0):
-        raise DomainError("generator argument must be >= 0")
-    return xa, scalar
+def _arg(x):
+    # a float for 0-d input, else a float array; x >= 0 everywhere, not NaN
+    return specfun.checked(x, "generator argument must be >= 0, not NaN", DomainError)
 
 
-def _ret(out: np.ndarray, scalar: bool):
-    return float(out[0]) if scalar else out
+def _ret(out, x):
+    # a float for a float argument; out may be a numpy scalar, or a 0-d or
+    # 1-element array
+    return np.asarray(out).item() if isinstance(x, float) else out
 
 
-def _slash_g_series(s: float, y: np.ndarray) -> np.ndarray:
+def _slash_g_series(s: float, y):
     # g(x) = 2^-s (1/s - y/(s+1) + y^2/(2(s+2))),  y = x/2 -> 0
     return 2.0**-s * (1.0 / s - y / (s + 1.0) + y * y / (2.0 * (s + 2.0)))
 
 
+def _slash_branches(x):
+    # the series and the closed form each see only arguments on their own
+    # side of the switch, so neither takes log(0), 0 * inf or inf - inf
+    return np.minimum(x, _SLASH_SERIES_X), np.maximum(x, _SLASH_SERIES_X)
+
+
 def log_g(spec: GeneratorSpec, x):
-    """log g(x); stable for large x (no under/overflow for any family)."""
-    xa, scalar = _as_nonneg_array(x)
+    """log g(x); stable for large x (no under/overflow for any family).
+
+    A float (or any 0-d input) gives a float, an array gives an array.
+    log g(inf) = -inf for every family, and so is a log g that falls below
+    the double range (logpexp with xi < 0 at x ~ 1e300). loglaplace has
+    log g(0) = +inf. DomainError for x < 0 or NaN.
+    """
+    x = _arg(x)
     gid, p = spec.id, spec.params
     if gid is GeneratorId.LOGNORMAL:
-        out = -0.5 * xa
+        out = -0.5 * x
     elif gid is GeneratorId.STUDENT_T:
-        out = -0.5 * (p.nu + 2.0) * np.log1p(xa / p.nu)
+        out = -0.5 * (p.nu + 2.0) * np.log1p(x / p.nu)
     elif gid is GeneratorId.PEARSON_VII:
-        out = -p.xi * np.log1p(xa / p.theta)
+        out = -p.xi * np.log1p(x / p.theta)
     elif gid is GeneratorId.HYPERBOLIC:
-        out = -p.nu * np.sqrt(1.0 + xa)
+        out = -p.nu * np.sqrt(1.0 + x)
     elif gid is GeneratorId.LAPLACE:
-        # K0 has an integrable log singularity at 0; report log g(0) = +inf
-        # so that g == exp(log_g) holds on all of [0, inf).
-        out = np.full_like(xa, np.inf)
-        pos = xa > 0.0
-        u = np.sqrt(2.0 * xa[pos])
+        # K0 has an integrable log singularity at 0: k0e(0) = inf gives
+        # log g(0) = +inf, so that g == exp(log_g) holds on all of [0, inf)
+        u = np.sqrt(2.0 * x)
         with np.errstate(divide="ignore"):  # k0e(inf) = 0: log g(inf) = -inf
-            out[pos] = np.log(specfun.bessel_k0e(u)) - u
+            out = np.log(special.k0e(u)) - u
     elif gid is GeneratorId.SLASH:
         s = 0.5 * (p.nu + 1.0)
-        out = np.empty_like(xa)
-        small = xa < _SLASH_SERIES_X
-        if small.any():
-            out[small] = np.log(_slash_g_series(s, 0.5 * xa[small]))
-        if (~small).any():
-            xb = xa[~small]
-            out[~small] = np.log(
-                specfun.lower_incomplete_gamma(s, 0.5 * xb)
-            ) - s * np.log(xb)
+        xs, xc = _slash_branches(x)
+        out = np.where(
+            x < _SLASH_SERIES_X,
+            np.log(_slash_g_series(s, 0.5 * xs)),
+            np.log(specfun.lower_incomplete_gamma(s, 0.5 * xc)) - s * np.log(xc),
+        )
     elif gid is GeneratorId.POWER_EXP:
-        out = -0.5 * xa ** (1.0 / (1.0 + p.xi))
+        with np.errstate(over="ignore"):  # x^(1/(1+xi)) overflows for xi < 0
+            out = -0.5 * np.power(x, 1.0 / (1.0 + p.xi))
     elif gid is GeneratorId.LOGISTIC:
-        out = -xa - 2.0 * np.log1p(np.exp(-xa))
+        out = -x - 2.0 * np.log1p(np.exp(-x))
     else:  # pragma: no cover
         raise DomainError(f"unknown generator {gid}")
-    return _ret(out, scalar)
+    return _ret(out, x)
 
 
 def g(spec: GeneratorSpec, x):
-    """Density generator g(x) >= 0 evaluated elementwise."""
+    """Density generator g(x) >= 0 evaluated elementwise.
+
+    A float (or any 0-d input) gives a float, an array gives an array;
+    g(inf) = 0, loglaplace has g(0) = +inf. DomainError for x < 0 or NaN.
+    """
     gid = spec.id
     if gid is GeneratorId.SLASH:
-        xa, scalar = _as_nonneg_array(x)
+        x = _arg(x)
         s = 0.5 * (spec.params.nu + 1.0)
-        out = np.empty_like(xa)
-        small = xa < _SLASH_SERIES_X
-        if small.any():
-            out[small] = _slash_g_series(s, 0.5 * xa[small])
-        if (~small).any():
-            xb = xa[~small]
-            out[~small] = specfun.lower_incomplete_gamma(s, 0.5 * xb) * xb**-s
-        return _ret(out, scalar)
+        xs, xc = _slash_branches(x)
+        out = np.where(
+            x < _SLASH_SERIES_X,
+            _slash_g_series(s, 0.5 * xs),
+            specfun.lower_incomplete_gamma(s, 0.5 * xc) * np.power(xc, -s),
+        )
+        return _ret(out, x)
     if gid is GeneratorId.LAPLACE:
-        xa, scalar = _as_nonneg_array(x)
-        out = np.full_like(xa, np.inf)
-        pos = xa > 0.0
-        out[pos] = specfun.bessel_k0(np.sqrt(2.0 * xa[pos]))
-        return _ret(out, scalar)
+        x = _arg(x)
+        return _ret(special.k0(np.sqrt(2.0 * x)), x)  # k0(0) = inf, k0(inf) = 0
     val = log_g(spec, x)
-    return np.exp(val) if isinstance(val, np.ndarray) else math.exp(val)
+    return _ret(np.exp(val), val)
 
 
 def r(spec: GeneratorSpec, x):
     """Score ratio r(x) = g'(x)/g(x).
 
     Domain error at x = 0 for the families whose ratio is singular there
-    (loglaplace, logslash, logpexp with xi > 0).
+    (loglaplace, logslash, logpexp with xi > 0), and for x < 0 or NaN.
+    logpexp with xi < 0 gives -inf where r falls below the double range
+    (x ~ 1e300 at xi = -0.9), as its limit at +inf is.
     """
-    xa, scalar = _as_nonneg_array(x)
-    return _ret(_r(spec, xa), scalar)
+    x = _arg(x)
+    return _ret(_r(spec, np.atleast_1d(x)), x)
 
 
 def _r(spec: GeneratorSpec, xa: np.ndarray) -> np.ndarray:
@@ -285,7 +294,8 @@ def _r(spec: GeneratorSpec, xa: np.ndarray) -> np.ndarray:
     elif gid is GeneratorId.POWER_EXP:
         if p.xi > 0.0 and np.any(xa == 0.0):
             raise DomainError("logpexp score ratio is singular at x = 0 for xi > 0")
-        out = -(xa ** (-p.xi / (1.0 + p.xi))) / (2.0 * (1.0 + p.xi))
+        with np.errstate(over="ignore"):  # x^(-xi/(1+xi)) overflows for xi < 0
+            out = -(xa ** (-p.xi / (1.0 + p.xi))) / (2.0 * (1.0 + p.xi))
     elif gid is GeneratorId.LOGISTIC:
         out = -np.tanh(0.5 * xa)
     else:  # pragma: no cover
@@ -299,7 +309,8 @@ def dr(spec: GeneratorSpec, x):
     Singular at x = 0 where r is (same DomainError); finite or -0 at +inf,
     except for logpexp with xi < -1/2, whose r' tends to -inf.
     """
-    xa, scalar = _as_nonneg_array(x)
+    x = _arg(x)
+    xa = np.atleast_1d(x)
     gid, p = spec.id, spec.params
     if gid is GeneratorId.LOGNORMAL:
         out = np.zeros_like(xa)
@@ -340,7 +351,7 @@ def dr(spec: GeneratorSpec, x):
         out = -2.0 * e / ((1.0 + e) * (1.0 + e))
     else:  # pragma: no cover
         raise DomainError(f"unknown generator {gid}")
-    return _ret(out, scalar)
+    return _ret(out, x)
 
 
 _KUMMER_TERMS = 28
@@ -422,8 +433,10 @@ def radial_sf(spec: GeneratorSpec, x):
 
     Closed form for every family, computed as the upper tail itself, so a
     tail probability keeps its relative accuracy (no 1 - F cancellation).
+    DomainError for x < 0 or NaN.
     """
-    xa, scalar = _as_nonneg_array(x)
+    x0 = _arg(x)
+    xa = np.atleast_1d(x0)
     out = (xa == 0.0).astype(float)  # S(0) = 1, S(inf) = 0
     inner = (xa > 0.0) & (xa < np.inf)
     x, gid, p = xa[inner], spec.id, spec.params
@@ -448,7 +461,7 @@ def radial_sf(spec: GeneratorSpec, x):
         else:  # loglogistic
             sf = 2.0 * special.expit(-x)
     out[inner] = sf
-    return _ret(out, scalar)
+    return _ret(out, x0)
 
 
 def radial_isf(spec: GeneratorSpec, q):
@@ -499,7 +512,7 @@ def radial_isf(spec: GeneratorSpec, q):
             f"{np.min(q):g} exceeds the double range"
         )
     out[inner] = x
-    return _ret(out, scalar)
+    return out.item() if scalar else out
 
 
 # loglaplace head: 1 - v K1(v) = -sum_k c_k (2x)^(k+1) (log(x/2) - d_k), v = sqrt(2x)
@@ -511,65 +524,104 @@ _LAPLACE_HEAD_D = special.digamma(_HEAD_K + 1.0) + special.digamma(_HEAD_K + 2.0
 
 
 def _radial_log_tails(spec: GeneratorSpec, x: np.ndarray):
-    """log S(x), log F(x) = log(1 - S(x)) and log(x f(x)), f = pi g / Z, for
-    loghyperbolic, loglaplace and logslash; F without 1 - S cancellation."""
+    """log S(x), log F(x) = log(1 - S(x)), log(x f(x)) with f = pi g / Z, and
+    dL = d log(x f(x)) / d log x = 1 + x r(x), for loghyperbolic, loglaplace
+    and logslash; F without 1 - S cancellation."""
     if spec.id is GeneratorId.HYPERBOLIC:
         nu = spec.params.nu
-        d = x / (1.0 + np.sqrt(1.0 + x))  # sqrt(1 + x) - 1 without cancellation
+        w = np.sqrt(1.0 + x)
+        d = x / (1.0 + w)  # sqrt(1 + x) - 1 without cancellation
         log_sf = np.log1p(nu * d / (nu + 1.0)) - nu * d
         log_xf = np.log(x) - nu * d + math.log(0.5 * nu * nu / (nu + 1.0))
-        return log_sf, np.log(-np.expm1(log_sf)), log_xf
+        return log_sf, np.log(-np.expm1(log_sf)), log_xf, 1.0 - 0.5 * nu * (x / w)
     if spec.id is GeneratorId.LAPLACE:
         v = _SQRT2 * np.sqrt(x)  # 2x may overflow
-        log_sf = np.log(v * specfun.bessel_k1e(v)) - v
+        vk1, k0 = v * specfun.bessel_k1e(v), specfun.bessel_k0e(v)
+        log_sf = np.log(vk1) - v
         cdf = -np.expm1(log_sf)
         xh = x[v < 0.5, None]
         terms = _LAPLACE_HEAD_C * (2.0 * xh) ** (_HEAD_K + 1)
         cdf[v < 0.5] = -np.sum(terms * (np.log(0.5 * xh) - _LAPLACE_HEAD_D), axis=1)
-        return log_sf, np.log(cdf), np.log(x * specfun.bessel_k0e(v)) - v
+        # x r(x) = -v K1(v) / (2 K0(v))
+        return log_sf, np.log(cdf), np.log(x * k0) - v, 1.0 - 0.5 * vk1 / k0
     # logslash: S = T + e^-y with T = y^(1-s) gamma(s, y) = 2^s y g(x), y = x/2,
-    # and x f(x) = (s - 1) T; log_g keeps log T finite (series near 0)
+    # and x f(x) = (s - 1) T. Near 0 log T comes from the series of g; above
+    # it from gamma(s, y) and y^(1-s) apart, as log g + log x would cancel
+    # (x ~ 1e60 at nu = 1.01 lost 4e-12 of x). x r(x) = y e^-y / T - s.
     s = 0.5 * (spec.params.nu + 1.0)
-    log_t = log_g(spec, x) + np.log(x) + (s - 1.0) * math.log(2.0)
+    log_x = np.log(x)
+    xs, xc = _slash_branches(x)
+    log_t = np.where(
+        x < _SLASH_SERIES_X,
+        np.log(_slash_g_series(s, 0.5 * xs)) + log_x + (s - 1.0) * _LOG2,
+        np.log(specfun.lower_incomplete_gamma(s, 0.5 * xc)) + (1.0 - s) * np.log(0.5 * xc),
+    )
     log_cdf = np.log(-np.expm1(-0.5 * x) - np.exp(log_t))
-    return np.logaddexp(log_t, -0.5 * x), log_cdf, math.log(s - 1.0) + log_t
+    dl = (1.0 - s) + np.exp(log_x - _LOG2 - 0.5 * x - log_t)
+    return np.logaddexp(log_t, -0.5 * x), log_cdf, math.log(s - 1.0) + log_t, dl
 
 
 _X_MAX = np.finfo(float).max
 _LOG_X_LO, _LOG_X_HI = math.log(np.finfo(float).tiny), math.log(_X_MAX)
+_HALLEY_ACCEPT = 1e-4  # a Halley step this short leaves an error ~ step^3
+_CHUNK = 1 << 12
 
 
 def _radial_isf_newton(spec: GeneratorSpec, q: np.ndarray, t: np.ndarray):
-    """Solve S(e^t) = q by Newton in t = log x from the guess t, vectorized.
+    """Solve S(e^t) = q by Halley's method in t = log x from the guess t,
+    vectorized.
 
-    For q > 1/2 it solves log F = log(1 - q), else log S = log q, so the
-    residual keeps its relative accuracy. Each evaluation narrows a bracket,
-    initially the double range, and a step leaving it bisects instead. The
-    residual is known to about 1 ulp while the slope can tend to 0, so a
-    point stops when its step is <= 1e-12 or its residual is within 4 ulp of
-    max(1, |target|); either test alone can cycle forever. Roots beyond the
-    double range are +inf.
+    For q > 1/2 it solves f = log(1 - q) - log F = 0, else f = log S - log q
+    = 0, so the residual keeps its relative accuracy. With f' = -x f(x)/S
+    (or /F) and dL = d log(x f(x)) / d log x, f'' = f' (dL - f') on the tail
+    branch and f' (dL + f') on the head branch; the step is the Newton step
+    f/f' divided by c = 1 - f f'' / (2 f'^2), or the Newton step itself
+    where c leaves (1/2, 2). Each evaluation narrows a bracket, initially the
+    double range, and a step leaving it bisects instead. A point stops when
+    its residual is within 4 ulp of max(1, |target|) (the residual is known to
+    about 1 ulp while the slope can tend to 0), when its step is <= 1e-12, or
+    when a step inside the bracket is <= 1e-4: Halley's error after such a
+    step is O(step^3), so t - step is accepted without another evaluation.
+    Roots beyond the double range are +inf. It works through q in chunks of
+    _CHUNK points, so its temporaries stay small whatever the size of q.
     """
     x = np.full_like(q, np.inf)
-    idx = np.nonzero(np.log(q) >= _radial_log_tails(spec, np.array([_X_MAX]))[0])[0]
-    q, t = q[idx], np.clip(t[idx], _LOG_X_LO, _LOG_X_HI)
-    head = q > 0.5
-    target = np.where(head, np.log1p(-q), np.log(q))
+    log_sf_max = _radial_log_tails(spec, np.array([_X_MAX]))[0]
+    for k in range(0, q.size, _CHUNK):
+        x_k = x[k : k + _CHUNK]  # a view: the solution is written into x
+        idx = np.nonzero(np.log(q[k : k + _CHUNK]) >= log_sf_max)[0]
+        _halley(spec, q[k + idx], np.clip(t[k + idx], _LOG_X_LO, _LOG_X_HI), x_k, idx)
+    return x
+
+
+def _halley(spec: GeneratorSpec, q, t, x, idx):
+    # the iteration of _radial_isf_newton; writes the root for q[i] to x[idx[i]]
+    sign = np.where(q > 0.5, -1.0, 1.0)  # -1 on the head branch
+    target = np.where(q > 0.5, np.log1p(-q), np.log(q))
     lo, hi = np.full_like(t, _LOG_X_LO), np.full_like(t, _LOG_X_HI)
     for _ in range(100):
         if idx.size == 0:
-            return x
-        log_sf, log_cdf, log_xf = _radial_log_tails(spec, np.exp(t))
-        f = np.where(head, target - log_cdf, log_sf - target)  # > 0 below the root
-        slope = -np.exp(log_xf - np.where(head, log_cdf, log_sf))
+            return
+        log_sf, log_cdf, log_xf, dl = _radial_log_tails(spec, np.exp(t))
+        log_p = np.where(sign < 0.0, log_cdf, log_sf)
+        f = sign * (log_p - target)  # > 0 below the root
+        slope = -np.exp(log_xf - log_p)
         lo, hi = np.where(f > 0.0, t, lo), np.where(f < 0.0, t, hi)
-        t_new = t - f / np.minimum(slope, -np.finfo(float).tiny)
-        t_new = np.where((lo < t_new) & (t_new < hi), t_new, 0.5 * (lo + hi))
+        step = f / np.minimum(slope, -np.finfo(float).tiny)
+        c = 1.0 - 0.5 * step * (dl - sign * slope)
+        step = step / np.where((0.5 < c) & (c < 2.0), c, 1.0)
+        t_new = t - step
+        inside = (lo < t_new) & (t_new < hi)
+        t_new = np.where(inside, t_new, 0.5 * (lo + hi))
         small = np.abs(f) <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(target))
-        done = small | (np.abs(t_new - t) <= 1e-12)
+        done = (
+            small
+            | (inside & (np.abs(step) <= _HALLEY_ACCEPT))
+            | (np.abs(t_new - t) <= 1e-12)
+        )
         x[idx[done]] = np.exp(np.where(small, t, t_new)[done])
-        idx, head, target, t, lo, hi = (
-            a[~done] for a in (idx, head, target, t_new, lo, hi)
+        idx, sign, target, t, lo, hi = (
+            a[~done] for a in (idx, sign, target, t_new, lo, hi)
         )
     raise RootFindingError(f"{spec.label()}: radial quantile did not converge")
 

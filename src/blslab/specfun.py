@@ -4,8 +4,10 @@ Thin validated wrappers over ``scipy.special`` and ``math.lgamma``: log-gamma,
 the lower incomplete gamma function, modified Bessel functions K0/K1 (plain
 and exponentially scaled), and the reference CDFs (standard normal,
 Student-t, F) used as fast paths and oracles for the radial laws. Each
-function raises ``ValueError`` outside its domain, accepts +inf, and returns
-a ``float`` for scalar input (the CDFs take scalars only).
+function raises ``ValueError`` outside its domain (NaN included), accepts
++inf, and returns a ``float`` for scalar input (the CDFs take scalars only).
+``checked`` is that input check, shared with ``generators`` and
+``distribution``: a 0-d input stays a float, with one comparison.
 
 Accuracy contracts, enforced by tests/test_specfun.py
 -----------------------------------------------------
@@ -56,9 +58,24 @@ class LazyModule:
         return getattr(importlib.import_module(self._name), attr)
 
 
+def checked(x, msg: str, error=ValueError, strict: bool = False):
+    """x as a float when it is 0-d, else as a float array; raises
+    ``error(msg)`` unless x >= 0 (x > 0 if ``strict``) everywhere, so NaN
+    fails too. The input check of the blslab functions of a point."""
+    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+        x = float(x)
+        ok = x > 0.0 if strict else x >= 0.0
+    else:
+        x = np.asarray(x, dtype=float)
+        ok = (x > 0.0 if strict else x >= 0.0).all()
+    if not ok:
+        raise error(msg)
+    return x
+
+
 def _like(x, out):
-    # float for scalar input, array otherwise
-    return float(out) if np.ndim(x) == 0 else out
+    # float for a float argument, array otherwise
+    return float(out) if isinstance(x, float) else out
 
 
 def ln_gamma(x: float) -> float:
@@ -75,17 +92,13 @@ def lower_incomplete_gamma(s: float, x):
     """
     if not s > 0.0:
         raise ValueError(f"lower_incomplete_gamma requires s > 0, got {s}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise ValueError("lower_incomplete_gamma requires x >= 0")
-    return _like(x, special.gammainc(s, xa) * special.gamma(s))
+    x = checked(x, "lower_incomplete_gamma requires x >= 0")
+    return _like(x, special.gammainc(s, x) * special.gamma(s))
 
 
 def _bessel(fn, u):
-    ua = np.asarray(u, dtype=float)
-    if np.any(ua <= 0.0):
-        raise ValueError("bessel_k requires u > 0")
-    return _like(u, fn(ua))
+    u = checked(u, "bessel_k requires u > 0", strict=True)
+    return _like(u, fn(u))
 
 
 def bessel_k0(u):

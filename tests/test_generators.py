@@ -1,11 +1,16 @@
 """Generator registry: partition constants, score ratios, parameter rules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blslab import distribution as dist
 from blslab import generators as gen
+from blslab.distribution import BLSParams
 from blslab.errors import DomainError
 from blslab.generators import GeneratorId, GeneratorParams, GeneratorSpec, make_generator
 
@@ -240,3 +245,86 @@ def test_negative_argument_rejected():
         gen.g(make_generator("lognormal"), -0.1)
     with pytest.raises(DomainError):
         gen.r(make_generator("logt", nu=3.0), np.array([0.5, -2.0]))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+def test_nan_argument_rejected(spec):
+    # NaN < 0 is false, so a plain "x < 0" check lets NaN through
+    for fn in (gen.log_g, gen.g, gen.r, gen.dr, gen.radial_sf, dist.mahalanobis_pdf):
+        with pytest.raises(DomainError):
+            fn(spec, math.nan)
+        with pytest.raises(DomainError):
+            fn(spec, np.array([1.0, math.nan]))
+
+
+def test_logpexp_reaches_minus_inf_without_overflow_warning():
+    # x^(1/(1+xi)) overflows at xi = -0.9, x = 1e300: log g and r are -inf
+    spec = make_generator("logpexp", xi=-0.9)
+    assert gen.log_g(spec, 1e300) == -math.inf
+    assert gen.r(spec, 1e300) == -math.inf
+    assert gen.g(spec, 1e300) == 0.0
+    assert np.all(gen.log_g(spec, np.array([1e300, math.inf])) == -math.inf)
+
+
+_SWITCH = gen._SLASH_SERIES_X
+_EDGE_POINTS = [
+    0.0,
+    5e-324,
+    np.nextafter(_SWITCH, 0.0),
+    _SWITCH,
+    np.nextafter(_SWITCH, 1.0),
+    1e300,
+    math.inf,
+]
+_THETA = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+
+
+def _same(a, b) -> bool:
+    # bitwise: +-0, inf and NaN included
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _check_paths_agree(spec, x, z):
+    # a 0-d input gives a float bitwise equal to the 1-element array result,
+    # for every input type, without a RuntimeWarning
+    t1, t2 = math.exp(z), 2.0 * math.exp(-0.5 * z)
+    cases = [
+        (gen.log_g, (spec,), (x,)),
+        (gen.g, (spec,), (x,)),
+        (dist.mahalanobis_pdf, (spec,), (x,)),
+        (dist.joint_log_pdf, (_THETA, spec), (t1, t2)),
+        (dist.joint_pdf, (_THETA, spec), (t1, t2)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for fn, head, pts in cases:
+            ref = fn(*head, *(np.array([p]) for p in pts))
+            assert isinstance(ref, np.ndarray) and ref.shape == (1,)
+            kinds = [float, np.float64, np.array]
+            if all(float(p).is_integer() for p in pts):
+                kinds.append(int)
+            for kind in kinds:
+                got = fn(*head, *(kind(p) for p in pts))
+                assert type(got) is float, (fn.__name__, kind)
+                assert _same(got, ref[0]), (fn.__name__, kind, pts)
+
+
+@pytest.mark.parametrize("x", _EDGE_POINTS)
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+def test_scalar_and_array_paths_agree_at_edges(spec, x):
+    # z = 0 puts (t1, t2) at the integers (1, 2); x = 0 and 1e300 are integral
+    _check_paths_agree(spec, x, 0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    st.sampled_from(SPECS),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1e300),
+        st.floats(min_value=-8.0, max_value=3.0).map(lambda e: 10.0**e),
+        st.integers(min_value=0, max_value=10**6).map(float),
+    ),
+    st.floats(min_value=-6.0, max_value=6.0),
+)
+def test_scalar_and_array_paths_agree(spec, x, z):
+    _check_paths_agree(spec, x, z)

@@ -143,3 +143,83 @@ def test_isf_rejects_probabilities_outside_unit_interval():
     for bad in (0.0, -0.1, 1.5, math.nan):
         with pytest.raises(DomainError):
             gen.radial_isf(spec, bad)
+
+
+# the three families whose radial law radial_isf inverts by iteration
+ITERATED = (
+    [make_generator("loghyperbolic", nu=nu) for nu in (0.5, 2.0, 50.0)]
+    + [make_generator("loglaplace")]
+    + [make_generator("logslash", nu=nu) for nu in (1.01, 1.5, 4.0, 30.0)]
+)
+
+
+@pytest.mark.parametrize("spec", ITERATED, ids=lambda s: s.label())
+def test_halley_dl_matches_central_differences(spec):
+    # dL = d log(x f(x)) / d log x, the curvature term of the Halley step
+    xs = np.geomspace(1e-6, 1e6, 25)
+    h = 1e-5
+    log_xf = [gen._radial_log_tails(spec, xs * math.exp(d))[2] for d in (h, -h)]
+    fd = (log_xf[0] - log_xf[1]) / (2.0 * h)
+    dl = gen._radial_log_tails(spec, xs)[3]
+    # the difference quotient carries a rounding error of ~eps |log(x f)| / h
+    scale = np.abs(gen._radial_log_tails(spec, xs)[2])
+    tol = 1e-6 * np.abs(fd) + 4.0 * np.finfo(float).eps * scale / h
+    assert np.all(np.abs(dl - fd) <= tol)
+
+
+def _mp_sf(spec, x):
+    """S(x) in 40-digit arithmetic, from each family's closed form."""
+    import mpmath as mp
+
+    x, p = mp.mpf(x), spec.params
+    if spec.id.value == "loghyperbolic":
+        d = mp.sqrt(1 + x) - 1
+        return mp.exp(-p.nu * d) * (1 + p.nu * d / (p.nu + 1))
+    if spec.id.value == "loglaplace":
+        v = mp.sqrt(2 * x)
+        return v * mp.besselk(1, v)
+    # logslash: S = y^(1-s) gamma(s, y) + e^-y, y = x/2, with the double s
+    # the library evaluates (s rounds, and at nu = 1.01 the tail's
+    # x^(1-s) turns that rounding into 1e-11 of the root)
+    s, y = mp.mpf(0.5 * (p.nu + 1.0)), x / 2
+    return y ** (1 - s) * mp.gammainc(s, 0, y) + mp.exp(-y)
+
+
+@pytest.mark.parametrize("spec", ITERATED, ids=lambda s: s.label())
+def test_radial_isf_matches_mpmath_root(spec):
+    import mpmath as mp
+
+    qs = np.concatenate(
+        [10.0 ** -np.arange(300.0, 0.0, -15.0), [0.05, 0.3, 0.5, 0.7, 0.9, 0.99]]
+        + [[1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]]
+    )
+    with mp.workdps(40):
+        for q in qs:
+            try:
+                x = gen.radial_isf(spec, float(q))
+            except DomainError:  # beyond the double range: check that it is
+                assert _mp_sf(spec, np.finfo(float).max) > q
+                continue
+            lq = mp.log(mp.mpf(q))
+            t = mp.findroot(lambda t: mp.log(_mp_sf(spec, mp.exp(t))) - lq, math.log(x))
+            root = mp.exp(t)
+            assert abs(x - root) <= 1e-12 * root, (q, x)
+
+
+@pytest.mark.parametrize(
+    "spec", [make_generator("loglaplace"), make_generator("logslash", nu=4.0)],
+    ids=lambda s: s.label(),
+)
+def test_halley_isf_needs_few_tail_evaluations(spec, monkeypatch):
+    # Newton took ~4.4 evaluations of the tails per point on uniform q;
+    # Halley's steps with the short-step accept rule take ~2.6
+    tails, seen = gen._radial_log_tails, []
+
+    def counted(spec, x):
+        seen.append(np.size(x))
+        return tails(spec, x)
+
+    monkeypatch.setattr(gen, "_radial_log_tails", counted)
+    q = 1.0 - np.random.default_rng(7).random(10**4)
+    gen.radial_isf(spec, q)
+    assert sum(seen) / q.size <= 3.0
