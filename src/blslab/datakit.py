@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .distribution import BLSParams, mahalanobis_quantile, mahalanobis_sq
+from .distribution import BLSParams, mahalanobis_sq
 from .errors import (
     BlsError,
     DomainError,
@@ -27,7 +27,7 @@ from .errors import (
     SingularInformationError,
 )
 from .estimation import FitResult, as_sample_matrix, fit_mle, profile_fit
-from .generators import GeneratorId, GeneratorParams, make_generator
+from .generators import GeneratorId, GeneratorParams, make_generator, radial_isf
 
 __all__ = [
     "ColumnStats",
@@ -408,7 +408,8 @@ def qq_mahalanobis(ds, fit: FitResult) -> QQData:
         raise PositivityError("sample values must be strictly positive")
     n = pairs.shape[0]
     emp = np.sort(mahalanobis_sq(fit.theta_hat, pairs[:, 0], pairs[:, 1]))
-    theo = [mahalanobis_quantile(fit.spec, (i - 0.5) / n) for i in range(1, n + 1)]
+    # the quantiles at p_i = (i - 0.5)/n, as one call at tail probabilities 1 - p_i
+    theo = radial_isf(fit.spec, 1.0 - (np.arange(1, n + 1) - 0.5) / n)
     return QQData(
         theoretical=tuple(float(q) for q in theo),
         empirical=tuple(float(e) for e in np.atleast_1d(emp)),

@@ -19,11 +19,18 @@ logpvii's theta is confounded with the scales: sigma -> c sigma together with
 theta -> theta / c^2 leaves the bivariate density unchanged, so a likelihood
 profile over theta at fixed xi is flat.
 
+Every radial survival function S is closed. Its inverse is closed for
+lognormal, logt, logpvii and loglogistic; for loghyperbolic, loglaplace,
+logslash and logpexp it takes safeguarded Halley steps on S. A large call
+starts those steps from a cubic Hermite interpolant of the inverse through a
+few roots of its own, so that a point costs about one evaluation of S.
+
 The enum values double as the CLI family names.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -447,11 +454,14 @@ def radial_sf(spec: GeneratorSpec, x):
             sf = np.exp(-0.5 * p.nu * np.log1p(x / p.nu))
         elif gid is GeneratorId.PEARSON_VII:
             sf = np.exp((1.0 - p.xi) * np.log1p(x / p.theta))
+        elif gid is GeneratorId.HYPERBOLIC:
+            d = x / (1.0 + np.sqrt(1.0 + x))  # sqrt(1 + x) - 1 without cancellation
+            sf = np.exp(np.log1p(p.nu * d / (p.nu + 1.0)) - p.nu * d)
         elif gid is GeneratorId.LAPLACE:
             v = _SQRT2 * np.sqrt(x)  # 2x may overflow
             sf = v * specfun.bessel_k1e(v) * np.exp(-v)
-        elif gid in (GeneratorId.HYPERBOLIC, GeneratorId.SLASH):
-            sf = np.exp(_radial_log_tails(spec, x)[0])
+        elif gid is GeneratorId.SLASH:
+            sf = np.exp(np.logaddexp(_slash_log_t(0.5 * (p.nu + 1.0), x), -0.5 * x))
         elif gid is GeneratorId.POWER_EXP:
             a = 1.0 + p.xi
             w = 0.5 * x ** (1.0 / a)
@@ -467,9 +477,12 @@ def radial_sf(spec: GeneratorSpec, x):
 def radial_isf(spec: GeneratorSpec, q):
     """Inverse survival function: the x with S(x) = q, for q in (0, 1].
 
-    Closed for five families; loghyperbolic, loglaplace and logslash invert
-    S by a safeguarded Newton iteration. DomainError where x exceeds the
-    double range.
+    Closed for lognormal, logt, logpvii and loglogistic. loghyperbolic,
+    loglaplace, logslash and logpexp invert S by Halley steps (see
+    _radial_isf_newton), from a closed start on a call of fewer than 4096
+    points and from one interpolated between roots of the call itself on a
+    larger call; either way each root is within 1e-12 relative of the exact
+    one. DomainError where x exceeds the double range.
     """
     scalar = np.ndim(q) == 0
     qa = np.atleast_1d(np.asarray(q, dtype=float))
@@ -478,34 +491,17 @@ def radial_isf(spec: GeneratorSpec, q):
     out = np.zeros_like(qa)  # isf(1) = 0
     inner = qa < 1.0
     q, gid, p = qa[inner], spec.id, spec.params
-    lq = -np.log(q)
     with np.errstate(over="ignore"):  # an overflow is reported below
         if gid is GeneratorId.LOGNORMAL:
-            x = 2.0 * lq
+            x = -2.0 * np.log(q)
         elif gid is GeneratorId.STUDENT_T:
-            x = p.nu * np.expm1(2.0 / p.nu * lq)
+            x = p.nu * np.expm1(-2.0 / p.nu * np.log(q))
         elif gid is GeneratorId.PEARSON_VII:
-            x = p.theta * np.expm1(lq / (p.xi - 1.0))
-        elif gid is GeneratorId.HYPERBOLIC:
-            d = lq / p.nu  # S = e^(-nu d) (1 + nu d / (nu + 1)) with d = sqrt(1+x) - 1
-            x = _radial_isf_newton(spec, q, np.log(d * (2.0 + d)))
-        elif gid is GeneratorId.LAPLACE:
-            v = lq + 0.5 * np.log1p(0.5 * math.pi * lq)  # tail: S ~ sqrt(pi v/2) e^-v
-            x = _radial_isf_newton(spec, q, np.log(np.maximum(lq, 0.5 * v * v)))
-        elif gid is GeneratorId.SLASH:
-            # start from logpvii(xi = theta = s): the same head and tail order
-            s = 0.5 * (p.nu + 1.0)
-            a = lq / (s - 1.0)
-            t0 = math.log(2.0 * s) + a + np.log(-np.expm1(-a))
-            x = _radial_isf_newton(spec, q, t0)
-        elif gid is GeneratorId.POWER_EXP:
-            a = 1.0 + p.xi
-            w = special.gammainccinv(a, q)
-            # w underflows as xi -> -1; there 1 - q = P(a, w) = w^a / Gamma(a + 1)
-            head = 2.0**a * math.gamma(1.0 + a) * (1.0 - q)
-            x = np.where(w > 1e-100, (2.0 * w) ** a, head)
-        else:  # loglogistic
+            x = p.theta * np.expm1(-np.log(q) / (p.xi - 1.0))
+        elif gid is GeneratorId.LOGISTIC:
             x = np.log1p(2.0 * (1.0 - q) / q)
+        else:
+            x = _radial_isf_newton(spec, q)
     if np.any(np.isinf(x)):
         raise DomainError(
             f"{spec.label()}: the radial quantile at tail probability "
@@ -515,18 +511,66 @@ def radial_isf(spec: GeneratorSpec, q):
     return out.item() if scalar else out
 
 
+def _isf_start(spec: GeneratorSpec, q: np.ndarray) -> np.ndarray:
+    """A closed guess at the root of S(x) = q, in the Halley variable
+    log(x) / _halley_scale(spec)."""
+    lq, p = -np.log(q), spec.params
+    if spec.id is GeneratorId.HYPERBOLIC:
+        d = lq / p.nu  # S = e^(-nu d) (1 + nu d / (nu + 1)) with d = sqrt(1+x) - 1
+        return np.log(d * (2.0 + d))
+    if spec.id is GeneratorId.LAPLACE:
+        v = lq + 0.5 * np.log1p(0.5 * math.pi * lq)  # tail: S ~ sqrt(pi v/2) e^-v
+        return np.log(np.maximum(lq, 0.5 * v * v))
+    if spec.id is GeneratorId.SLASH:
+        # start from logpvii(xi = theta = s): the same head and tail order
+        s = 0.5 * (p.nu + 1.0)
+        a = lq / (s - 1.0)
+        return math.log(2.0 * s) + a + np.log(-np.expm1(-a))
+    # logpexp, in log(2w) with w = x^(1/a) / 2 and S = Q(a, w). Below w = 1
+    # (q above Q(a, 1)), P = w^a e^-w M(1, a + 1, w) / Gamma(a + 1), which is
+    # w^a e^(-a w / (a + 1)) / Gamma(a + 1) to first order in w; above it,
+    # Legendre's continued fraction for Gamma(a, w) to its second convergent,
+    # solved for w by a few fixed-point steps
+    a, b = 1.0 + p.xi, -p.xi
+    lw_head = (np.log(-np.expm1(-lq)) + math.lgamma(a + 1.0)) / a
+    lw_head = lw_head + np.exp(np.minimum(lw_head, 0.0)) / (a + 1.0)
+    w = np.maximum(lq - math.lgamma(a), 1.0)
+    for _ in range(4):
+        cf = (w + 2.0 + b) / ((w + b) * (w + 2.0 + b) - b)
+        w = np.maximum(lq - math.lgamma(a) + a * np.log(w) + np.log(cf), 1.0)
+    tail = lq > -math.log(special.gammaincc(a, 1.0))
+    return _LOG2 + np.where(tail, np.log(w), lw_head)
+
+
 # loglaplace head: 1 - v K1(v) = -sum_k c_k (2x)^(k+1) (log(x/2) - d_k), v = sqrt(2x)
 _HEAD_K = np.arange(7)
 _LAPLACE_HEAD_C = 1.0 / (
     4.0 ** (_HEAD_K + 1) * special.factorial(_HEAD_K) * special.factorial(_HEAD_K + 1)
 )
 _LAPLACE_HEAD_D = special.digamma(_HEAD_K + 1.0) + special.digamma(_HEAD_K + 2.0)
+# logpexp tails: P where w < 1.1, Q above; closed forms below 1e-100 and above 600
+_PEXP_TINY_W, _PEXP_HEAD_W, _PEXP_TAIL_W = 1e-100, 1.1, 600.0
+
+
+def _slash_log_t(s: float, x: np.ndarray) -> np.ndarray:
+    """log T with T = y^(1-s) gamma(s, y) = 2^s y g(x), y = x/2, x > 0: the
+    series of g near 0, above it gamma(s, y) and y^(1-s) apart, as log g +
+    log x would cancel (x ~ 1e60 at nu = 1.01 lost 4e-12 of x)."""
+    xs, xc = _slash_branches(x)
+    return np.where(
+        x < _SLASH_SERIES_X,
+        np.log(_slash_g_series(s, 0.5 * xs)) + np.log(x) + (s - 1.0) * _LOG2,
+        np.log(specfun.lower_incomplete_gamma(s, 0.5 * xc)) + (1.0 - s) * np.log(0.5 * xc),
+    )
 
 
 def _radial_log_tails(spec: GeneratorSpec, x: np.ndarray):
     """log S(x), log F(x) = log(1 - S(x)), log(x f(x)) with f = pi g / Z, and
-    dL = d log(x f(x)) / d log x = 1 + x r(x), for loghyperbolic, loglaplace
-    and logslash; F without 1 - S cancellation."""
+    dL = d log(x f(x)) / d log x = 1 + x r(x), at x > 0, for the four
+    families that radial_isf inverts by Halley steps: loghyperbolic,
+    loglaplace, logslash and logpexp. Each of S and F keeps its relative
+    accuracy (no 1 - S cancellation for a small F, none of 1 - F for a small
+    S); radial_sf, which needs only S, does not call it."""
     if spec.id is GeneratorId.HYPERBOLIC:
         nu = spec.params.nu
         w = np.sqrt(1.0 + x)
@@ -544,37 +588,63 @@ def _radial_log_tails(spec: GeneratorSpec, x: np.ndarray):
         cdf[v < 0.5] = -np.sum(terms * (np.log(0.5 * xh) - _LAPLACE_HEAD_D), axis=1)
         # x r(x) = -v K1(v) / (2 K0(v))
         return log_sf, np.log(cdf), np.log(x * k0) - v, 1.0 - 0.5 * vk1 / k0
-    # logslash: S = T + e^-y with T = y^(1-s) gamma(s, y) = 2^s y g(x), y = x/2,
-    # and x f(x) = (s - 1) T. Near 0 log T comes from the series of g; above
-    # it from gamma(s, y) and y^(1-s) apart, as log g + log x would cancel
-    # (x ~ 1e60 at nu = 1.01 lost 4e-12 of x). x r(x) = y e^-y / T - s.
-    s = 0.5 * (spec.params.nu + 1.0)
-    log_x = np.log(x)
-    xs, xc = _slash_branches(x)
-    log_t = np.where(
-        x < _SLASH_SERIES_X,
-        np.log(_slash_g_series(s, 0.5 * xs)) + log_x + (s - 1.0) * _LOG2,
-        np.log(specfun.lower_incomplete_gamma(s, 0.5 * xc)) + (1.0 - s) * np.log(0.5 * xc),
-    )
-    log_cdf = np.log(-np.expm1(-0.5 * x) - np.exp(log_t))
-    dl = (1.0 - s) + np.exp(log_x - _LOG2 - 0.5 * x - log_t)
-    return np.logaddexp(log_t, -0.5 * x), log_cdf, math.log(s - 1.0) + log_t, dl
+    if spec.id is GeneratorId.SLASH:
+        # S = T + e^-y, y = x/2, and x f(x) = (s - 1) T; x r(x) = y e^-y / T - s
+        s = 0.5 * (spec.params.nu + 1.0)
+        log_t = _slash_log_t(s, x)
+        log_cdf = np.log(-np.expm1(-0.5 * x) - np.exp(log_t))
+        dl = (1.0 - s) + np.exp(np.log(x) - _LOG2 - 0.5 * x - log_t)
+        return np.logaddexp(log_t, -0.5 * x), log_cdf, math.log(s - 1.0) + log_t, dl
+    # logpexp: a = 1 + xi, w = x^(1/a) / 2, S = Q(a, w), F = P(a, w),
+    # x f(x) = w^a e^-w / Gamma(a + 1) and dL = 1 - w/a. One scipy P or Q per
+    # point: P below w = 1.1 (where scipy's Q is slow for a < 1, and Q = 1 - P
+    # is still above ~a/5), Q above. Both in logs where a double would not
+    # hold them: P = w^a / Gamma(a + 1) where w is below 1e-100 or underflows
+    # (xi -> -1), and Gamma(a, w) by its asymptotic series above w = 600.
+    a, lg = 1.0 + spec.params.xi, math.lgamma(2.0 + spec.params.xi)
+    lw = np.log(x) / a - _LOG2
+    with np.errstate(over="ignore"):  # w = inf beyond the double range: S = 0
+        w = np.exp(lw)
+    head = w < _PEXP_HEAD_W
+    log_pq = np.empty_like(w)  # log P on the head, log Q above it
+    log_pq[head] = np.log(special.gammainc(a, np.maximum(w[head], _PEXP_TINY_W)))
+    log_pq[~head] = np.log(special.gammaincc(a, np.minimum(w[~head], _PEXP_TAIL_W)))
+    tiny, big = w < _PEXP_TINY_W, w > _PEXP_TAIL_W
+    log_pq[tiny] = a * lw[tiny] - lg
+    if big.any():  # Gamma(a, w) e^w w^(1-a) = 1 + (a-1)/w + ..., to 1e-16
+        series = 1.0
+        for k in range(6, 0, -1):
+            series = 1.0 + (a - k) / w[big] * series
+        log_pq[big] = (a - 1.0) * lw[big] - w[big] - math.lgamma(a) + np.log(series)
+    log_qp = np.log1p(-np.exp(log_pq))
+    log_sf, log_cdf = np.where(head, log_qp, log_pq), np.where(head, log_pq, log_qp)
+    return log_sf, log_cdf, a * lw - w - lg, 1.0 - w / a
+
+
+def _halley_scale(spec: GeneratorSpec) -> float:
+    # Halley works in t = log(x) / k: log x for three families, and log(2w) =
+    # log(x) / a for logpexp, whose log S varies on the scale a of log x. In
+    # log x a step of 1e-4, which the accept rule takes as converged, would
+    # leave an error of ~1e-12 / (12 a^2): 3e-12 of x measured at xi = -0.99
+    return 1.0 + spec.params.xi if spec.id is GeneratorId.POWER_EXP else 1.0
 
 
 _X_MAX = np.finfo(float).max
 _LOG_X_LO, _LOG_X_HI = math.log(np.finfo(float).tiny), math.log(_X_MAX)
 _HALLEY_ACCEPT = 1e-4  # a Halley step this short leaves an error ~ step^3
 _CHUNK = 1 << 12
+_HERMITE_MIN = 1 << 12  # a call this large starts Halley from interpolated roots
+_HERMITE_NODES = 128
 
 
-def _radial_isf_newton(spec: GeneratorSpec, q: np.ndarray, t: np.ndarray):
-    """Solve S(e^t) = q by Halley's method in t = log x from the guess t,
-    vectorized.
+def _radial_isf_newton(spec: GeneratorSpec, q: np.ndarray):
+    """Solve S(x) = q by Halley's method in t = log(x) / k (k from
+    _halley_scale), vectorized.
 
     For q > 1/2 it solves f = log(1 - q) - log F = 0, else f = log S - log q
-    = 0, so the residual keeps its relative accuracy. With f' = -x f(x)/S
-    (or /F) and dL = d log(x f(x)) / d log x, f'' = f' (dL - f') on the tail
-    branch and f' (dL + f') on the head branch; the step is the Newton step
+    = 0, so the residual keeps its relative accuracy. With f' = -k x f(x)/S
+    (or /F) and dL = d log(x f(x)) / d log x, f'' = f' (k dL - f') on the tail
+    branch and f' (k dL + f') on the head branch; the step is the Newton step
     f/f' divided by c = 1 - f f'' / (2 f'^2), or the Newton step itself
     where c leaves (1/2, 2). Each evaluation narrows a bracket, initially the
     double range, and a step leaving it bisects instead. A point stops when
@@ -584,31 +654,74 @@ def _radial_isf_newton(spec: GeneratorSpec, q: np.ndarray, t: np.ndarray):
     step is O(step^3), so t - step is accepted without another evaluation.
     Roots beyond the double range are +inf. It works through q in chunks of
     _CHUNK points, so its temporaries stay small whatever the size of q.
+
+    A call of fewer than _HERMITE_MIN live points starts each from the
+    closed guess of _isf_start: 2-3 evaluations of the tails a point. A
+    larger one first solves _HERMITE_NODES roots that way, at nodes spread
+    evenly in u = log(-log q) over the call's own range, and starts every
+    point from the cubic Hermite interpolant of t in u through them, with
+    slopes dt/du = S (-log S) / (k x f(x)) (Hormann & Leydold, ACM TOMACS
+    13(4), 2003). That start is mostly within 1e-7 of the root (up to ~1e-4
+    in logslash's power tail), so the first step is accepted: about one
+    evaluation a point, nodes included. The nodes live and die in the call.
     """
+    k = _halley_scale(spec)
     x = np.full_like(q, np.inf)
-    log_sf_max = _radial_log_tails(spec, np.array([_X_MAX]))[0]
-    for k in range(0, q.size, _CHUNK):
-        x_k = x[k : k + _CHUNK]  # a view: the solution is written into x
-        idx = np.nonzero(np.log(q[k : k + _CHUNK]) >= log_sf_max)[0]
-        _halley(spec, q[k + idx], np.clip(t[k + idx], _LOG_X_LO, _LOG_X_HI), x_k, idx)
+    live = np.log(q) >= _radial_log_tails(spec, np.array([_X_MAX]))[0]
+    if np.count_nonzero(live) < _HERMITE_MIN:
+        start = functools.partial(_isf_start, spec)
+    else:
+        start = _hermite_start(spec, q[live], k)
+    for i in range(0, q.size, _CHUNK):
+        idx = np.nonzero(live[i : i + _CHUNK])[0]
+        t = np.clip(start(q[i + idx]), _LOG_X_LO / k, _LOG_X_HI / k)
+        _halley(spec, q[i + idx], t, x[i : i + _CHUNK], idx, k)  # x[...] is a view
     return x
 
 
-def _halley(spec: GeneratorSpec, q, t, x, idx):
+def _hermite_start(spec: GeneratorSpec, q: np.ndarray, k: float):
+    """The interpolated start of _radial_isf_newton, as a function of q."""
+    u = np.log(-np.log(q))
+    lo, hi = u.min(), u.max()
+    if not hi > lo:
+        return functools.partial(_isf_start, spec)
+    un = np.linspace(lo, hi, _HERMITE_NODES)
+    qn = np.clip(np.exp(-np.exp(un)), q.min(), q.max())
+    xn = _radial_isf_newton(spec, qn)
+    du = np.log(-np.log(qn))  # the nodes' own u: qn rounds (by ~1 near q = 1)
+    dn = np.exp(np.log(qn) + du - _radial_log_tails(spec, xn)[2]) / k
+    tn = np.log(xn) / k + (un - du) * dn  # back onto the even grid, to first order
+    h = (hi - lo) / (_HERMITE_NODES - 1)
+
+    def interpolate(q):
+        v = (np.log(-np.log(q)) - lo) / h
+        j = np.clip(v.astype(np.intp), 0, _HERMITE_NODES - 2)
+        s = v - j
+        r = 1.0 - s
+        return (
+            (1.0 + 2.0 * s) * r * r * tn[j]
+            + s * s * (3.0 - 2.0 * s) * tn[j + 1]
+            + s * r * h * (r * dn[j] - s * dn[j + 1])
+        )
+
+    return interpolate
+
+
+def _halley(spec: GeneratorSpec, q, t, x, idx, k):
     # the iteration of _radial_isf_newton; writes the root for q[i] to x[idx[i]]
     sign = np.where(q > 0.5, -1.0, 1.0)  # -1 on the head branch
     target = np.where(q > 0.5, np.log1p(-q), np.log(q))
-    lo, hi = np.full_like(t, _LOG_X_LO), np.full_like(t, _LOG_X_HI)
+    lo, hi = np.full_like(t, _LOG_X_LO / k), np.full_like(t, _LOG_X_HI / k)
     for _ in range(100):
         if idx.size == 0:
             return
-        log_sf, log_cdf, log_xf, dl = _radial_log_tails(spec, np.exp(t))
+        log_sf, log_cdf, log_xf, dl = _radial_log_tails(spec, np.exp(k * t))
         log_p = np.where(sign < 0.0, log_cdf, log_sf)
         f = sign * (log_p - target)  # > 0 below the root
-        slope = -np.exp(log_xf - log_p)
+        slope = -k * np.exp(log_xf - log_p)
         lo, hi = np.where(f > 0.0, t, lo), np.where(f < 0.0, t, hi)
         step = f / np.minimum(slope, -np.finfo(float).tiny)
-        c = 1.0 - 0.5 * step * (dl - sign * slope)
+        c = 1.0 - 0.5 * step * (k * dl - sign * slope)
         step = step / np.where((0.5 < c) & (c < 2.0), c, 1.0)
         t_new = t - step
         inside = (lo < t_new) & (t_new < hi)
@@ -619,7 +732,7 @@ def _halley(spec: GeneratorSpec, q, t, x, idx):
             | (inside & (np.abs(step) <= _HALLEY_ACCEPT))
             | (np.abs(t_new - t) <= 1e-12)
         )
-        x[idx[done]] = np.exp(np.where(small, t, t_new)[done])
+        x[idx[done]] = np.exp(k * np.where(small, t, t_new)[done])
         idx, sign, target, t, lo, hi = (
             a[~done] for a in (idx, sign, target, t_new, lo, hi)
         )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import blslab.datakit as dk
+from blslab import generators as gen
 from blslab.datakit import (
     COMPARISON_COLUMNS,
     FIXTURE_SEED,
@@ -19,7 +20,7 @@ from blslab.datakit import (
     summarize,
     synthetic_fixture,
 )
-from blslab.distribution import BLSParams, mahalanobis_sq, sample
+from blslab.distribution import BLSParams, mahalanobis_quantile, mahalanobis_sq, sample
 from blslab.errors import DomainError, ParseError, PositivityError, RootFindingError
 from blslab.estimation import FitResult, fit_mle, log_likelihood
 from blslab.generators import GeneratorId, GeneratorParams, make_generator
@@ -375,6 +376,21 @@ def test_qq_large_sample_tracks_identity():
     slope = float(np.sum(theo * emp) / np.sum(theo * theo))
     assert 0.9 < slope < 1.1
     assert np.corrcoef(theo, emp)[0, 1] > 0.99
+
+
+@pytest.mark.parametrize("n", [50, gen._HERMITE_MIN + 100])
+def test_qq_theoretical_equals_scalar_quantiles(ln_fit, n):
+    # one vectorized radial_isf call: bit for bit the scalar quantiles on a
+    # call below the interpolated-start threshold, within 1e-12 above it
+    spec = make_generator("loglaplace")
+    fit = dataclasses.replace(ln_fit, spec=spec)
+    pairs = sample(fit.theta_hat, spec, n, seed=11)
+    theo = np.array(qq_mahalanobis(pairs, fit).theoretical)
+    scalar = np.array([mahalanobis_quantile(spec, (i - 0.5) / n) for i in range(1, n + 1)])
+    if n < gen._HERMITE_MIN:
+        assert np.array_equal(theo, scalar)
+    else:
+        assert np.allclose(theo, scalar, rtol=1e-12, atol=0.0)
 
 
 def test_qq_single_pair(ln_fit):

@@ -7,6 +7,9 @@ probabilities down to 1e-300, under a fixed derandomized hypothesis profile.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -68,8 +71,8 @@ def test_isf_is_non_increasing(spec, qs):
     q = np.sort(np.array(qs))
     x = _isf(spec, q)
     assert not np.any(np.isnan(x))
-    # up to rounding: at adjacent floats q the computed quantiles (also
-    # scipy's gammainccinv) can swap by a few ulp
+    # up to rounding: at adjacent floats q the computed quantiles (Halley
+    # roots within their stopping rules) can swap by a few ulp
     assert np.all(x[:-1] >= x[1:] * (1.0 - 1e-12))
 
 
@@ -145,19 +148,24 @@ def test_isf_rejects_probabilities_outside_unit_interval():
             gen.radial_isf(spec, bad)
 
 
-# the three families whose radial law radial_isf inverts by iteration
+# the four families whose radial law radial_isf inverts by Halley steps
 ITERATED = (
     [make_generator("loghyperbolic", nu=nu) for nu in (0.5, 2.0, 50.0)]
     + [make_generator("loglaplace")]
     + [make_generator("logslash", nu=nu) for nu in (1.01, 1.5, 4.0, 30.0)]
+    + [make_generator("logpexp", xi=xi) for xi in (-0.999, -0.9, -0.5, 0.5, 1.0)]
 )
 
 
 @pytest.mark.parametrize("spec", ITERATED, ids=lambda s: s.label())
 def test_halley_dl_matches_central_differences(spec):
-    # dL = d log(x f(x)) / d log x, the curvature term of the Halley step
+    # dL = d log(x f(x)) / d log x, the curvature term of the Halley step;
+    # logpexp's log(x f) = a log w - w - lgamma(a + 1) with w = x^(1/a) / 2
+    # varies on the scale a = 1 + xi of log x, and w overflows past x ~ 1e308^a
     xs = np.geomspace(1e-6, 1e6, 25)
-    h = 1e-5
+    k = gen._halley_scale(spec)
+    xs = xs[np.log(xs) < 600.0 * k]
+    h = 1e-5 * k
     log_xf = [gen._radial_log_tails(spec, xs * math.exp(d))[2] for d in (h, -h)]
     fd = (log_xf[0] - log_xf[1]) / (2.0 * h)
     dl = gen._radial_log_tails(spec, xs)[3]
@@ -178,6 +186,12 @@ def _mp_sf(spec, x):
     if spec.id.value == "loglaplace":
         v = mp.sqrt(2 * x)
         return v * mp.besselk(1, v)
+    if spec.id.value == "logpexp":  # S = Gamma(a, w) / Gamma(a), w = x^(1/a) / 2
+        a = mp.mpf(1.0 + p.xi)
+        w = x ** (1 / a) / 2
+        if w < 1:  # 1 - P(a, w): mpmath's upper tail is slow at a tiny w
+            return 1 - mp.gammainc(a, 0, w, regularized=True)
+        return mp.gammainc(a, w, mp.inf, regularized=True)
     # logslash: S = y^(1-s) gamma(s, y) + e^-y, y = x/2, with the double s
     # the library evaluates (s rounds, and at nu = 1.01 the tail's
     # x^(1-s) turns that rounding into 1e-11 of the root)
@@ -189,30 +203,35 @@ def _mp_sf(spec, x):
 def test_radial_isf_matches_mpmath_root(spec):
     import mpmath as mp
 
-    qs = np.concatenate(
+    qa = np.concatenate(
         [10.0 ** -np.arange(300.0, 0.0, -15.0), [0.05, 0.3, 0.5, 0.7, 0.9, 0.99]]
         + [[1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]]
     )
+    # each q alone, and all of them in one call large enough to start from
+    # the interpolated roots (padded with uniform q in the same range)
+    scalar = _isf(spec, qa)
+    qs = qa[np.isfinite(scalar)]
+    pad = np.random.default_rng(5).uniform(qs.min(), 1.0, gen._HERMITE_MIN)
+    large = gen.radial_isf(spec, np.concatenate([qs, pad]))[: qs.size]
+    for x in (scalar[np.isfinite(scalar)], large):  # fail fast, before mpmath searches
+        assert np.all(np.abs(gen.radial_sf(spec, x) / qs - 1.0) <= 1e-6)
     with mp.workdps(40):
-        for q in qs:
-            try:
-                x = gen.radial_isf(spec, float(q))
-            except DomainError:  # beyond the double range: check that it is
-                assert _mp_sf(spec, np.finfo(float).max) > q
-                continue
+        for q in qa[~np.isfinite(scalar)]:  # beyond the double range: check that it is
+            assert gen.radial_sf(spec, np.finfo(float).max) > q
+            assert _mp_sf(spec, np.finfo(float).max) > q
+        # the 40-digit root, found in log(x) / k, where the Halley steps of
+        # radial_isf have unit scale
+        k = mp.mpf(gen._halley_scale(spec))
+        for q, xs, xl in zip(qs, scalar[np.isfinite(scalar)], large):
             lq = mp.log(mp.mpf(q))
-            t = mp.findroot(lambda t: mp.log(_mp_sf(spec, mp.exp(t))) - lq, math.log(x))
-            root = mp.exp(t)
-            assert abs(x - root) <= 1e-12 * root, (q, x)
+            t = mp.findroot(lambda t: mp.log(_mp_sf(spec, mp.exp(k * t))) - lq, math.log(xs) / k)
+            root = mp.exp(k * t)
+            assert abs(xs - root) <= 1e-12 * root, (q, xs)
+            assert abs(xl - root) <= 1e-12 * root, (q, xl)
 
 
-@pytest.mark.parametrize(
-    "spec", [make_generator("loglaplace"), make_generator("logslash", nu=4.0)],
-    ids=lambda s: s.label(),
-)
-def test_halley_isf_needs_few_tail_evaluations(spec, monkeypatch):
-    # Newton took ~4.4 evaluations of the tails per point on uniform q;
-    # Halley's steps with the short-step accept rule take ~2.6
+def _tail_evaluations(spec, q, monkeypatch):
+    # tail evaluations a point that radial_isf(spec, q) takes
     tails, seen = gen._radial_log_tails, []
 
     def counted(spec, x):
@@ -220,6 +239,110 @@ def test_halley_isf_needs_few_tail_evaluations(spec, monkeypatch):
         return tails(spec, x)
 
     monkeypatch.setattr(gen, "_radial_log_tails", counted)
-    q = 1.0 - np.random.default_rng(7).random(10**4)
     gen.radial_isf(spec, q)
-    assert sum(seen) / q.size <= 3.0
+    monkeypatch.undo()
+    return sum(seen) / q.size
+
+
+FEW_EVALS = [
+    make_generator("loghyperbolic", nu=2.0),
+    make_generator("loglaplace"),
+    make_generator("logslash", nu=4.0),
+    make_generator("logpexp", xi=-0.5),
+    make_generator("logpexp", xi=0.5),
+]
+
+
+@pytest.mark.parametrize("spec", FEW_EVALS, ids=lambda s: s.label())
+def test_halley_isf_needs_few_tail_evaluations(spec, monkeypatch):
+    # Newton took ~4.4 evaluations of the tails per point on uniform q;
+    # Halley's steps from the closed start, with the short-step accept rule,
+    # take 2-3; from the interpolated start of a large call the first step
+    # is accepted, so a point costs one evaluation plus its share of the nodes
+    q = 1.0 - np.random.default_rng(7).random(10**4)
+    assert _tail_evaluations(spec, q, monkeypatch) <= 1.1
+    small = q[: gen._HERMITE_MIN - 1]
+    assert _tail_evaluations(spec, small, monkeypatch) <= 3.0
+
+
+@pytest.mark.parametrize("spec", ITERATED, ids=lambda s: s.label())
+def test_large_call_roots_match_scalar_calls(spec):
+    rng = np.random.default_rng(11)
+    q = np.concatenate([rng.random(6000), np.exp(-rng.uniform(0.0, 60.0, 2000))])
+    q = q[q > gen.radial_sf(spec, 1e300)]  # logslash(1.01) leaves the doubles early
+    x = gen.radial_isf(spec, q)
+    for i in range(0, q.size, 97):
+        assert abs(x[i] - gen.radial_isf(spec, float(q[i]))) <= 1e-12 * x[i], q[i]
+
+
+_FRESH = """
+import sys, numpy as np
+from blslab import generators as gen
+from blslab.generators import make_generator
+q = 1.0 - np.random.default_rng(3).random(2 * gen._HERMITE_MIN + 5)
+specs = [make_generator(f, **kw) for f, kw in {specs!r}]
+np.save(sys.argv[1], np.stack([gen.radial_isf(s, q) for s in specs]))
+"""
+
+
+def test_no_state_crosses_calls(tmp_path):
+    # the interpolation nodes live and die inside one call: repeating a call,
+    # or interleaving it with calls on other specs and sizes, gives the bits
+    # of the same call in a fresh interpreter
+    q = 1.0 - np.random.default_rng(3).random(2 * gen._HERMITE_MIN + 5)
+    specs = ITERATED[1:4] + ITERATED[-2:]
+    for s in specs:
+        gen.radial_isf(s, q[: gen._HERMITE_MIN + 7] ** 2)
+    first = [gen.radial_isf(s, q) for s in specs]
+    for s, x in zip(reversed(specs), reversed(first)):
+        gen.radial_isf(s, q[::-3])
+        gen.radial_isf(s, 0.25)
+        gen.radial_isf(s, q[: gen._HERMITE_MIN + 7] ** 3)
+        assert np.array_equal(gen.radial_isf(s, q), x)
+    # a point's start depends on the call's range of q, not on its order
+    assert np.array_equal(gen.radial_isf(specs[0], q[::-1]), first[0][::-1])
+    args = [(s.id.value, {k: v for k, v in vars(s.params).items() if v is not None})
+            for s in specs]
+    out = tmp_path / "fresh.npy"
+    src = os.path.dirname(os.path.dirname(gen.__file__))  # the blslab under test
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", _FRESH.format(specs=args), str(out)], check=True, env=env)
+    assert np.array_equal(np.load(out), np.stack(first))
+
+
+@settings(PROFILE, max_examples=100)
+@given(SPECS, st.lists(QS, min_size=1, max_size=16), st.integers(0, 2**32 - 1))
+def test_large_calls_are_monotone_and_invert_sf(spec, qs, seed):
+    # the interpolated start serves calls of _HERMITE_MIN points or more
+    lo = gen.radial_sf(spec, 1e300)  # keep every root inside the doubles
+    u = np.random.default_rng(seed).random(gen._HERMITE_MIN)
+    q = np.sort(np.concatenate([[v for v in qs if v > lo], lo + (1.0 - lo) * (1.0 - u)]))
+    x = gen.radial_isf(spec, q)
+    assert np.all(np.isfinite(x))
+    assert np.all(x[:-1] >= x[1:] * (1.0 - 1e-12))
+    err = np.abs(gen.radial_sf(spec, x) - q)
+    assert np.all(err <= 1e-12)
+    assert np.all(err[q <= 1e-3] <= 1e-9 * q[q <= 1e-3])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        make_generator("lognormal"),
+        make_generator("logt", nu=4.0),
+        make_generator("logpvii", xi=2.0, theta=1.0),
+        make_generator("loghyperbolic", nu=2.0),
+        make_generator("loglaplace"),
+        make_generator("logslash", nu=4.0),
+        make_generator("logpexp", xi=-0.9),
+        make_generator("logpexp", xi=0.5),
+        make_generator("loglogistic"),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_radial_sf_at_subnormal_x(spec):
+    # S(x) = 1 to the double at a subnormal x, quietly: loghyperbolic and
+    # logslash took log(1 - S) = log 0 there, which radial_sf never used
+    for x in (5e-324, 1e-320):
+        assert gen.radial_sf(spec, x) == 1.0
+    assert np.all(gen.radial_sf(spec, np.array([5e-324, 1e-320])) == 1.0)
