@@ -37,7 +37,7 @@ grids = {
     GeneratorId.POWER_EXP: [GeneratorParams(xi=x) for x in (0.0, 0.3, 0.6)],
 }
 
-comparison = compare_models(ds, candidates, grids=grids, workers=2)
+comparison = compare_models(ds, candidates, grids=grids)
 print("model ranking (best AIC first):")
 print(comparison.to_tsv())
 if comparison.failures:

@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -328,7 +327,8 @@ def compare_models(
     """Fit every requested family and rank the results by AIC and BIC.
 
     Families whose fit fails are recorded and the comparison proceeds with
-    the survivors. AIC ties break by family enumeration order.
+    the survivors. AIC ties break by family enumeration order. workers is
+    accepted for compatibility and changes nothing.
     """
     if families is None:
         families = list(GeneratorId)
@@ -351,12 +351,7 @@ def compare_models(
             return family, None, "fit did not converge"
         return family, fit, None
 
-    if max(1, int(workers)) == 1:
-        outcomes = [run_one(f) for f in families]
-    else:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            outcomes = list(pool.map(run_one, families))
-
+    outcomes = [run_one(f) for f in families]
     fits = [(f, fit) for f, fit, _ in outcomes if fit is not None]
     failures = tuple((f.value, msg) for f, fit, msg in outcomes if fit is None)
     if not fits:

@@ -338,7 +338,10 @@ def marginal_cdf_z(spec: GeneratorSpec, zv: float) -> float:
 def marginal_quantile(
     theta: BLSParams, spec: GeneratorSpec, component: int, p: float
 ) -> float:
-    """Marginal quantile of T_component (component is 1 or 2)."""
+    """Marginal quantile of T_component (component is 1 or 2).
+
+    DomainError where the quantile overflows, or underflows to 0.
+    """
     if component not in (1, 2):
         raise DomainError(f"component must be 1 or 2, got {component}")
     p = float(p)
@@ -363,7 +366,10 @@ def marginal_quantile(
     zq = optimize.brentq(f, 0.0, hi, xtol=1e-11, rtol=1e-15)
     if p < 0.5:
         zq = -zq
-    return eta * math.exp(sigma * zq)
+    t = eta * math.exp(sigma * zq) if sigma * zq <= gen._LOG_X_HI else math.inf
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"{spec.label()}: quantile at p={p} is beyond the double range")
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -466,15 +466,22 @@ def profile_fit(
 
     Fits every grid point (without standard errors) and keeps the smallest
     parameter value among the points whose maximized log-likelihood is
-    within 1e-9 * max(1, |ll|) of the best, so a flat direction (logpvii's
-    theta, see generators.PEARSON_VII) and rounding noise cannot decide the
-    winner. The winner is refit once with standard errors if requested. The
+    within 1e-9 * max(1, |ll|) of the best, so rounding noise cannot decide
+    the winner. logpvii's theta is confounded with the scales (see
+    blslab.generators): every theta at one xi reaches the same maximum, so
+    only the smallest theta at each xi is fitted, the point the rule would
+    keep. The winner is refit once with standard errors if requested. The
     selection is deterministic and independent of grid order.
     """
     if not grid:
         raise DomainError("profile_fit requires a nonempty grid")
     x = as_sample_matrix(data)
     gid = family if isinstance(family, GeneratorId) else gen.FAMILY_NAMES[family]
+    if gid is GeneratorId.PEARSON_VII:
+        grid = [
+            p for p in grid
+            if not any(q.xi == p.xi and _params_key(q) < _params_key(p) for q in grid)
+        ]
     fits: list[tuple[GeneratorParams, FitResult]] = []
     failures: list[str] = []
     for params in grid:

@@ -15,9 +15,11 @@ parameters.  The eight families:
     logpexp(xi)           g(x) = exp(-x^(1/(1+xi)) / 2),            -1 < xi <= 1
     loglogistic           g(x) = exp(-x) / (1 + exp(-x))^2
 
-logpvii's theta is confounded with the scales: sigma -> c sigma together with
-theta -> theta / c^2 leaves the bivariate density unchanged, so a likelihood
-profile over theta at fixed xi is flat.
+logt is the Pearson VII generator: logt(nu) is logpvii(nu/2 + 1, nu), and the
+two share one kernel. Since sigma -> c sigma with theta -> theta / c^2 leaves
+the bivariate density unchanged, logpvii(xi, theta) at scales sigma is
+logt(2 xi - 2) at scales sigma sqrt(theta / (2 xi - 2)): theta is confounded
+with the scales, and a likelihood profile over theta at fixed xi is flat.
 
 Every radial survival function S is closed. Its inverse is closed for
 lognormal, logt, logpvii and loglogistic; for loghyperbolic, loglaplace,
@@ -77,6 +79,7 @@ class GeneratorId(Enum):
 
 
 FAMILY_NAMES = {gid.value: gid for gid in GeneratorId}
+_PEARSON_VII = (GeneratorId.STUDENT_T, GeneratorId.PEARSON_VII)
 
 
 @dataclass(frozen=True)
@@ -184,6 +187,14 @@ def _ret(out, x):
     return np.asarray(out).item() if isinstance(x, float) else out
 
 
+def _pvii(p: GeneratorParams) -> tuple[float, float, float]:
+    # (xi, xi - 1, theta) of g(x) = (1 + x/theta)^-xi; logt's xi - 1 is nu/2
+    # exactly, which (nu/2 + 1) - 1 is not
+    if p.nu is not None:
+        return 0.5 * p.nu + 1.0, 0.5 * p.nu, p.nu
+    return p.xi, p.xi - 1.0, p.theta
+
+
 def _slash_g_series(s: float, y):
     # g(x) = 2^-s (1/s - y/(s+1) + y^2/(2(s+2))),  y = x/2 -> 0
     return 2.0**-s * (1.0 / s - y / (s + 1.0) + y * y / (2.0 * (s + 2.0)))
@@ -207,10 +218,9 @@ def log_g(spec: GeneratorSpec, x):
     gid, p = spec.id, spec.params
     if gid is GeneratorId.LOGNORMAL:
         out = -0.5 * x
-    elif gid is GeneratorId.STUDENT_T:
-        out = -0.5 * (p.nu + 2.0) * np.log1p(x / p.nu)
-    elif gid is GeneratorId.PEARSON_VII:
-        out = -p.xi * np.log1p(x / p.theta)
+    elif gid in _PEARSON_VII:
+        xi, _, theta = _pvii(p)
+        out = -xi * np.log1p(x / theta)
     elif gid is GeneratorId.HYPERBOLIC:
         out = -p.nu * np.sqrt(1.0 + x)
     elif gid is GeneratorId.LAPLACE:
@@ -277,10 +287,9 @@ def _r(spec: GeneratorSpec, xa: np.ndarray) -> np.ndarray:
     gid, p = spec.id, spec.params
     if gid is GeneratorId.LOGNORMAL:
         out = np.full_like(xa, -0.5)
-    elif gid is GeneratorId.STUDENT_T:
-        out = -(p.nu + 2.0) / (2.0 * (p.nu + xa))
-    elif gid is GeneratorId.PEARSON_VII:
-        out = -p.xi / (p.theta + xa)
+    elif gid in _PEARSON_VII:
+        xi, _, theta = _pvii(p)
+        out = -xi / (theta + xa)
     elif gid is GeneratorId.HYPERBOLIC:
         out = -0.5 * p.nu / np.sqrt(1.0 + xa)
     elif gid is GeneratorId.LAPLACE:
@@ -321,12 +330,10 @@ def dr(spec: GeneratorSpec, x):
     gid, p = spec.id, spec.params
     if gid is GeneratorId.LOGNORMAL:
         out = np.zeros_like(xa)
-    elif gid is GeneratorId.STUDENT_T:
-        t = 1.0 / (p.nu + xa)
-        out = 0.5 * (p.nu + 2.0) * t * t
-    elif gid is GeneratorId.PEARSON_VII:
-        t = 1.0 / (p.theta + xa)
-        out = p.xi * t * t
+    elif gid in _PEARSON_VII:
+        xi, _, theta = _pvii(p)
+        t = 1.0 / (theta + xa)
+        out = xi * t * t
     elif gid is GeneratorId.HYPERBOLIC:
         t = 1.0 / (1.0 + xa)
         out = 0.25 * p.nu * t * np.sqrt(t)
@@ -405,14 +412,9 @@ def partition_closed(spec: GeneratorSpec) -> float:
     gid, p = spec.id, spec.params
     if gid is GeneratorId.LOGNORMAL:
         return 2.0 * math.pi
-    if gid is GeneratorId.STUDENT_T:
-        return math.pi * p.nu * math.exp(
-            specfun.ln_gamma(0.5 * p.nu) - specfun.ln_gamma(0.5 * (p.nu + 2.0))
-        )
-    if gid is GeneratorId.PEARSON_VII:
-        return math.pi * p.theta * math.exp(
-            specfun.ln_gamma(p.xi - 1.0) - specfun.ln_gamma(p.xi)
-        )
+    if gid in _PEARSON_VII:
+        _, xm1, theta = _pvii(p)
+        return math.pi * theta / xm1
     if gid is GeneratorId.HYPERBOLIC:
         return 2.0 * math.pi * (p.nu + 1.0) * math.exp(-p.nu) / p.nu**2
     if gid is GeneratorId.LAPLACE:
@@ -447,13 +449,13 @@ def radial_sf(spec: GeneratorSpec, x):
     out = (xa == 0.0).astype(float)  # S(0) = 1, S(inf) = 0
     inner = (xa > 0.0) & (xa < np.inf)
     x, gid, p = xa[inner], spec.id, spec.params
-    with np.errstate(over="ignore"):  # x / nu or x^(1/a) may overflow: then S = 0
+    with np.errstate(over="ignore"):  # x^(1/a) may overflow: then S = 0
         if gid is GeneratorId.LOGNORMAL:
             sf = np.exp(-0.5 * x)
-        elif gid is GeneratorId.STUDENT_T:
-            sf = np.exp(-0.5 * p.nu * np.log1p(x / p.nu))
-        elif gid is GeneratorId.PEARSON_VII:
-            sf = np.exp((1.0 - p.xi) * np.log1p(x / p.theta))
+        elif gid in _PEARSON_VII:
+            _, xm1, theta = _pvii(p)
+            u = x / theta  # overflows for theta < 1 at the top of the doubles
+            sf = np.exp(-xm1 * np.where(u < np.inf, np.log1p(u), np.log(x) - math.log(theta)))
         elif gid is GeneratorId.HYPERBOLIC:
             d = x / (1.0 + np.sqrt(1.0 + x))  # sqrt(1 + x) - 1 without cancellation
             sf = np.exp(np.log1p(p.nu * d / (p.nu + 1.0)) - p.nu * d)
@@ -494,10 +496,9 @@ def radial_isf(spec: GeneratorSpec, q):
     with np.errstate(over="ignore"):  # an overflow is reported below
         if gid is GeneratorId.LOGNORMAL:
             x = -2.0 * np.log(q)
-        elif gid is GeneratorId.STUDENT_T:
-            x = p.nu * np.expm1(-2.0 / p.nu * np.log(q))
-        elif gid is GeneratorId.PEARSON_VII:
-            x = p.theta * np.expm1(-np.log(q) / (p.xi - 1.0))
+        elif gid in _PEARSON_VII:
+            _, xm1, theta = _pvii(p)
+            x = theta * np.expm1(-np.log(q) / xm1)
         elif gid is GeneratorId.LOGISTIC:
             x = np.log1p(2.0 * (1.0 - q) / q)
         else:
@@ -667,7 +668,7 @@ def _radial_isf_newton(spec: GeneratorSpec, q: np.ndarray):
     """
     k = _halley_scale(spec)
     x = np.full_like(q, np.inf)
-    live = np.log(q) >= _radial_log_tails(spec, np.array([_X_MAX]))[0]
+    live = q >= radial_sf(spec, _X_MAX)
     if np.count_nonzero(live) < _HERMITE_MIN:
         start = functools.partial(_isf_start, spec)
     else:

@@ -89,6 +89,15 @@ def test_marginal_quantile_domain():
         dist.marginal_quantile(THETA, LN, 1, 1.0)
 
 
+@pytest.mark.parametrize("nu, p", [(0.5, 0.999), (0.05, 0.9), (0.5, 0.001), (0.05, 0.1)])
+def test_marginal_quantile_beyond_double_range_is_domain_error(nu, p):
+    # e^(sigma z) overflows (math.exp raised OverflowError) or underflows to
+    # 0, outside the support; radial_isf raises DomainError there too
+    th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+    with pytest.raises(DomainError, match="beyond the double range"):
+        dist.marginal_quantile(th, make_generator("logt", nu=nu), 1, p)
+
+
 SMALL_Z = [1e-7, -1e-7, 1e-4, -1e-4, 0.01, -0.01]
 EIGHT = [
     LN,

@@ -149,6 +149,25 @@ def test_joint_cdf_logt_matches_multivariate_t(nu):
         assert abs(dist.joint_cdf(th, spec, t1, t2) - ref) <= 1e-6
 
 
+@pytest.mark.parametrize("xi", [1.01, 3.0, 8.0])
+@pytest.mark.parametrize("theta", [0.3, 1.0, 10.0])
+def test_logpvii_is_logt_at_rescaled_sigma(xi, theta):
+    # (1 + x/theta)^-xi = (1 + x'/nu)^(-(nu+2)/2) with nu = 2 xi - 2 and
+    # x' = x nu / theta: logpvii(xi, theta) at (eta, sigma, rho) is logt(nu)
+    # at (eta, c sigma, rho) with c = sqrt(theta / nu)
+    nu = 2.0 * xi - 2.0
+    c = math.sqrt(theta / nu)
+    th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+    scaled = BLSParams(th.eta1, th.eta2, c * th.sigma1, c * th.sigma2, th.rho)
+    pvii = make_generator("logpvii", xi=xi, theta=theta)
+    lt = make_generator("logt", nu=nu)
+    for t1, t2 in POINTS + [(1.0, 2.0), (0.05, 30.0)]:
+        lp, lq = dist.joint_log_pdf(th, pvii, t1, t2), dist.joint_log_pdf(scaled, lt, t1, t2)
+        assert abs(lp - lq) <= 1e-13
+        cp, cq = dist.joint_cdf(th, pvii, t1, t2), dist.joint_cdf(scaled, lt, t1, t2)
+        assert abs(cp - cq) <= 1e-13
+
+
 EIGHT = [
     LN,
     LT4,

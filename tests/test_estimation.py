@@ -406,6 +406,27 @@ def test_profile_fit_breaks_likelihood_ties_toward_the_smaller_parameter():
     assert est.profile_fit(x, "logpvii", grid[::-1], compute_se=False)[0] == best
 
 
+@pytest.mark.parametrize("seed", [270, 271, 272])
+def test_profile_fit_fits_one_theta_per_xi_on_the_default_logpvii_grid(seed, monkeypatch):
+    # the smallest theta at each xi is the point the tie rule keeps, so
+    # fitting only those 6 of the 30 points gives the brute-force answer
+    from blslab.datakit import default_grid
+
+    x = dist.sample(BLSParams(1.0, 2.0, 0.5, 0.3, 0.4), SL4, 50, seed=seed)
+    grid = default_grid(gen.GeneratorId.PEARSON_VII)
+    fits = [(p, est.fit_mle(x, gen.GeneratorSpec(gen.GeneratorId.PEARSON_VII, p),
+                            compute_se=False)) for p in grid]
+    top = max(f.log_lik for _, f in fits)
+    tied = [(p, f) for p, f in fits if f.log_lik >= top - 1e-9 * max(1.0, abs(top))]
+    want, want_fit = min(tied, key=lambda pf: (pf[0].xi, pf[0].theta))
+    calls, fit_mle = [], est.fit_mle
+    monkeypatch.setattr(est, "fit_mle", lambda *a, **kw: calls.append(a[1]) or fit_mle(*a, **kw))
+    best, fit = est.profile_fit(x, "logpvii", grid[::-1], compute_se=False)
+    assert len(calls) == 6
+    assert best == want
+    assert (fit.theta_hat, fit.log_lik) == (want_fit.theta_hat, want_fit.log_lik)
+
+
 def test_profile_fit_empty_grid():
     x = dist.sample(THETA, LT4, 50, seed=14)
     with pytest.raises(DomainError):

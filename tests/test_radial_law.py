@@ -175,11 +175,22 @@ def test_halley_dl_matches_central_differences(spec):
     assert np.all(np.abs(dl - fd) <= tol)
 
 
+# the closed Pearson VII inverse that logt and logpvii share
+PEARSON_VII = [make_generator("logt", nu=nu) for nu in (0.05, 0.5, 1.0, 4.0, 200.0)] + [
+    make_generator("logpvii", xi=1.01, theta=1.0),
+    make_generator("logpvii", xi=5.0, theta=22.0),
+]
+
+
 def _mp_sf(spec, x):
     """S(x) in 40-digit arithmetic, from each family's closed form."""
     import mpmath as mp
 
     x, p = mp.mpf(x), spec.params
+    if spec.id.value == "logt":  # S = (1 + x/theta)^(1 - xi), xi = nu/2 + 1, theta = nu
+        return (1 + x / p.nu) ** (-mp.mpf(p.nu) / 2)
+    if spec.id.value == "logpvii":
+        return (1 + x / p.theta) ** (1 - mp.mpf(p.xi))
     if spec.id.value == "loghyperbolic":
         d = mp.sqrt(1 + x) - 1
         return mp.exp(-p.nu * d) * (1 + p.nu * d / (p.nu + 1))
@@ -199,13 +210,16 @@ def _mp_sf(spec, x):
     return y ** (1 - s) * mp.gammainc(s, 0, y) + mp.exp(-y)
 
 
-@pytest.mark.parametrize("spec", ITERATED, ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", ITERATED + PEARSON_VII, ids=lambda s: s.label())
 def test_radial_isf_matches_mpmath_root(spec):
     import mpmath as mp
 
+    # S(1e300) puts a root near the top of the doubles, where logt(0.05)'s
+    # closed inverse multiplies the rounding of xi - 1 by log(x / theta) ~ 700
+    edge = gen.radial_sf(spec, 1e300)
     qa = np.concatenate(
         [10.0 ** -np.arange(300.0, 0.0, -15.0), [0.05, 0.3, 0.5, 0.7, 0.9, 0.99]]
-        + [[1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]]
+        + [[1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12], [edge] if edge > 0.0 else []]
     )
     # each q alone, and all of them in one call large enough to start from
     # the interpolated roots (padded with uniform q in the same range)
