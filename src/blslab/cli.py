@@ -7,8 +7,8 @@ Every file-writing run drops a manifest (<out>.manifest.json) next to its
 output recording the subcommand, the argv, the resolved flags, the seed, the
 library version, and the wall-clock duration; replaying the recorded argv
 reproduces the output bit-identically for the deterministic subcommands.
-Worker counts (--threads, or the BLSLAB_THREADS environment variable) are
-validated but change nothing, not even speed: every run is single-threaded.
+Worker counts (--threads, or the BLSLAB_THREADS environment variable) never
+change any output, only how fast simulate runs; compare runs on one thread.
 """
 
 from __future__ import annotations
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_floats_arg, required=True, help="correlation grid, comma-separated")
     p.add_argument("--reps", type=_positive_int, required=True, help="Monte Carlo replications per cell")
     p.add_argument("--seed", type=_seed_arg, default=0, help="master seed (default 0)")
-    p.add_argument("--threads", type=_positive_int, help="accepted for compatibility; changes nothing")
+    p.add_argument("--threads", type=_positive_int, help="worker threads (default: BLSLAB_THREADS or 1)")
     p.add_argument("--out", help="output TSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_simulate)
 

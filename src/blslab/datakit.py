@@ -341,19 +341,17 @@ def compare_models(
     grids = grids or {}
     enum_pos = {gid: k for k, gid in enumerate(GeneratorId)}
 
-    def run_one(family):
-        grid = grids.get(family, default_grid(family))
+    fits, failures = [], []
+    for family in families:
         try:
-            fit = _fit_family(x, family, grid)
+            fit = _fit_family(x, family, grids.get(family, default_grid(family)))
         except BlsError as exc:
-            return family, None, f"{type(exc).__name__}: {exc}"
-        if not fit.converged:
-            return family, None, "fit did not converge"
-        return family, fit, None
-
-    outcomes = [run_one(f) for f in families]
-    fits = [(f, fit) for f, fit, _ in outcomes if fit is not None]
-    failures = tuple((f.value, msg) for f, fit, msg in outcomes if fit is None)
+            failures.append((family.value, f"{type(exc).__name__}: {exc}"))
+            continue
+        if fit.converged:
+            fits.append((family, fit))
+        else:
+            failures.append((family.value, "fit did not converge"))
     if not fits:
         raise DomainError("every family failed to fit; nothing to compare")
 
@@ -371,7 +369,7 @@ def compare_models(
         )
         for f, fit in by_aic
     )
-    return ModelComparison(rows=rows, failures=failures)
+    return ModelComparison(rows=rows, failures=tuple(failures))
 
 
 # -------------------------------------------------------------------- QQ

@@ -338,10 +338,8 @@ def marginal_cdf_z(spec: GeneratorSpec, zv: float) -> float:
 def marginal_quantile(
     theta: BLSParams, spec: GeneratorSpec, component: int, p: float
 ) -> float:
-    """Marginal quantile of T_component (component is 1 or 2).
-
-    DomainError where the quantile overflows, or underflows to 0.
-    """
+    """Marginal quantile of T_component (component is 1 or 2); DomainError
+    where it overflows, or underflows to 0."""
     if component not in (1, 2):
         raise DomainError(f"component must be 1 or 2, got {component}")
     p = float(p)

@@ -477,11 +477,8 @@ def profile_fit(
         raise DomainError("profile_fit requires a nonempty grid")
     x = as_sample_matrix(data)
     gid = family if isinstance(family, GeneratorId) else gen.FAMILY_NAMES[family]
-    if gid is GeneratorId.PEARSON_VII:
-        grid = [
-            p for p in grid
-            if not any(q.xi == p.xi and _params_key(q) < _params_key(p) for q in grid)
-        ]
+    if gid is GeneratorId.PEARSON_VII:  # keep the smallest theta at each xi
+        grid = [p for p in grid if not any(q.xi == p.xi and _params_key(q) < _params_key(p) for q in grid)]
     fits: list[tuple[GeneratorParams, FitResult]] = []
     failures: list[str] = []
     for params in grid:

@@ -15,11 +15,10 @@ parameters.  The eight families:
     logpexp(xi)           g(x) = exp(-x^(1/(1+xi)) / 2),            -1 < xi <= 1
     loglogistic           g(x) = exp(-x) / (1 + exp(-x))^2
 
-logt is the Pearson VII generator: logt(nu) is logpvii(nu/2 + 1, nu), and the
-two share one kernel. Since sigma -> c sigma with theta -> theta / c^2 leaves
-the bivariate density unchanged, logpvii(xi, theta) at scales sigma is
-logt(2 xi - 2) at scales sigma sqrt(theta / (2 xi - 2)): theta is confounded
-with the scales, and a likelihood profile over theta at fixed xi is flat.
+logt(nu) is the Pearson VII generator logpvii(nu/2 + 1, nu); the two share one
+kernel. sigma -> c sigma with theta -> theta / c^2 leaves the bivariate density
+unchanged, so logpvii(xi, theta) at scales sigma is logt(2 xi - 2) at scales
+sigma sqrt(theta / (2 xi - 2)), and a profile over theta at fixed xi is flat.
 
 Every radial survival function S is closed. Its inverse is closed for
 lognormal, logt, logpvii and loglogistic; for loghyperbolic, loglaplace,
@@ -91,16 +90,16 @@ class GeneratorParams:
     theta: float | None = None
 
 
-# which extra parameters each family takes, and their admissible ranges
+# the extra parameters of each family, and their ranges lo < value <= hi
 _PARAM_RULES = {
-    GeneratorId.LOGNORMAL: (),
-    GeneratorId.STUDENT_T: ("nu",),
-    GeneratorId.PEARSON_VII: ("xi", "theta"),
-    GeneratorId.HYPERBOLIC: ("nu",),
-    GeneratorId.LAPLACE: (),
-    GeneratorId.SLASH: ("nu",),
-    GeneratorId.POWER_EXP: ("xi",),
-    GeneratorId.LOGISTIC: (),
+    GeneratorId.LOGNORMAL: {},
+    GeneratorId.STUDENT_T: {"nu": (0.0, math.inf)},
+    GeneratorId.PEARSON_VII: {"xi": (1.0, math.inf), "theta": (0.0, math.inf)},
+    GeneratorId.HYPERBOLIC: {"nu": (0.0, math.inf)},
+    GeneratorId.LAPLACE: {},
+    GeneratorId.SLASH: {"nu": (1.0, math.inf)},
+    GeneratorId.POWER_EXP: {"xi": (-1.0, 1.0)},
+    GeneratorId.LOGISTIC: {},
 }
 
 
@@ -112,19 +111,11 @@ def _validate_params(gid: GeneratorId, p: GeneratorParams) -> None:
             raise DomainError(f"{gid.value} takes no parameter {name!r}")
         if name in used and val is None:
             raise DomainError(f"{gid.value} requires parameter {name!r}")
-    if gid is GeneratorId.STUDENT_T and not p.nu > 0:
-        raise DomainError(f"logt requires nu > 0, got {p.nu}")
-    if gid is GeneratorId.PEARSON_VII:
-        if not p.xi > 1:
-            raise DomainError(f"logpvii requires xi > 1, got {p.xi}")
-        if not p.theta > 0:
-            raise DomainError(f"logpvii requires theta > 0, got {p.theta}")
-    if gid is GeneratorId.HYPERBOLIC and not p.nu > 0:
-        raise DomainError(f"loghyperbolic requires nu > 0, got {p.nu}")
-    if gid is GeneratorId.SLASH and not p.nu > 1:
-        raise DomainError(f"logslash requires nu > 1, got {p.nu}")
-    if gid is GeneratorId.POWER_EXP and not (-1.0 < p.xi <= 1.0):
-        raise DomainError(f"logpexp requires -1 < xi <= 1, got {p.xi}")
+    for name, (lo, hi) in used.items():
+        val = getattr(p, name)
+        if not lo < val <= hi:
+            rule = f"{name} > {lo:g}" if hi == math.inf else f"{lo:g} < {name} <= {hi:g}"
+            raise DomainError(f"{gid.value} requires {rule}, got {val}")
 
 
 @dataclass(frozen=True)
@@ -190,9 +181,18 @@ def _ret(out, x):
 def _pvii(p: GeneratorParams) -> tuple[float, float, float]:
     # (xi, xi - 1, theta) of g(x) = (1 + x/theta)^-xi; logt's xi - 1 is nu/2
     # exactly, which (nu/2 + 1) - 1 is not
-    if p.nu is not None:
-        return 0.5 * p.nu + 1.0, 0.5 * p.nu, p.nu
-    return p.xi, p.xi - 1.0, p.theta
+    return (0.5 * p.nu + 1.0, 0.5 * p.nu, p.nu) if p.nu is not None else (p.xi, p.xi - 1.0, p.theta)
+
+
+def _log1p_ratio(x, theta: float):
+    # log(1 + x/theta); for theta < 1, x/theta overflows at x > theta * X_MAX,
+    # where the 1 is negligible and it is log(x) - log(theta)
+    if theta >= 1.0:
+        return np.log1p(x / theta)
+    with np.errstate(over="ignore"):
+        u = np.log1p(x / theta)
+    big = np.isinf(u)  # where x = inf, log(x) - log(theta) is inf as well
+    return np.where(big, np.log(np.maximum(x, 1.0)) - math.log(theta), u) if big.any() else u
 
 
 def _slash_g_series(s: float, y):
@@ -220,7 +220,7 @@ def log_g(spec: GeneratorSpec, x):
         out = -0.5 * x
     elif gid in _PEARSON_VII:
         xi, _, theta = _pvii(p)
-        out = -xi * np.log1p(x / theta)
+        out = -xi * _log1p_ratio(x, theta)
     elif gid is GeneratorId.HYPERBOLIC:
         out = -p.nu * np.sqrt(1.0 + x)
     elif gid is GeneratorId.LAPLACE:
@@ -454,8 +454,7 @@ def radial_sf(spec: GeneratorSpec, x):
             sf = np.exp(-0.5 * x)
         elif gid in _PEARSON_VII:
             _, xm1, theta = _pvii(p)
-            u = x / theta  # overflows for theta < 1 at the top of the doubles
-            sf = np.exp(-xm1 * np.where(u < np.inf, np.log1p(u), np.log(x) - math.log(theta)))
+            sf = np.exp(-xm1 * _log1p_ratio(x, theta))
         elif gid is GeneratorId.HYPERBOLIC:
             d = x / (1.0 + np.sqrt(1.0 + x))  # sqrt(1 + x) - 1 without cancellation
             sf = np.exp(np.log1p(p.nu * d / (p.nu + 1.0)) - p.nu * d)
@@ -498,7 +497,10 @@ def radial_isf(spec: GeneratorSpec, q):
             x = -2.0 * np.log(q)
         elif gid in _PEARSON_VII:
             _, xm1, theta = _pvii(p)
-            x = theta * np.expm1(-np.log(q) / xm1)
+            y = -np.log(q) / xm1
+            x = theta * np.expm1(y)
+            big = np.isinf(x)  # for theta < 1, expm1 overflows first
+            x[big] = np.exp(y[big] + math.log(theta))
         elif gid is GeneratorId.LOGISTIC:
             x = np.log1p(2.0 * (1.0 - q) / q)
         else:

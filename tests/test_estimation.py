@@ -406,6 +406,27 @@ def test_profile_fit_breaks_likelihood_ties_toward_the_smaller_parameter():
     assert est.profile_fit(x, "logpvii", grid[::-1], compute_se=False)[0] == best
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_profile_fit_tie_rule_keeps_the_smallest_key_within_tolerance(order, monkeypatch):
+    # fits whose log-likelihoods agree within 1e-9 * |ll| tie, and the
+    # smallest parameter among them wins, in either grid order
+    from types import SimpleNamespace
+
+    lls = {
+        (2.0,): -100.0 - 2e-7, (3.0,): -100.0, (5.0,): -100.0 + 5e-8, (8.0,): -101.0,
+        (2.0, 5.0): -100.0 - 2e-7, (3.0, 5.0): -100.0, (4.0, 5.0): -100.0 + 5e-8,
+    }
+    monkeypatch.setattr(
+        est, "fit_mle",
+        lambda x, spec, **kw: SimpleNamespace(log_lik=lls[est._params_key(spec.params)]),
+    )
+    x = dist.sample(THETA, LT4, 20, seed=1)
+    grid = [GeneratorParams(nu=v) for v in (2.0, 5.0, 3.0, 8.0)][::order]
+    assert est.profile_fit(x, "logt", grid, compute_se=False)[0].nu == 3.0
+    grid = [GeneratorParams(xi=v, theta=5.0) for v in (4.0, 2.0, 3.0)][::order]
+    assert est.profile_fit(x, "logpvii", grid, compute_se=False)[0].xi == 3.0
+
+
 @pytest.mark.parametrize("seed", [270, 271, 272])
 def test_profile_fit_fits_one_theta_per_xi_on_the_default_logpvii_grid(seed, monkeypatch):
     # the smallest theta at each xi is the point the tie rule keeps, so

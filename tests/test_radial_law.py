@@ -244,6 +244,29 @@ def test_radial_isf_matches_mpmath_root(spec):
             assert abs(xl - root) <= 1e-12 * root, (q, xl)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [make_generator("logt", nu=nu) for nu in (0.001, 0.05, 0.5)]
+    + [make_generator("logpvii", xi=1.01, theta=0.3)],
+    ids=lambda s: s.label(),
+)
+def test_pearson_vii_top_of_the_doubles(spec):
+    # for theta < 1, x/theta (and expm1 in the inverse) overflow before x
+    # does; S and g are still far from 0 there
+    import mpmath as mp
+
+    xi, _, theta = gen._pvii(spec.params)
+    x = np.array([1e300, 1e308, 1.7e308])
+    with mp.workdps(40):
+        lg = [float(-xi * mp.log(1 + mp.mpf(v) / theta)) for v in x]
+        sf = [float(_mp_sf(spec, v)) for v in x]
+    for got in (gen.log_g(spec, x), [gen.log_g(spec, float(v)) for v in x]):
+        np.testing.assert_allclose(got, lg, rtol=1e-14)
+    np.testing.assert_allclose(gen.radial_sf(spec, x), sf, rtol=1e-13)
+    np.testing.assert_allclose(gen.radial_isf(spec, np.array(sf)), x, rtol=1e-12)
+    assert gen.radial_isf(spec, sf[1]) == pytest.approx(1e308, rel=1e-12)
+
+
 def _tail_evaluations(spec, q, monkeypatch):
     # tail evaluations a point that radial_isf(spec, q) takes
     tails, seen = gen._radial_log_tails, []
