@@ -181,7 +181,9 @@ def _ret(out, x):
 def _pvii(p: GeneratorParams) -> tuple[float, float, float]:
     # (xi, xi - 1, theta) of g(x) = (1 + x/theta)^-xi; logt's xi - 1 is nu/2
     # exactly, which (nu/2 + 1) - 1 is not
-    return (0.5 * p.nu + 1.0, 0.5 * p.nu, p.nu) if p.nu is not None else (p.xi, p.xi - 1.0, p.theta)
+    if p.nu is not None:
+        return 0.5 * p.nu + 1.0, 0.5 * p.nu, p.nu
+    return p.xi, p.xi - 1.0, p.theta
 
 
 def _log1p_ratio(x, theta: float):
