@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 from . import specfun
 from .errors import DomainError, IntegrationError, RootFindingError
@@ -60,6 +59,7 @@ __all__ = [
 ]
 
 integrate = specfun.LazyModule("scipy.integrate")
+special = specfun.LazyModule("scipy.special")
 
 _SLASH_SERIES_X = 1e-5  # below this, slash g and log_g switch to their series forms
 _SQRT2 = math.sqrt(2.0)
@@ -547,12 +547,13 @@ def _isf_start(spec: GeneratorSpec, q: np.ndarray) -> np.ndarray:
     return _LOG2 + np.where(tail, np.log(w), lw_head)
 
 
-# loglaplace head: 1 - v K1(v) = -sum_k c_k (2x)^(k+1) (log(x/2) - d_k), v = sqrt(2x)
+# loglaplace head: 1 - v K1(v) = -sum_k c_k (2x)^(k+1) (log(x/2) - d_k), v = sqrt(2x),
+# c_k = 1 / (4^(k+1) k! (k+1)!) and d_k = psi(k+1) + psi(k+2) with psi(n+1) = H_n - gamma
 _HEAD_K = np.arange(7)
-_LAPLACE_HEAD_C = 1.0 / (
-    4.0 ** (_HEAD_K + 1) * special.factorial(_HEAD_K) * special.factorial(_HEAD_K + 1)
-)
-_LAPLACE_HEAD_D = special.digamma(_HEAD_K + 1.0) + special.digamma(_HEAD_K + 2.0)
+_FACT = np.cumprod(np.r_[1.0, _HEAD_K + 1.0])  # 0! .. 7!
+_PSI = np.r_[0.0, np.cumsum(1.0 / (_HEAD_K + 1.0))] - np.euler_gamma  # psi(1) .. psi(8)
+_LAPLACE_HEAD_C = 1.0 / (4.0 ** (_HEAD_K + 1) * _FACT[:-1] * _FACT[1:])
+_LAPLACE_HEAD_D = _PSI[:-1] + _PSI[1:]
 # logpexp tails: P where w < 1.1, Q above; closed forms below 1e-100 and above 600
 _PEXP_TINY_W, _PEXP_HEAD_W, _PEXP_TAIL_W = 1e-100, 1.1, 600.0
 

@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +130,8 @@ def run_study(config: MCConfig, workers: int = 1) -> MCReport:
             if workers == 1:
                 results = [one(s) for s in seeds]
             else:
+                from concurrent.futures import ThreadPoolExecutor
+
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     results = list(pool.map(one, seeds))
             # aggregation in replication order: identical for any worker count

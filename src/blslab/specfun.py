@@ -17,9 +17,12 @@ Accuracy contracts, enforced by tests/test_specfun.py
   for u in (0, 700].
 * CDFs: absolute error <= 1e-10.
 
-``LazyModule`` stands in for the scipy modules that only a few calls use
-(``scipy.integrate``, ``scipy.optimize``), so importing blslab does not load
-them.
+No blslab module imports scipy when it loads. ``scipy.special`` (here and in
+``generators``), ``scipy.integrate`` and ``scipy.optimize`` are each reached
+through a ``LazyModule`` and imported by the first call that needs them, so
+densities, joint CDFs, radial quantiles, sampling and fits of the families
+whose generators are elementary (lognormal, logt, logpvii, loghyperbolic)
+import no scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import importlib
 import math
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "ln_gamma",
@@ -46,16 +48,24 @@ __all__ = [
 class LazyModule:
     """A module imported on first attribute access.
 
-    Every access goes through ``importlib.import_module``, whose per-module
-    import lock makes a first use from several threads safe (Python 3.11's
-    ``importlib.util.LazyLoader`` is not).
+    The first access to an attribute imports the module through
+    ``importlib.import_module`` and binds the attribute on this object, so
+    later accesses are plain attribute lookups. The per-module import lock
+    makes a first use from several threads safe (Python 3.11's
+    ``importlib.util.LazyLoader`` is not): every thread gets the fully
+    initialized module, and each binds the same object.
     """
 
     def __init__(self, name: str):
         self._name = name
 
     def __getattr__(self, attr):
-        return getattr(importlib.import_module(self._name), attr)
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+special = LazyModule("scipy.special")
 
 
 def checked(x, msg: str, error=ValueError, strict: bool = False):

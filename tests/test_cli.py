@@ -374,3 +374,36 @@ def test_cli_commands_do_not_load_scipy_optimize_or_integrate(data_csv, tmp_path
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
+def test_import_and_elementary_commands_do_not_load_scipy(data_csv, tmp_path):
+    # blslab imports scipy.special and concurrent.futures on first use:
+    # importing the package loads neither, and commands on families whose
+    # generators are elementary never reach a special function
+    src = str(Path(blslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    commands = [
+        ["summary", "--data", data_csv],
+        ["fit", "--data", data_csv, "--model", "logt", "--nu", "4"],
+        ["fit", "--data", data_csv, "--model", "loghyperbolic"],
+        ["eval", "--model", "lognormal", "--theta", "1,2,0.5,0.3,0.4",
+         "--pdf", "1.1,1.9", "--cdf", "1.1,1.9", "--quantile", "0.9"],
+    ]
+    laplace = ["fit", "--data", data_csv, "--model", "loglaplace"]
+    script = (
+        "import sys\n"
+        "import blslab\n"
+        "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules], file=sys.stderr)\n"
+        "from blslab.cli import dispatch\n"
+        f"codes = [dispatch(argv) for argv in {commands!r}]\n"
+        "print(codes, 'scipy.special' in sys.modules, file=sys.stderr)\n"
+        f"print(dispatch({laplace!r}), 'scipy.special' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-3:] == ["[]", "[0, 0, 0, 0] False", "0 True"]

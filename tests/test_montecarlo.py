@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blslab
 import blslab.montecarlo as mc
 from blslab.distribution import BLSParams
 from blslab.errors import DomainError
@@ -109,6 +114,34 @@ def test_identical_across_worker_counts(small_report):
     cfg = MCConfig(LN, THETA, (25, 50), (0.0, 0.5), 30, 2024)
     assert run_study(cfg, workers=4) == small_report
     assert run_study(cfg, workers=3) == small_report
+
+
+def test_first_special_function_use_on_worker_threads():
+    # scipy.special is imported by the first call that needs it; in a fresh
+    # interpreter that is a loglaplace fit on run_study's worker threads,
+    # which must give the same report as one thread. A short switch interval
+    # interleaves the threads inside that import.
+    src = str(Path(blslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    script = (
+        "import json, sys\n"
+        "sys.setswitchinterval(1e-5)\n"
+        "from blslab import BLSParams, GeneratorId, MCConfig, make_generator, run_study\n"
+        "cfg = MCConfig(make_generator(GeneratorId.LAPLACE),\n"
+        "               BLSParams(1.0, 1.0, 0.5, 0.5, 0.0), (20,), (0.5,), 4, master_seed=3)\n"
+        "loaded = 'scipy.special' in sys.modules\n"
+        "threads = run_study(cfg, workers=2).to_tsv()\n"
+        "print(json.dumps([loaded, threads, run_study(cfg, workers=1).to_tsv()]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, threads, serial = json.loads(proc.stdout)
+    assert not loaded
+    assert threads == serial
 
 
 def test_rerun_is_bit_identical(small_report):
