@@ -14,6 +14,7 @@ change any output, only how fast simulate runs; compare runs on one thread.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -169,14 +170,7 @@ class RunManifest:
     duration_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "argv": list(self.argv),
-            "flags": self.flags,
-            "seed": self.seed,
-            "version": self.version,
-            "duration_s": self.duration_s,
-        }
+        return {**dataclasses.asdict(self), "argv": list(self.argv)}
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), **kw)
@@ -210,17 +204,19 @@ def _manifest(ns, argv, t0: float) -> RunManifest:
     )
 
 
+def _write_manifest(out, ns, argv, t0) -> None:
+    Path(str(out) + ".manifest.json").write_text(
+        _manifest(ns, argv, t0).to_json(indent=2) + "\n", encoding="utf-8"
+    )
+
+
 def _emit(text: str, out, ns, argv, t0) -> None:
     """Print to stdout, or write the file plus its manifest."""
     if out is None:
         sys.stdout.write(text)
         return
-    path = Path(out)
-    path.write_text(text, encoding="utf-8")
-    manifest = _manifest(ns, argv, t0)
-    Path(str(path) + ".manifest.json").write_text(
-        manifest.to_json(indent=2) + "\n", encoding="utf-8"
-    )
+    Path(out).write_text(text, encoding="utf-8")
+    _write_manifest(out, ns, argv, t0)
 
 
 # ------------------------------------------------------------ subcommands
@@ -272,10 +268,7 @@ def _cmd_sample(ns, argv, t0):
     pairs = sample(ns.theta, spec, ns.n, ns.seed)
     ds = Dataset(pairs, source=f"blslab sample --seed {ns.seed}")
     save_csv(ds, ns.out)
-    manifest = _manifest(ns, argv, t0)
-    Path(str(ns.out) + ".manifest.json").write_text(
-        manifest.to_json(indent=2) + "\n", encoding="utf-8"
-    )
+    _write_manifest(ns.out, ns, argv, t0)
 
 
 def _resolve_fit(ns, x):

@@ -25,8 +25,8 @@ from .errors import (
     PositivityError,
     SingularInformationError,
 )
-from .estimation import FitResult, as_sample_matrix, fit_mle, profile_fit
-from .generators import GeneratorId, GeneratorParams, make_generator, radial_isf
+from .estimation import FitResult, _with_se, as_sample_matrix, fit_mle, profile_fit
+from .generators import GeneratorId, GeneratorParams, _family_id, make_generator, radial_isf
 
 __all__ = [
     "ColumnStats",
@@ -217,13 +217,14 @@ def summarize(ds: Dataset) -> SummaryStats:
 
 # ------------------------------------------------------------- comparison
 
-def default_grid(family: GeneratorId) -> list[GeneratorParams] | None:
+def default_grid(family: GeneratorId | str) -> list[GeneratorParams] | None:
     """Profiling grids for the extra-parameter families (None: no extras).
 
     The logpvii grid crosses xi with theta, but theta is confounded with the
     scales (see blslab.generators): at each xi every theta reaches the same
     maximum, and profile_fit then reports the smallest theta.
     """
+    family = _family_id(family)
     if family is GeneratorId.STUDENT_T:
         return [GeneratorParams(nu=float(v)) for v in range(2, 16)]
     if family is GeneratorId.PEARSON_VII:
@@ -306,16 +307,15 @@ class ModelComparison:
 
 
 def _fit_family(x: np.ndarray, family: GeneratorId, grid) -> FitResult:
+    # one fit (or profile); a singular information leaves std_errors None
     if grid is None:
-        spec = make_generator(family)
-        try:
-            return fit_mle(x, spec)
-        except SingularInformationError:
-            return fit_mle(x, spec, compute_se=False)
+        fit = fit_mle(x, make_generator(family), compute_se=False)
+    else:
+        fit = profile_fit(x, family, grid, compute_se=False)[1]
     try:
-        return profile_fit(x, family, grid)[1]
+        return _with_se(fit, x)
     except SingularInformationError:
-        return profile_fit(x, family, grid, compute_se=False)[1]
+        return fit
 
 
 def compare_models(
@@ -332,7 +332,7 @@ def compare_models(
     """
     if families is None:
         families = list(GeneratorId)
-    families = [GeneratorId(f) for f in families]
+    families = [_family_id(f) for f in families]
     if not families:
         raise DomainError("compare_models needs at least one family")
     if len(set(families)) != len(families):

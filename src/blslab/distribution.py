@@ -483,7 +483,8 @@ def moment(
     """E[T_component^order] = eta^order * vartheta(sigma^2 order^2).
 
     Returns None when the family has no closed-form moment generator
-    (all but lognormal).
+    (all but lognormal). DomainError where vartheta or the moment leaves the
+    double range.
     """
     if component not in (1, 2):
         raise DomainError(f"component must be 1 or 2, got {component}")
@@ -494,7 +495,13 @@ def moment(
     eta = theta.eta1 if component == 1 else theta.eta2
     sigma = theta.sigma1 if component == 1 else theta.sigma2
     vt = gen.characteristic_generator(spec, sigma * sigma * order * order)
-    return eta**order * vt
+    try:
+        m = eta**order * vt
+    except OverflowError:
+        m = math.inf
+    if not math.isfinite(m):
+        raise DomainError(f"E[T{component}^{order:g}] leaves the double range")
+    return m
 
 
 def _second_moment_tail_rate(spec: GeneratorSpec) -> float:

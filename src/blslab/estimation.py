@@ -20,6 +20,7 @@ point, mapped to the original coordinates.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generators as gen
-from .distribution import BLSParams
+from .distribution import BLSParams, joint_log_pdf
 from .errors import DomainError, RootFindingError, SingularInformationError
 from .generators import GeneratorId, GeneratorParams, GeneratorSpec
 
@@ -60,15 +61,6 @@ def as_sample_matrix(data) -> np.ndarray:
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise DomainError("data must be finite and strictly positive")
     return x
-
-
-def _standardized(theta: BLSParams, x: np.ndarray):
-    zt1 = (np.log(x[:, 0]) - math.log(theta.eta1)) / theta.sigma1
-    zt2 = (np.log(x[:, 1]) - math.log(theta.eta2)) / theta.sigma2
-    c2 = 1.0 - theta.rho * theta.rho
-    u = (zt1 - theta.rho * zt2) / math.sqrt(c2)
-    xq = u * u + zt2 * zt2
-    return zt1, zt2, xq, c2
 
 
 def _ll_score_hess(phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: float):
@@ -140,14 +132,7 @@ def _ll_score_hess(phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: f
 def log_likelihood(theta: BLSParams, spec: GeneratorSpec, data) -> float:
     """Full log-likelihood: sum of log joint densities including constants."""
     x = as_sample_matrix(data)
-    n = x.shape[0]
-    _, _, xq, c2 = _standardized(theta, x)
-    const = -math.log(gen.partition_closed(spec)) - math.log(
-        theta.sigma1 * theta.sigma2
-    ) - 0.5 * math.log(c2)
-    return float(
-        np.sum(gen.log_g(spec, xq)) + n * const - np.sum(np.log(x))
-    )
+    return float(np.sum(joint_log_pdf(theta, spec, x[:, 0], x[:, 1])))
 
 
 def score(theta: BLSParams, spec: GeneratorSpec, data) -> np.ndarray:
@@ -363,21 +348,7 @@ def fit_mle(
         grad_norm=grad_norm,
         spec=spec,
     )
-    if compute_se and converged:
-        se = standard_errors(result, x)
-        result = FitResult(
-            theta_hat=theta_hat,
-            std_errors=tuple(float(v) for v in se),
-            log_lik=ll,
-            aic=aic,
-            bic=bic,
-            n_obs=n,
-            converged=converged,
-            iterations=iterations,
-            grad_norm=grad_norm,
-            spec=spec,
-        )
-    return result
+    return _with_se(result, x) if compute_se else result
 
 
 @dataclass(frozen=True)
@@ -395,13 +366,7 @@ class FitResult:
 
     def to_dict(self) -> dict:
         return {
-            "theta_hat": {
-                "eta1": self.theta_hat.eta1,
-                "eta2": self.theta_hat.eta2,
-                "sigma1": self.theta_hat.sigma1,
-                "sigma2": self.theta_hat.sigma2,
-                "rho": self.theta_hat.rho,
-            },
+            "theta_hat": dataclasses.asdict(self.theta_hat),
             "std_errors": list(self.std_errors) if self.std_errors else None,
             "log_lik": self.log_lik,
             "aic": self.aic,
@@ -452,6 +417,14 @@ def standard_errors(fit: FitResult, data) -> np.ndarray:
     return se
 
 
+def _with_se(fit: FitResult, x: np.ndarray) -> FitResult:
+    # the fit with its standard errors attached, if it converged
+    if not fit.converged:
+        return fit
+    se = standard_errors(fit, x)
+    return dataclasses.replace(fit, std_errors=tuple(float(v) for v in se))
+
+
 def _params_key(p: GeneratorParams) -> tuple:
     return tuple(v for v in (p.nu, p.xi, p.theta) if v is not None)
 
@@ -470,13 +443,14 @@ def profile_fit(
     the winner. logpvii's theta is confounded with the scales (see
     blslab.generators): every theta at one xi reaches the same maximum, so
     only the smallest theta at each xi is fitted, the point the rule would
-    keep. The winner is refit once with standard errors if requested. The
-    selection is deterministic and independent of grid order.
+    keep. Standard errors, if requested, are attached to the kept fit
+    itself, with no refit. The selection is deterministic and independent of
+    grid order.
     """
     if not grid:
         raise DomainError("profile_fit requires a nonempty grid")
     x = as_sample_matrix(data)
-    gid = family if isinstance(family, GeneratorId) else gen.FAMILY_NAMES[family]
+    gid = gen._family_id(family)
     if gid is GeneratorId.PEARSON_VII:  # keep the smallest theta at each xi
         grid = [p for p in grid if not any(q.xi == p.xi and _params_key(q) < _params_key(p) for q in grid)]
     fits: list[tuple[GeneratorParams, FitResult]] = []
@@ -497,7 +471,4 @@ def profile_fit(
         ((p, fit) for p, fit in fits if fit.log_lik >= top - tol),
         key=lambda pf: _params_key(pf[0]),
     )
-    if compute_se:
-        final = fit_mle(x, GeneratorSpec(gid, best[0]), compute_se=True)
-        return best[0], final
-    return best
+    return (best[0], _with_se(best[1], x)) if compute_se else best

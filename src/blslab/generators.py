@@ -81,6 +81,18 @@ FAMILY_NAMES = {gid.value: gid for gid in GeneratorId}
 _PEARSON_VII = (GeneratorId.STUDENT_T, GeneratorId.PEARSON_VII)
 
 
+def _family_id(family) -> GeneratorId:
+    # a GeneratorId, or its name; DomainError for anything else
+    if isinstance(family, GeneratorId):
+        return family
+    try:
+        return FAMILY_NAMES[family]
+    except (KeyError, TypeError):
+        raise DomainError(
+            f"unknown family {family!r}; expected one of {sorted(FAMILY_NAMES)}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
     """Extra parameters; only the fields a family uses may be set."""
@@ -90,7 +102,8 @@ class GeneratorParams:
     theta: float | None = None
 
 
-# the extra parameters of each family, and their ranges lo < value <= hi
+# the extra parameters of each family, and their ranges lo < value <= hi;
+# every value must also be finite
 _PARAM_RULES = {
     GeneratorId.LOGNORMAL: {},
     GeneratorId.STUDENT_T: {"nu": (0.0, math.inf)},
@@ -113,19 +126,20 @@ def _validate_params(gid: GeneratorId, p: GeneratorParams) -> None:
             raise DomainError(f"{gid.value} requires parameter {name!r}")
     for name, (lo, hi) in used.items():
         val = getattr(p, name)
-        if not lo < val <= hi:
-            rule = f"{name} > {lo:g}" if hi == math.inf else f"{lo:g} < {name} <= {hi:g}"
+        if not lo < val <= hi or math.isinf(val):
+            rule = f"finite {name} > {lo:g}" if hi == math.inf else f"{lo:g} < {name} <= {hi:g}"
             raise DomainError(f"{gid.value} requires {rule}, got {val}")
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A family together with fixed extra parameters."""
+    """A family (a GeneratorId or its name) together with fixed extra parameters."""
 
     id: GeneratorId
     params: GeneratorParams = field(default_factory=GeneratorParams)
 
     def __post_init__(self):
+        object.__setattr__(self, "id", _family_id(self.id))
         _validate_params(self.id, self.params)
 
     @property
@@ -151,16 +165,7 @@ def make_generator(
     theta: float | None = None,
 ) -> GeneratorSpec:
     """Build a GeneratorSpec from a family name and extra parameters."""
-    if isinstance(family, GeneratorId):
-        gid = family
-    else:
-        try:
-            gid = FAMILY_NAMES[family]
-        except KeyError:
-            raise DomainError(
-                f"unknown family {family!r}; expected one of {sorted(FAMILY_NAMES)}"
-            ) from None
-    return GeneratorSpec(gid, GeneratorParams(nu=nu, xi=xi, theta=theta))
+    return GeneratorSpec(family, GeneratorParams(nu=nu, xi=xi, theta=theta))
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +260,7 @@ def g(spec: GeneratorSpec, x):
     A float (or any 0-d input) gives a float, an array gives an array;
     g(inf) = 0, loglaplace has g(0) = +inf. DomainError for x < 0 or NaN.
     """
-    gid = spec.id
-    if gid is GeneratorId.SLASH:
-        x = _arg(x)
-        s = 0.5 * (spec.params.nu + 1.0)
-        xs, xc = _slash_branches(x)
-        out = np.where(
-            x < _SLASH_SERIES_X,
-            _slash_g_series(s, 0.5 * xs),
-            specfun.lower_incomplete_gamma(s, 0.5 * xc) * np.power(xc, -s),
-        )
-        return _ret(out, x)
-    if gid is GeneratorId.LAPLACE:
+    if spec.id is GeneratorId.LAPLACE:
         x = _arg(x)
         return _ret(special.k0(np.sqrt(2.0 * x)), x)  # k0(0) = inf, k0(inf) = 0
     val = log_g(spec, x)
@@ -416,7 +410,7 @@ def partition_closed(spec: GeneratorSpec) -> float:
         return 2.0 * math.pi
     if gid in _PEARSON_VII:
         _, xm1, theta = _pvii(p)
-        return math.pi * theta / xm1
+        return math.pi * (theta / xm1)  # pi * theta would overflow first
     if gid is GeneratorId.HYPERBOLIC:
         return 2.0 * math.pi * (p.nu + 1.0) * math.exp(-p.nu) / p.nu**2
     if gid is GeneratorId.LAPLACE:
@@ -775,4 +769,7 @@ def characteristic_generator(spec: GeneratorSpec, x: float) -> float | None:
         return None
     if not x >= 0.0:
         raise DomainError(f"characteristic generator requires x >= 0, got {x}")
-    return math.exp(0.5 * x)
+    try:
+        return math.exp(0.5 * x)
+    except OverflowError:
+        raise DomainError(f"characteristic generator leaves the double range at x = {x}") from None

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import blslab
-from blslab.cli import build_parser, dispatch
+from blslab.cli import RunManifest, build_parser, dispatch
 from blslab.datakit import COMPARISON_COLUMNS, Dataset, load_csv, save_csv
 from blslab.distribution import BLSParams, joint_cdf, sample
 from blslab.generators import GeneratorId, make_generator
@@ -92,11 +92,19 @@ def test_eval_cdf_of_a_law_whose_quantiles_leave_the_double_range(capsys):
         ["eval", "--model", "logt", "--theta", "1,1,1,1,0", "--pdf", "1,1"],  # nu missing
         ["frobnicate"],
         [],
+        ["eval", "--model", "logt", "--nu", "inf", "--theta", "1,1,1,1,0", "--pdf", "1,1"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
     assert dispatch(argv) == 1
     assert capsys.readouterr().err != ""
+
+
+def test_manifest_fields_in_order():
+    man = RunManifest("sample", ("sample", "--n", "3"), {"n": 3}, 7, "1", 0.5)
+    assert man.to_dict() == {"subcommand": "sample", "argv": ["sample", "--n", "3"],
+                             "flags": {"n": 3}, "seed": 7, "version": "1", "duration_s": 0.5}
+    assert list(man.to_dict()) == ["subcommand", "argv", "flags", "seed", "version", "duration_s"]
 
 
 # ---------------------------------------------------------------- sample

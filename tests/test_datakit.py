@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import blslab.datakit as dk
+import blslab.estimation as est
 from blslab import generators as gen
 from blslab.datakit import (
     COMPARISON_COLUMNS,
@@ -21,7 +22,13 @@ from blslab.datakit import (
     synthetic_fixture,
 )
 from blslab.distribution import BLSParams, mahalanobis_quantile, mahalanobis_sq, sample
-from blslab.errors import DomainError, ParseError, PositivityError, RootFindingError
+from blslab.errors import (
+    DomainError,
+    ParseError,
+    PositivityError,
+    RootFindingError,
+    SingularInformationError,
+)
 from blslab.estimation import FitResult, fit_mle, log_likelihood
 from blslab.generators import GeneratorId, GeneratorParams, make_generator
 
@@ -305,6 +312,29 @@ def test_all_families_failing_raises(ln_ds, monkeypatch):
     monkeypatch.setattr(dk, "_fit_family", broken)
     with pytest.raises(DomainError, match="every family failed"):
         compare_models(ln_ds, families=[GeneratorId.LOGNORMAL])
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_compare_fits_each_grid_point_once(singular, monkeypatch):
+    # standard errors go on the fit in hand; a singular information leaves
+    # them None and fits nothing again
+    if singular:
+        def no_information(fit, data):
+            raise SingularInformationError("synthetic")
+
+        monkeypatch.setattr(est, "standard_errors", no_information)
+    calls, real = [], est.fit_mle
+    counted = lambda *a, **kw: calls.append(a[1].label()) or real(*a, **kw)  # noqa: E731
+    monkeypatch.setattr(est, "fit_mle", counted)
+    monkeypatch.setattr(dk, "fit_mle", counted)
+    grid = [GeneratorParams(nu=v) for v in (2.0, 4.0, 8.0)]
+    pairs = sample(BLSParams(1.0, 2.0, 0.5, 0.3, 0.4), make_generator("logt", nu=4.0), 60, seed=5)
+    cmp = compare_models(Dataset(pairs), families=[GeneratorId.LOGNORMAL, GeneratorId.STUDENT_T],
+                         grids={GeneratorId.STUDENT_T: grid})
+    assert cmp.failures == ()
+    assert {r.family for r in cmp.rows} == {GeneratorId.LOGNORMAL, GeneratorId.STUDENT_T}
+    assert all((r.fit.std_errors is None) == singular for r in cmp.rows)
+    assert sorted(calls) == ["lognormal", "logt(nu=2)", "logt(nu=4)", "logt(nu=8)"]
 
 
 def test_empty_and_duplicate_family_lists_raise(ln_ds):

@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 from blslab import distribution as dist
+from blslab import generators as gen
 from blslab.distribution import BLSParams
 from blslab.errors import DomainError
 from blslab.generators import make_generator
@@ -209,6 +210,22 @@ def test_moment_validation():
         dist.moment(THETA, LN, 3, 1)
     with pytest.raises(DomainError):
         dist.moment(THETA, LN, 1, 0)
+
+
+def test_moment_outside_the_double_range_is_a_domain_error():
+    # vartheta = exp(sigma^2 order^2 / 2) overflows
+    with pytest.raises(DomainError, match="double range"):
+        dist.moment(THETA, LN, 1, 1e10)
+    with pytest.raises(DomainError, match="double range"):
+        gen.characteristic_generator(LN, 1e10)
+    # eta^order overflows while vartheta = exp(200) does not
+    big_eta = BLSParams(1e10, 2.0, 0.5, 0.7, 0.5)
+    with pytest.raises(DomainError, match="double range"):
+        dist.moment(big_eta, LN, 1, 40)
+    # the product overflows though both factors are finite
+    with pytest.raises(DomainError, match="double range"):
+        dist.moment(BLSParams(1e10, 2.0, 1.0, 0.7, 0.5), LN, 1, 30)
+    assert dist.moment(big_eta, LN, 1, 20) == pytest.approx(1e200 * math.exp(50.0), rel=1e-12)
 
 
 def test_correlation_lognormal_closed():

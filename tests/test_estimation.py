@@ -353,7 +353,8 @@ def test_fit_result_json_fields():
         "grad_norm",
         "spec",
     }
-    assert set(doc["theta_hat"]) == {"eta1", "eta2", "sigma1", "sigma2", "rho"}
+    assert list(doc["theta_hat"]) == ["eta1", "eta2", "sigma1", "sigma2", "rho"]
+    assert doc["theta_hat"]["rho"] == fit.theta_hat.rho
     assert len(doc["std_errors"]) == 5
     assert doc["spec"] == "lognormal"
 
@@ -446,6 +447,22 @@ def test_profile_fit_fits_one_theta_per_xi_on_the_default_logpvii_grid(seed, mon
     assert len(calls) == 6
     assert best == want
     assert (fit.theta_hat, fit.log_lik) == (want_fit.theta_hat, want_fit.log_lik)
+
+
+@pytest.mark.parametrize("family, grid, fitted", [
+    ("logt", [GeneratorParams(nu=v) for v in (2.0, 4.0, 8.0)], 3),
+    # logpvii fits the smallest theta at each xi only
+    ("logpvii", [GeneratorParams(xi=a, theta=b) for a in (2.0, 3.0) for b in (5.0, 10.0)], 2),
+])
+def test_profile_fit_attaches_standard_errors_to_the_kept_fit(family, grid, fitted, monkeypatch):
+    x = dist.sample(THETA, LT4, 80, seed=21)
+    calls, fit_mle = [], est.fit_mle
+    monkeypatch.setattr(est, "fit_mle", lambda *a, **kw: calls.append(a[1]) or fit_mle(*a, **kw))
+    best, fit = est.profile_fit(x, family, grid)
+    assert len(calls) == fitted  # one fit per grid point, and no refit
+    direct = fit_mle(x, gen.GeneratorSpec(family, best), compute_se=True)
+    assert fit.std_errors is not None
+    assert fit == direct  # field for field
 
 
 def test_profile_fit_empty_grid():

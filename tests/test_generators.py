@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from blslab import distribution as dist
 from blslab import generators as gen
+from blslab.datakit import compare_models, default_grid, synthetic_fixture
 from blslab.distribution import BLSParams
 from blslab.errors import DomainError
+from blslab.estimation import profile_fit
 from blslab.generators import GeneratorId, GeneratorParams, GeneratorSpec, make_generator
 
 # the parameter settings exercised throughout the suite
@@ -217,6 +219,56 @@ def test_parameter_validation():
         make_generator("gaussian")  # unknown family name
     # xi = 1 is the admissible boundary for logpexp
     assert make_generator("logpexp", xi=1.0).params.xi == 1.0
+    # an unbounded range still needs a finite value
+    for family, kw in [
+        ("logt", {"nu": math.inf}),
+        ("loghyperbolic", {"nu": math.inf}),
+        ("logslash", {"nu": math.inf}),
+        ("logpvii", {"xi": math.inf, "theta": 5.0}),
+        ("logpvii", {"xi": 2.0, "theta": math.inf}),
+    ]:
+        with pytest.raises(DomainError, match="finite"):
+            make_generator(family, **kw)
+
+
+@pytest.mark.parametrize("nu", [0.05, 1.0, 11.0, 13.0, 15.0, 1e5, 1e308])
+def test_logt_partition_is_two_pi_exactly(nu):
+    # pi * (theta / (xi - 1)) with logt's xi - 1 = nu/2 exactly: no rounding
+    # and no overflow of pi * theta
+    assert gen.partition_closed(make_generator("logt", nu=nu)) == 2.0 * math.pi
+
+
+def test_logt_density_at_huge_nu_is_the_lognormal_limit():
+    th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+    big, ln = make_generator("logt", nu=1e308), make_generator("lognormal")
+    for t in [(1.2, 2.1), (0.5, 1.0), (3.0, 4.0)]:
+        assert dist.joint_pdf(th, big, *t) == pytest.approx(dist.joint_pdf(th, ln, *t), rel=1e-12)
+
+
+_LOOKUPS = {
+    "make_generator": make_generator,
+    "GeneratorSpec": GeneratorSpec,
+    "profile_fit": lambda f: profile_fit(synthetic_fixture().pairs, f, [GeneratorParams(nu=4.0)]),
+    "compare_models": lambda f: compare_models(synthetic_fixture(), families=[f]),
+    "default_grid": default_grid,
+}
+
+
+@pytest.mark.parametrize("lookup", sorted(_LOOKUPS))
+@pytest.mark.parametrize("family", ["nope", "LOGT", None, 3, ["logt"]])
+def test_unknown_family_is_a_domain_error_everywhere(lookup, family):
+    with pytest.raises(DomainError, match="unknown family"):
+        _LOOKUPS[lookup](family)
+
+
+def test_family_name_and_id_are_interchangeable():
+    assert GeneratorSpec("logt", GeneratorParams(nu=4.0)) == make_generator(
+        GeneratorId.STUDENT_T, nu=4.0
+    )
+    assert GeneratorSpec("logt", GeneratorParams(nu=4.0)).id is GeneratorId.STUDENT_T
+    assert default_grid("logt") == default_grid(GeneratorId.STUDENT_T)
+    assert len(default_grid("logt")) == 14
+    assert default_grid("lognormal") is None
 
 
 def test_cli_family_names_cover_all_eight():
