@@ -212,7 +212,10 @@ def sample(theta: BLSParams, spec: GeneratorSpec, n: int, seed) -> np.ndarray:
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"sample size must be a positive integer, got {n}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:  # a negative or non-integer seed
+        raise DomainError(f"invalid seed {seed!r}: {exc}") from None
     u = rng.random((int(n), 2))
     d2 = gen.radial_isf(spec, 1.0 - u[:, 0])  # tail probability in (0, 1]
     rad = np.sqrt(d2)
@@ -483,25 +486,23 @@ def moment(
     """E[T_component^order] = eta^order * vartheta(sigma^2 order^2).
 
     Returns None when the family has no closed-form moment generator
-    (all but lognormal). DomainError where vartheta or the moment leaves the
-    double range.
+    (all but lognormal). The product is formed in logs, so a factor outside
+    the double range is fine where the moment is not; DomainError where the
+    moment itself exceeds it.
     """
     if component not in (1, 2):
         raise DomainError(f"component must be 1 or 2, got {component}")
     if not order > 0:
         raise DomainError(f"order must be > 0, got {order}")
-    if not spec.has_characteristic_generator:
-        return None
     eta = theta.eta1 if component == 1 else theta.eta2
     sigma = theta.sigma1 if component == 1 else theta.sigma2
-    vt = gen.characteristic_generator(spec, sigma * sigma * order * order)
-    try:
-        m = eta**order * vt
-    except OverflowError:
-        m = math.inf
-    if not math.isfinite(m):
+    lv = gen._log_characteristic_generator(spec, sigma * sigma * order * order)
+    if lv is None:
+        return None
+    log_m = order * math.log(eta) + lv
+    if not log_m <= gen._LOG_X_HI:
         raise DomainError(f"E[T{component}^{order:g}] leaves the double range")
-    return m
+    return math.exp(log_m)
 
 
 def _second_moment_tail_rate(spec: GeneratorSpec) -> float:

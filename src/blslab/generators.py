@@ -22,7 +22,8 @@ sigma sqrt(theta / (2 xi - 2)), and a profile over theta at fixed xi is flat.
 
 Every radial survival function S is closed. Its inverse is closed for
 lognormal, logt, logpvii and loglogistic; for loghyperbolic, loglaplace,
-logslash and logpexp it takes safeguarded Halley steps on S. A large call
+logslash and logpexp it takes safeguarded Halley steps on log S, and S is
+e^(log S) of the same tail evaluation. A large call
 starts those steps from a cubic Hermite interpolant of the inverse through a
 few roots of its own, so that a point costs about one evaluation of S.
 
@@ -79,6 +80,7 @@ class GeneratorId(Enum):
 
 FAMILY_NAMES = {gid.value: gid for gid in GeneratorId}
 _PEARSON_VII = (GeneratorId.STUDENT_T, GeneratorId.PEARSON_VII)
+_SINGULAR_AT_0 = (GeneratorId.LAPLACE, GeneratorId.SLASH)
 
 
 def _family_id(family) -> GeneratorId:
@@ -207,10 +209,10 @@ def _slash_g_series(s: float, y):
     return 2.0**-s * (1.0 / s - y / (s + 1.0) + y * y / (2.0 * (s + 2.0)))
 
 
-def _slash_branches(x):
+def _slash_branches(x, switch: float):
     # the series and the closed form each see only arguments on their own
     # side of the switch, so neither takes log(0), 0 * inf or inf - inf
-    return np.minimum(x, _SLASH_SERIES_X), np.maximum(x, _SLASH_SERIES_X)
+    return np.minimum(x, switch), np.maximum(x, switch)
 
 
 def log_g(spec: GeneratorSpec, x):
@@ -238,7 +240,7 @@ def log_g(spec: GeneratorSpec, x):
             out = np.log(special.k0e(u)) - u
     elif gid is GeneratorId.SLASH:
         s = 0.5 * (p.nu + 1.0)
-        xs, xc = _slash_branches(x)
+        xs, xc = _slash_branches(x, _SLASH_SERIES_X)
         out = np.where(
             x < _SLASH_SERIES_X,
             np.log(_slash_g_series(s, 0.5 * xs)),
@@ -255,148 +257,136 @@ def log_g(spec: GeneratorSpec, x):
 
 
 def g(spec: GeneratorSpec, x):
-    """Density generator g(x) >= 0 evaluated elementwise.
+    """Density generator g(x) = exp(log g(x)) >= 0 evaluated elementwise.
 
     A float (or any 0-d input) gives a float, an array gives an array;
     g(inf) = 0, loglaplace has g(0) = +inf. DomainError for x < 0 or NaN.
     """
-    if spec.id is GeneratorId.LAPLACE:
-        x = _arg(x)
-        return _ret(special.k0(np.sqrt(2.0 * x)), x)  # k0(0) = inf, k0(inf) = 0
     val = log_g(spec, x)
     return _ret(np.exp(val), val)
+
+
+def _score_arg(spec: GeneratorSpec, x):
+    # the argument of r and r', which are singular at x = 0 for loglaplace,
+    # logslash (a 0/0 form) and logpexp with xi > 0
+    x, gid = _arg(x), spec.id
+    if gid in _SINGULAR_AT_0 or (gid is GeneratorId.POWER_EXP and spec.params.xi > 0.0):
+        if np.any(x == 0.0):
+            raise DomainError(f"{spec.label()} score ratio is singular at x = 0")
+    return x
 
 
 def r(spec: GeneratorSpec, x):
     """Score ratio r(x) = g'(x)/g(x).
 
+    A float (or any 0-d input) gives a float, an array gives an array.
     Domain error at x = 0 for the families whose ratio is singular there
     (loglaplace, logslash, logpexp with xi > 0), and for x < 0 or NaN.
     logpexp with xi < 0 gives -inf where r falls below the double range
     (x ~ 1e300 at xi = -0.9), as its limit at +inf is.
     """
-    x = _arg(x)
-    return _ret(_r(spec, np.atleast_1d(x)), x)
-
-
-def _r(spec: GeneratorSpec, xa: np.ndarray) -> np.ndarray:
+    x = _score_arg(spec, x)
     gid, p = spec.id, spec.params
     if gid is GeneratorId.LOGNORMAL:
-        out = np.full_like(xa, -0.5)
+        out = np.full_like(x, -0.5)
     elif gid in _PEARSON_VII:
         xi, _, theta = _pvii(p)
-        out = -xi / (theta + xa)
+        out = -xi / (theta + x)
     elif gid is GeneratorId.HYPERBOLIC:
-        out = -0.5 * p.nu / np.sqrt(1.0 + xa)
+        out = -0.5 * p.nu / np.sqrt(1.0 + x)
     elif gid is GeneratorId.LAPLACE:
-        if np.any(xa == 0.0):
-            raise DomainError("loglaplace score ratio is singular at x = 0")
-        u = np.sqrt(2.0 * xa)
-        # k0e and k1e both vanish at x = inf, where r ~ -1/sqrt(2x) is -0
-        out = np.full_like(xa, -0.0)
-        fin = u < np.inf
-        out[fin] = -specfun.bessel_k1e(u[fin]) / (u[fin] * specfun.bessel_k0e(u[fin]))
+        out = _laplace_r(x)
     elif gid is GeneratorId.SLASH:
-        s, small, out = _slash_split(spec, xa)
-        if small.any():
-            P, _, M = _slash_kummer(s, 0.5 * xa[small])
-            out[small] = -0.5 * s * P / M
-        xb, h = _slash_h(s, xa, ~small)
-        out[~small] = h - s / xb
+        s, switch, xc, _, P, M, h = _slash_score_parts(p, x)
+        out = np.where(x < switch, -0.5 * s * P / M, h - s / xc)
     elif gid is GeneratorId.POWER_EXP:
-        if p.xi > 0.0 and np.any(xa == 0.0):
-            raise DomainError("logpexp score ratio is singular at x = 0 for xi > 0")
         with np.errstate(over="ignore"):  # x^(-xi/(1+xi)) overflows for xi < 0
-            out = -(xa ** (-p.xi / (1.0 + p.xi))) / (2.0 * (1.0 + p.xi))
+            out = -np.power(x, -p.xi / (1.0 + p.xi)) / (2.0 * (1.0 + p.xi))
     elif gid is GeneratorId.LOGISTIC:
-        out = -np.tanh(0.5 * xa)
+        out = -np.tanh(0.5 * x)
     else:  # pragma: no cover
         raise DomainError(f"unknown generator {gid}")
-    return out
+    return _ret(out, x)
 
 
 def dr(spec: GeneratorSpec, x):
     """Derivative r'(x) of the score ratio, in closed form for every family.
 
+    A float (or any 0-d input) gives a float, an array gives an array.
     Singular at x = 0 where r is (same DomainError); finite or -0 at +inf,
     except for logpexp with xi < -1/2, whose r' tends to -inf.
     """
-    x = _arg(x)
-    xa = np.atleast_1d(x)
+    x = _score_arg(spec, x)
     gid, p = spec.id, spec.params
     if gid is GeneratorId.LOGNORMAL:
-        out = np.zeros_like(xa)
+        out = np.zeros_like(x)
     elif gid in _PEARSON_VII:
         xi, _, theta = _pvii(p)
-        t = 1.0 / (theta + xa)
+        t = 1.0 / (theta + x)
         out = xi * t * t
     elif gid is GeneratorId.HYPERBOLIC:
-        t = 1.0 / (1.0 + xa)
+        t = 1.0 / (1.0 + x)
         out = 0.25 * p.nu * t * np.sqrt(t)
     elif gid is GeneratorId.LAPLACE:
         # g = K0(sqrt(2x)) solves 2x g'' + 2g' - g = 0
-        rx = _r(spec, xa)
-        out = (0.5 - rx) / xa - rx * rx
+        rx = _laplace_r(x)
+        out = (0.5 - rx) / x - rx * rx
     elif gid is GeneratorId.SLASH:
-        s, small, out = _slash_split(spec, xa)
-        if small.any():
-            P, dP, M = _slash_kummer(s, 0.5 * xa[small])
-            out[small] = -0.25 * s * (dP - P * P) / (M * M)
-        # r = h - s/x with h' = -h (1/2 + h + (1 - s)/x)
-        xb, h = _slash_h(s, xa, ~small)
-        out[~small] = s / xb / xb - h * (0.5 + h + (1.0 - s) / xb)
+        s, switch, xc, y, P, M, h = _slash_score_parts(p, x)
+        dP = special.hyp1f1(2.0, s + 3.0, y) / ((s + 1.0) * (s + 2.0))
+        # h' = -h (1/2 + h + (1 - s)/x)
+        out = np.where(
+            x < switch,
+            -0.25 * s * (dP - P * P) / (M * M),
+            s / xc / xc - h * (0.5 + h + (1.0 - s) / xc),
+        )
+    elif gid is GeneratorId.POWER_EXP and p.xi == 0.0:
+        out = np.zeros_like(x)
     elif gid is GeneratorId.POWER_EXP:
-        if p.xi > 0.0 and np.any(xa == 0.0):
-            raise DomainError("logpexp score ratio is singular at x = 0 for xi > 0")
+        # r' = k r / x with r = -x^k / (2a), k = -xi/a; -inf at 0 for
+        # -1/2 < xi < 0 and at inf for xi < -1/2, as the limits are
         a = 1.0 + p.xi
-        if p.xi == 0.0:
-            out = np.zeros_like(xa)
-        else:
-            # r' = k r / x with r = -x^k / (2a), k = -xi/a; -inf at 0 for
-            # -1/2 < xi < 0 and at inf for xi < -1/2, as the limits are
-            with np.errstate(divide="ignore", over="ignore"):
-                out = p.xi / (2.0 * a * a) * xa ** (-(1.0 + 2.0 * p.xi) / a)
+        with np.errstate(divide="ignore", over="ignore"):
+            out = p.xi / (2.0 * a * a) * np.power(x, -(1.0 + 2.0 * p.xi) / a)
     elif gid is GeneratorId.LOGISTIC:
-        e = np.exp(-xa)
+        e = np.exp(-x)
         out = -2.0 * e / ((1.0 + e) * (1.0 + e))
     else:  # pragma: no cover
         raise DomainError(f"unknown generator {gid}")
     return _ret(out, x)
 
 
-_KUMMER_TERMS = 28
+def _laplace_r(x):
+    # r = -K1(u) / (u K0(u)), u = sqrt(2x), for x > 0. k0e and k1e both
+    # vanish at u = inf, where r ~ -1/u is -0; u is held finite there so
+    # that the discarded quotient is not 0/0
+    u = np.sqrt(2.0 * x)
+    uf = np.minimum(u, _X_MAX)
+    return np.where(u < np.inf, -special.k1e(uf) / (uf * special.k0e(uf)), -0.0)
 
 
-def _slash_split(spec: GeneratorSpec, xa: np.ndarray):
-    # below x = max(1, s/2) r and r' come from Kummer's series: the closed
-    # form cancels there, and the series ratio y / (s + k) stays below 1/4
-    if np.any(xa == 0.0):
-        raise DomainError("logslash score ratio is singular at x = 0 (0/0 form)")
-    s = 0.5 * (spec.params.nu + 1.0)
-    return s, xa < max(1.0, 0.5 * s), np.empty_like(xa)
+def _slash_score_parts(p: GeneratorParams, x):
+    """The parts of logslash's r and r' on each side of the switch at x =
+    max(1, s/2), each side seeing only its own arguments: s, the switch, x
+    above it, y = x/2 below it with P and M there, and h above it.
 
-
-def _slash_kummer(s: float, y: np.ndarray):
-    """P, P' and M at y = x/2, where M(y) = sum_k y^k / (s+1)_k is Kummer's
-    1F1(1; s+1; y) = e^y s gamma(s, y) y^-s and P = (M - 1)/y; then
-    r = -(s/2) P/M and r' = -(s/4)(P' - P^2)/M^2, free of the 0/0 form."""
-    k = np.arange(1, _KUMMER_TERMS + 1)
-    c = 1.0 / np.cumprod(s + k)  # 1 / (s+1)_k
-    V = np.vander(y, _KUMMER_TERMS, increasing=True)
-    P = V @ c
-    dP = V[:, :-1] @ (k[:-1] * c[1:])
-    return P, dP, 1.0 + y * P
-
-
-def _slash_h(s: float, xa: np.ndarray, mask: np.ndarray):
-    """x and h = r + s/x = (s/x) e^-y / S, S = s gamma(s, y) y^-s, y = x/2."""
-    xb = xa[mask]
-    y = 0.5 * xb
-    S = s * specfun.lower_incomplete_gamma(s, y) * y**-s
-    e = np.exp(-y)
-    # once e^-y underflows (x > 1490) h is 0 and r = -s/x exactly; S follows
-    # it to 0 beyond x ~ 1e123 (s = 2.5)
-    return xb, np.divide((s / xb) * e, S, out=np.zeros_like(xb), where=e > 0.0)
+    Below the switch r = -(s/2) P/M and r' = -(s/4)(P' - P^2)/M^2, free of
+    the closed form's 0/0 cancellation: M(y) = sum_k y^k / (s+1)_k is
+    Kummer's 1F1(1; s+1; y) = e^y s gamma(s, y) y^-s, P = (M - 1)/y =
+    1F1(1; s+2; y) / (s+1) and P' = 1F1(2; s+3; y) / ((s+1)(s+2)), and the
+    series ratio y / (s + k) stays below 1/4. Above it r = h - s/x with
+    h = (s/x) e^-y / S, S = s gamma(s, y) y^-s. Once e^-y underflows
+    (x > 1490) h is 0 and r = -s/x exactly; S follows it to 0 beyond
+    x ~ 1e123 (s = 2.5).
+    """
+    s = 0.5 * (p.nu + 1.0)
+    switch = max(1.0, 0.5 * s)
+    xs, xc = _slash_branches(x, switch)
+    y, yc = 0.5 * xs, 0.5 * xc
+    P = special.hyp1f1(1.0, s + 2.0, y) / (s + 1.0)
+    S = s * specfun.lower_incomplete_gamma(s, yc) * np.power(yc, -s)
+    e = np.exp(-yc)
+    return s, switch, xc, y, P, 1.0 + y * P, (s / xc) * e / np.where(e > 0.0, S, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +428,9 @@ def radial_sf(spec: GeneratorSpec, x):
 
     Closed form for every family, computed as the upper tail itself, so a
     tail probability keeps its relative accuracy (no 1 - F cancellation).
+    For loghyperbolic, loglaplace, logslash and logpexp it is e^(log S) of
+    the tails that radial_isf inverts; logpexp takes 1 - P(a, w) below
+    w = 1.1, where S stays above ~a/5 and so within ~5 eps / a relative.
     DomainError for x < 0 or NaN.
     """
     x0 = _arg(x)
@@ -445,28 +438,18 @@ def radial_sf(spec: GeneratorSpec, x):
     out = (xa == 0.0).astype(float)  # S(0) = 1, S(inf) = 0
     inner = (xa > 0.0) & (xa < np.inf)
     x, gid, p = xa[inner], spec.id, spec.params
-    with np.errstate(over="ignore"):  # x^(1/a) may overflow: then S = 0
-        if gid is GeneratorId.LOGNORMAL:
-            sf = np.exp(-0.5 * x)
-        elif gid in _PEARSON_VII:
-            _, xm1, theta = _pvii(p)
-            sf = np.exp(-xm1 * _log1p_ratio(x, theta))
-        elif gid is GeneratorId.HYPERBOLIC:
-            d = x / (1.0 + np.sqrt(1.0 + x))  # sqrt(1 + x) - 1 without cancellation
-            sf = np.exp(np.log1p(p.nu * d / (p.nu + 1.0)) - p.nu * d)
-        elif gid is GeneratorId.LAPLACE:
-            v = _SQRT2 * np.sqrt(x)  # 2x may overflow
-            sf = v * specfun.bessel_k1e(v) * np.exp(-v)
-        elif gid is GeneratorId.SLASH:
-            sf = np.exp(np.logaddexp(_slash_log_t(0.5 * (p.nu + 1.0), x), -0.5 * x))
-        elif gid is GeneratorId.POWER_EXP:
-            a = 1.0 + p.xi
-            w = 0.5 * x ** (1.0 / a)
-            # w underflows as xi -> -1; there 1 - S = P(a, w) = w^a / Gamma(a + 1)
-            head = 1.0 - x / (2.0**a * math.gamma(1.0 + a))
-            sf = np.where(w > 1e-100, special.gammaincc(a, w), head)
-        else:  # loglogistic
-            sf = 2.0 * special.expit(-x)
+    if gid is GeneratorId.LOGNORMAL:
+        sf = np.exp(-0.5 * x)
+    elif gid in _PEARSON_VII:
+        _, xm1, theta = _pvii(p)
+        sf = np.exp(-xm1 * _log1p_ratio(x, theta))
+    elif gid is GeneratorId.LOGISTIC:
+        sf = 2.0 * special.expit(-x)
+    else:
+        # the tails' log F and dL, unused here, take log 0 or 0 * inf at a
+        # subnormal x and overflow near the top of the doubles
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sf = np.exp(_radial_log_tails(spec, x)[0])
     out[inner] = sf
     return _ret(out, x0)
 
@@ -556,7 +539,7 @@ def _slash_log_t(s: float, x: np.ndarray) -> np.ndarray:
     """log T with T = y^(1-s) gamma(s, y) = 2^s y g(x), y = x/2, x > 0: the
     series of g near 0, above it gamma(s, y) and y^(1-s) apart, as log g +
     log x would cancel (x ~ 1e60 at nu = 1.01 lost 4e-12 of x)."""
-    xs, xc = _slash_branches(x)
+    xs, xc = _slash_branches(x, _SLASH_SERIES_X)
     return np.where(
         x < _SLASH_SERIES_X,
         np.log(_slash_g_series(s, 0.5 * xs)) + np.log(x) + (s - 1.0) * _LOG2,
@@ -570,7 +553,7 @@ def _radial_log_tails(spec: GeneratorSpec, x: np.ndarray):
     families that radial_isf inverts by Halley steps: loghyperbolic,
     loglaplace, logslash and logpexp. Each of S and F keeps its relative
     accuracy (no 1 - S cancellation for a small F, none of 1 - F for a small
-    S); radial_sf, which needs only S, does not call it."""
+    S). radial_sf takes its S from here."""
     if spec.id is GeneratorId.HYPERBOLIC:
         nu = spec.params.nu
         w = np.sqrt(1.0 + x)
@@ -602,9 +585,11 @@ def _radial_log_tails(spec: GeneratorSpec, x: np.ndarray):
     # hold them: P = w^a / Gamma(a + 1) where w is below 1e-100 or underflows
     # (xi -> -1), and Gamma(a, w) by its asymptotic series above w = 600.
     a, lg = 1.0 + spec.params.xi, math.lgamma(2.0 + spec.params.xi)
+    # log S varies by w times the relative error of w, so w comes from x
+    # itself, not from e^(log w), whose error grows with log w
     lw = np.log(x) / a - _LOG2
     with np.errstate(over="ignore"):  # w = inf beyond the double range: S = 0
-        w = np.exp(lw)
+        w = 0.5 * np.power(x, 1.0 / a)
     head = w < _PEXP_HEAD_W
     log_pq = np.empty_like(w)  # log P on the head, log Q above it
     log_pq[head] = np.log(special.gammainc(a, np.maximum(w[head], _PEXP_TINY_W)))
@@ -760,16 +745,23 @@ def partition_numeric(spec: GeneratorSpec, epsrel: float = 1e-10) -> float:
     return math.pi * total
 
 
+def _log_characteristic_generator(spec: GeneratorSpec, x: float) -> float | None:
+    # log vartheta(x), or None for the families without a closed form
+    if not spec.has_characteristic_generator:
+        return None
+    if not x >= 0.0:
+        raise DomainError(f"characteristic generator requires x >= 0, got {x}")
+    return 0.5 * x
+
+
 def characteristic_generator(spec: GeneratorSpec, x: float) -> float | None:
     """Moment generator vartheta(x) with E[T^r] = eta^r vartheta(sigma^2 r^2).
 
     Returns None for families without a closed form (all but lognormal).
     """
-    if not spec.has_characteristic_generator:
+    lv = _log_characteristic_generator(spec, x)
+    if lv is None:
         return None
-    if not x >= 0.0:
-        raise DomainError(f"characteristic generator requires x >= 0, got {x}")
-    try:
-        return math.exp(0.5 * x)
-    except OverflowError:
-        raise DomainError(f"characteristic generator leaves the double range at x = {x}") from None
+    if not lv <= _LOG_X_HI:
+        raise DomainError(f"characteristic generator leaves the double range at x = {x}")
+    return math.exp(lv)

@@ -100,7 +100,10 @@ def bias_mse(estimates, truth: float) -> tuple[float, float]:
 
 def replication_seed(master_seed: int, n_index: int, rho_index: int, rep: int) -> int:
     """Deterministic per-replication seed, unique across the study grid."""
-    ss = np.random.SeedSequence((master_seed, n_index, rho_index, rep))
+    try:
+        ss = np.random.SeedSequence((master_seed, n_index, rho_index, rep))
+    except (TypeError, ValueError) as exc:  # a negative or non-integer seed
+        raise DomainError(f"invalid master seed {master_seed!r}: {exc}") from None
     return int(ss.generate_state(1, np.uint64)[0])
 
 

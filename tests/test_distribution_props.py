@@ -228,6 +228,17 @@ def test_moment_outside_the_double_range_is_a_domain_error():
     assert dist.moment(big_eta, LN, 1, 20) == pytest.approx(1e200 * math.exp(50.0), rel=1e-12)
 
 
+def test_moment_formed_in_logs():
+    # vartheta(1444) = e^722 overflows, but eta^76 = 1e-228 brings the
+    # moment back to e^197.01
+    th = BLSParams(1e-3, 1.0, 0.5, 0.5, 0.0)
+    want = math.exp(722.0 + 76.0 * math.log(1e-3))
+    assert dist.moment(th, LN, 1, 76) == pytest.approx(want, rel=1e-13)
+    # the moment itself beyond the doubles: e^(722 + 76 log 10) = e^897
+    with pytest.raises(DomainError, match="double range"):
+        dist.moment(BLSParams(10.0, 1.0, 0.5, 0.5, 0.0), LN, 1, 76)
+
+
 def test_correlation_lognormal_closed():
     th = BLSParams(1.0, 1.0, 0.5, 0.5, 0.5)
     res = dist.correlation(th, LN)

@@ -50,6 +50,18 @@ def test_sample_size_validation():
         dist.sample(THETA, LN, -5, seed=1)
 
 
+def test_seed_numpy_rejects_is_a_domain_error():
+    # numpy's own ValueError / TypeError, inside the error contract
+    for seed in (-1, 1.5, "7", [1, -2]):
+        with pytest.raises(DomainError, match="seed"):
+            dist.sample(THETA, LN, 5, seed=seed)
+    # every seed numpy takes still draws, a Generator included
+    for seed in (None, 0, 2**70, np.uint64(5), [1, 2]):
+        assert dist.sample(THETA, LN, 5, seed=seed).shape == (5, 2)
+    x = dist.sample(THETA, LN, 5, seed=np.random.default_rng(7))
+    assert np.array_equal(x, dist.sample(THETA, LN, 5, seed=7))
+
+
 def test_lognormal_radial_ks():
     th = BLSParams(1.0, 2.0, 0.5, 0.7, 0.95)
     x = dist.sample(th, LN, 20000, seed=42)

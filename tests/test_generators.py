@@ -380,3 +380,65 @@ def test_scalar_and_array_paths_agree_at_edges(spec, x):
 )
 def test_scalar_and_array_paths_agree(spec, x, z):
     _check_paths_agree(spec, x, z)
+
+
+# r and r' at x = 0 (None where the ratio is singular there) and at x = inf
+_SCORE_EDGES = {
+    "lognormal": ((-0.5, 0.0), (-0.5, 0.0)),
+    "logt(nu=3)": ((-5.0 / 6.0, 2.5 / 9.0), (0.0, 0.0)),
+    "logt(nu=7)": ((-9.0 / 14.0, 4.5 / 49.0), (0.0, 0.0)),
+    "logpvii(xi=5,theta=22)": ((-5.0 / 22.0, 5.0 / 484.0), (0.0, 0.0)),
+    "loghyperbolic(nu=2)": ((-1.0, 0.5), (0.0, 0.0)),
+    "loglaplace": (None, (0.0, 0.0)),
+    "logslash(nu=4)": (None, (0.0, 0.0)),
+    "logslash(nu=5)": (None, (0.0, 0.0)),
+    "logpexp(xi=0.3)": (None, (0.0, 0.0)),
+    "logpexp(xi=0.5)": (None, (0.0, 0.0)),
+    "loglogistic": ((0.0, -0.5), (-1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+def test_kernels_at_the_ends_of_the_range(spec):
+    at_zero, at_inf = _SCORE_EDGES[spec.label()]
+    for fn, want in zip((gen.r, gen.dr), at_inf):
+        assert fn(spec, math.inf) == pytest.approx(want, rel=1e-15, abs=0.0)
+    if at_zero is None:
+        for fn in (gen.r, gen.dr):
+            with pytest.raises(DomainError, match="singular"):
+                fn(spec, 0.0)
+            with pytest.raises(DomainError, match="singular"):
+                fn(spec, np.array([1.0, 0.0]))
+    else:
+        for fn, want in zip((gen.r, gen.dr), at_zero):
+            assert fn(spec, 0.0) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert gen.radial_sf(spec, 0.0) == 1.0 and gen.radial_sf(spec, math.inf) == 0.0
+    assert gen.g(spec, math.inf) == 0.0
+
+
+# both sides of logslash's switches (1e-5 for g, max(1, s/2) for r and r'),
+# the subnormals and the top of the doubles
+_GRID = [5e-324, 1e-300, 1e-8, 1e-5, 0.3, 1.0, 1.25, 1.5, 7.75, 30.0, 1e3, 1e6, 1e124, 1e300,
+         math.inf]
+
+
+@pytest.mark.parametrize("fn", [gen.r, gen.dr, gen.g, gen.radial_sf], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "spec", SPECS + [make_generator("logpexp", xi=-0.9)], ids=lambda s: s.label()
+)
+def test_float_and_array_calls_agree(spec, fn):
+    # one expression serves a float and an array: a float, a 0-d array and a
+    # 1-element array give the bits of that point's element of a vector.
+    # Near the subnormals loglaplace's r overflows and its r' is inf - inf,
+    # a fault of the kernel that this test does not judge; the bits agree
+    # there as well
+    regular = fn not in (gen.r, gen.dr) or _SCORE_EDGES.get(spec.label(), (0,))[0] is not None
+    xs = np.array(([0.0] if regular else []) + _GRID)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = fn(spec, xs)
+        for x, want in zip(xs, ref):
+            for arg in (float(x), np.float64(x), np.array(x)):
+                got = fn(spec, arg)
+                assert type(got) is float and _same(got, want), (x, type(arg))
+            one = fn(spec, np.array([x]))
+            assert one.shape == (1,) and _same(one[0], want), x

@@ -75,6 +75,14 @@ def test_replication_seed_differs_across_masters():
     assert replication_seed(1, 0, 0, 0) != replication_seed(2, 0, 0, 0)
 
 
+def test_negative_or_fractional_master_seed_is_a_domain_error():
+    for seed in (-1, 1.5):
+        with pytest.raises(DomainError, match="seed"):
+            replication_seed(seed, 0, 0, 0)
+    with pytest.raises(DomainError, match="seed"):
+        run_study(MCConfig(LN, THETA, (25,), (0.0,), 2, -1))
+
+
 # ---------------------------------------------------------------- config
 
 def test_config_validation():

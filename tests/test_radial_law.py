@@ -210,6 +210,22 @@ def _mp_sf(spec, x):
     return y ** (1 - s) * mp.gammainc(s, 0, y) + mp.exp(-y)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [make_generator("loglaplace")] + [make_generator("logpexp", xi=xi) for xi in (-0.9, -0.5, 0.5)],
+    ids=lambda s: s.label(),
+)
+def test_radial_sf_matches_mpmath(spec):
+    # S = e^(log S) of the Halley tails. Rounding log S costs eps |log S| of
+    # S, so the check runs from S ~ 1 down to S = 1e-40
+    import mpmath as mp
+
+    x = np.concatenate([[1e-300, 1e-8], gen.radial_isf(spec, np.geomspace(1e-40, 0.999, 60))])
+    with mp.workdps(40):
+        want = [float(_mp_sf(spec, v)) for v in x]
+    np.testing.assert_allclose(gen.radial_sf(spec, x), want, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("spec", ITERATED + PEARSON_VII, ids=lambda s: s.label())
 def test_radial_isf_matches_mpmath_root(spec):
     import mpmath as mp
