@@ -250,17 +250,6 @@ class ModelRow:
     bic_rank: int
     best_aic: bool
 
-    def _extra_text(self) -> str:
-        p = self.fit.spec.params
-        parts = []
-        if p.nu is not None:
-            parts.append(f"nu={p.nu:g}")
-        if p.xi is not None:
-            parts.append(f"xi={p.xi:g}")
-        if p.theta is not None:
-            parts.append(f"theta={p.theta:g}")
-        return ",".join(parts)
-
 
 @dataclass(frozen=True)
 class ModelComparison:
@@ -280,7 +269,7 @@ class ModelComparison:
             for e, s in zip(est, se):
                 rec += [f"{e:.6g}", f"{s:.6g}"]
             rec += [
-                row._extra_text(),
+                row.fit.spec.param_text(),
                 f"{row.fit.log_lik:.6g}",
                 f"{row.fit.aic:.6g}",
                 f"{row.fit.bic:.6g}",
@@ -294,7 +283,7 @@ class ModelComparison:
                 {
                     "family": r.family.value,
                     "fit": r.fit.to_dict(),
-                    "extra": r._extra_text(),
+                    "extra": r.fit.spec.param_text(),
                     "aic_rank": r.aic_rank,
                     "bic_rank": r.bic_rank,
                     "best_aic": r.best_aic,

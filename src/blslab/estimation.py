@@ -322,18 +322,16 @@ def fit_mle(
     best = None
     for s0 in starts:
         phi, nll, ngrad, iterations = _minimize_from(_theta_to_phi(s0), spec, x)
-        gn = float(np.max(np.abs(ngrad))) / max(1.0, abs(nll))
-        ok = gn <= _GRAD_TOL and nll < 0.5 * _BAD_NLL
+        grad_norm = float(np.max(np.abs(ngrad))) / max(1.0, abs(nll))
+        converged = grad_norm <= _GRAD_TOL and nll < 0.5 * _BAD_NLL
         if best is None or nll < best[1]:
-            best = (phi, nll, ngrad, iterations, ok)
-        if ok:
+            best = (phi, nll, iterations, grad_norm, converged)
+        if converged:
             break
-    phi, nll, ngrad, iterations, ok = best
+    phi, nll, iterations, grad_norm, converged = best
 
     theta_hat = _phi_to_theta(phi)
     ll = -nll
-    grad_norm = float(np.max(np.abs(ngrad))) / max(1.0, abs(ll))
-    converged = grad_norm <= _GRAD_TOL and nll < 0.5 * _BAD_NLL
     aic = -2.0 * ll + 2.0 * 5
     bic = -2.0 * ll + 5 * math.log(n)
     result = FitResult(

@@ -4,15 +4,15 @@ Each family is a nonnegative density generator g(x) on [0, inf) together with
 its normalizing partition constant Z = pi * int_0^inf g(u) du, its score ratio
 r(x) = g'(x)/g(x) and that ratio's derivative r'(x), the survival function of
 its radial law pi g(x) / Z and that function's inverse, and optional extra
-parameters.  The eight families:
+parameters, whose accepted ranges _PARAM_RULES states.  The eight families:
 
     lognormal             g(x) = exp(-x/2)
-    logt(nu)              g(x) = (1 + x/nu)^(-(nu+2)/2),            nu > 0
-    logpvii(xi, theta)    g(x) = (1 + x/theta)^(-xi),               xi > 1, theta > 0
-    loghyperbolic(nu)     g(x) = exp(-nu sqrt(1+x)),                nu > 0
+    logt(nu)              g(x) = (1 + x/nu)^(-(nu+2)/2)
+    logpvii(xi, theta)    g(x) = (1 + x/theta)^(-xi)
+    loghyperbolic(nu)     g(x) = exp(-nu sqrt(1+x))
     loglaplace            g(x) = K0(sqrt(2x))
-    logslash(nu)          g(x) = x^(-(nu+1)/2) gamma((nu+1)/2, x/2), nu > 1
-    logpexp(xi)           g(x) = exp(-x^(1/(1+xi)) / 2),            -1 < xi <= 1
+    logslash(nu)          g(x) = x^(-(nu+1)/2) gamma((nu+1)/2, x/2)
+    logpexp(xi)           g(x) = exp(-x^(1/(1+xi)) / 2)
     loglogistic           g(x) = exp(-x) / (1 + exp(-x))^2
 
 logt(nu) is the Pearson VII generator logpvii(nu/2 + 1, nu); the two share one
@@ -63,6 +63,7 @@ integrate = specfun.LazyModule("scipy.integrate")
 special = specfun.LazyModule("scipy.special")
 
 _SLASH_SERIES_X = 1e-5  # below this, slash g and log_g switch to their series forms
+_X_MAX, _TINY = np.finfo(float).max, np.finfo(float).tiny
 _SQRT2 = math.sqrt(2.0)
 _LOG2 = math.log(2.0)
 
@@ -104,33 +105,38 @@ class GeneratorParams:
     theta: float | None = None
 
 
-# the extra parameters of each family, and their ranges lo < value <= hi;
-# every value must also be finite
+# Each family's extra parameters, in label order, and the range lo < value
+# <= hi a GeneratorSpec accepts. Past an end a kernel leaves the doubles or
+# its accuracy contract: logt r'(0) = (nu + 2) / (2 nu^2) and theta + x;
+# logpvii r'(0) = xi / theta^2 and Z; loghyperbolic Z (a normal double);
+# logslash s - 1 (0 at the double after 1) and gamma(s, x/2) near x = 1e-5
+# (0 from nu ~ 94); logpexp radial_sf's 1 - P(a, w), within 5 eps / a only
+# down to a = 1 + xi ~ 6e-4. A value must also be 0 or a normal double, or
+# logpexp's r' is 0 * inf at a subnormal xi and x.
 _PARAM_RULES = {
     GeneratorId.LOGNORMAL: {},
-    GeneratorId.STUDENT_T: {"nu": (0.0, math.inf)},
-    GeneratorId.PEARSON_VII: {"xi": (1.0, math.inf), "theta": (0.0, math.inf)},
-    GeneratorId.HYPERBOLIC: {"nu": (0.0, math.inf)},
+    GeneratorId.STUDENT_T: {"nu": (1e-154, 1e308)},
+    GeneratorId.PEARSON_VII: {"xi": (1.0, 1e100), "theta": (1e-100, 1e100)},
+    GeneratorId.HYPERBOLIC: {"nu": (1e-153, 700.0)},
     GeneratorId.LAPLACE: {},
-    GeneratorId.SLASH: {"nu": (1.0, math.inf)},
-    GeneratorId.POWER_EXP: {"xi": (-1.0, 1.0)},
+    GeneratorId.SLASH: {"nu": (1.0 + 1e-12, 90.0)},
+    GeneratorId.POWER_EXP: {"xi": (-0.9991, 1.0)},
     GeneratorId.LOGISTIC: {},
 }
 
 
 def _validate_params(gid: GeneratorId, p: GeneratorParams) -> None:
     used = _PARAM_RULES[gid]
-    for name in ("nu", "xi", "theta"):
-        val = getattr(p, name)
-        if name not in used and val is not None:
-            raise DomainError(f"{gid.value} takes no parameter {name!r}")
-        if name in used and val is None:
-            raise DomainError(f"{gid.value} requires parameter {name!r}")
+    given = [name for name in ("nu", "xi", "theta") if getattr(p, name) is not None]
+    if given != list(used):
+        raise DomainError(f"{gid.value} takes the parameters {list(used)}, got {given}")
     for name, (lo, hi) in used.items():
         val = getattr(p, name)
-        if not lo < val <= hi or math.isinf(val):
-            rule = f"finite {name} > {lo:g}" if hi == math.inf else f"{lo:g} < {name} <= {hi:g}"
-            raise DomainError(f"{gid.value} requires {rule}, got {val}")
+        if not lo < val <= hi or 0.0 < abs(val) < _TINY:
+            raise DomainError(
+                f"{gid.value} requires a finite, non-subnormal {name} "
+                f"in ({lo!r}, {hi!r}], got {val}"
+            )
 
 
 @dataclass(frozen=True)
@@ -152,12 +158,13 @@ class GeneratorSpec:
     def key(self) -> tuple:
         return (self.id.value, self.params.nu, self.params.xi, self.params.theta)
 
+    def param_text(self) -> str:
+        """The extra parameters as "name=value,..."; "" for a family without any."""
+        return ",".join(f"{n}={getattr(self.params, n):g}" for n in _PARAM_RULES[self.id])
+
     def label(self) -> str:
-        used = _PARAM_RULES[self.id]
-        if not used:
-            return self.id.value
-        inner = ",".join(f"{n}={getattr(self.params, n):g}" for n in used)
-        return f"{self.id.value}({inner})"
+        text = self.param_text()
+        return f"{self.id.value}({text})" if text else self.id.value
 
 
 def make_generator(
@@ -328,9 +335,12 @@ def dr(spec: GeneratorSpec, x):
         t = 1.0 / (1.0 + x)
         out = 0.25 * p.nu * t * np.sqrt(t)
     elif gid is GeneratorId.LAPLACE:
-        # g = K0(sqrt(2x)) solves 2x g'' + 2g' - g = 0
+        # g = K0(sqrt(2x)) solves 2x g'' + 2g' - g = 0; below x ~ 1e-155 the
+        # first term overflows first and r' ~ 1 / (2 x^2 log(1/x)) is +inf
         rx = _laplace_r(x)
-        out = (0.5 - rx) / x - rx * rx
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (0.5 - rx) / x - rx * rx
+        out = np.where(np.isnan(out), np.inf, out)
     elif gid is GeneratorId.SLASH:
         s, switch, xc, y, P, M, h = _slash_score_parts(p, x)
         dP = special.hyp1f1(2.0, s + 3.0, y) / ((s + 1.0) * (s + 2.0))
@@ -359,10 +369,11 @@ def dr(spec: GeneratorSpec, x):
 def _laplace_r(x):
     # r = -K1(u) / (u K0(u)), u = sqrt(2x), for x > 0. k0e and k1e both
     # vanish at u = inf, where r ~ -1/u is -0; u is held finite there so
-    # that the discarded quotient is not 0/0
+    # that the discarded quotient is not 0/0. r ~ -1 / (2x log(1/x)) is -inf at 5e-324
     u = np.sqrt(2.0 * x)
     uf = np.minimum(u, _X_MAX)
-    return np.where(u < np.inf, -special.k1e(uf) / (uf * special.k0e(uf)), -0.0)
+    with np.errstate(over="ignore"):
+        return np.where(u < np.inf, -special.k1e(uf) / (uf * special.k0e(uf)), -0.0)
 
 
 def _slash_score_parts(p: GeneratorParams, x):
@@ -614,8 +625,7 @@ def _halley_scale(spec: GeneratorSpec) -> float:
     return 1.0 + spec.params.xi if spec.id is GeneratorId.POWER_EXP else 1.0
 
 
-_X_MAX = np.finfo(float).max
-_LOG_X_LO, _LOG_X_HI = math.log(np.finfo(float).tiny), math.log(_X_MAX)
+_LOG_X_LO, _LOG_X_HI = math.log(_TINY), math.log(_X_MAX)
 _HALLEY_ACCEPT = 1e-4  # a Halley step this short leaves an error ~ step^3
 _CHUNK = 1 << 12
 _HERMITE_MIN = 1 << 12  # a call this large starts Halley from interpolated roots
@@ -705,7 +715,7 @@ def _halley(spec: GeneratorSpec, q, t, x, idx, k):
         f = sign * (log_p - target)  # > 0 below the root
         slope = -k * np.exp(log_xf - log_p)
         lo, hi = np.where(f > 0.0, t, lo), np.where(f < 0.0, t, hi)
-        step = f / np.minimum(slope, -np.finfo(float).tiny)
+        step = f / np.minimum(slope, -_TINY)
         c = 1.0 - 0.5 * step * (k * dl - sign * slope)
         step = step / np.where((0.5 < c) & (c < 2.0), c, 1.0)
         t_new = t - step

@@ -360,6 +360,26 @@ def test_comparison_tsv_layout(ln_ds):
     assert lines[1].split("\t")[0] == cmp.best().family.value
 
 
+def test_extra_column_is_the_label_parameter_text(ln_ds):
+    # the TSV and JSON extra column and the fit's spec label print the
+    # parameters through one formatter
+    cmp = compare_models(
+        ln_ds,
+        families=[GeneratorId.LOGNORMAL, GeneratorId.PEARSON_VII],
+        grids={GeneratorId.PEARSON_VII: [GeneratorParams(xi=2.5, theta=10.0)]},
+    )
+    lines = cmp.to_tsv().strip().split("\n")[1:]
+    recs = json.loads(cmp.to_json())["rows"]
+    col = COMPARISON_COLUMNS.index("extra")
+    texts = {}
+    for row, line, rec in zip(cmp.rows, lines, recs):
+        extra = line.split("\t")[col]
+        assert rec["extra"] == extra == row.fit.spec.param_text()
+        assert rec["fit"]["spec"] == (f"{row.family.value}({extra})" if extra else row.family.value)
+        texts[row.family] = extra
+    assert texts == {GeneratorId.LOGNORMAL: "", GeneratorId.PEARSON_VII: "xi=2.5,theta=10"}
+
+
 def test_comparison_json_roundtrip(ln_ds):
     cmp = compare_models(ln_ds, families=[GeneratorId.LOGNORMAL])
     doc = json.loads(cmp.to_json())

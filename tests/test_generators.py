@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from blslab import distribution as dist
 from blslab import generators as gen
+from blslab.cli import dispatch
 from blslab.datakit import compare_models, default_grid, synthetic_fixture
 from blslab.distribution import BLSParams
 from blslab.errors import DomainError
@@ -428,17 +429,142 @@ _GRID = [5e-324, 1e-300, 1e-8, 1e-5, 0.3, 1.0, 1.25, 1.5, 7.75, 30.0, 1e3, 1e6, 
 )
 def test_float_and_array_calls_agree(spec, fn):
     # one expression serves a float and an array: a float, a 0-d array and a
-    # 1-element array give the bits of that point's element of a vector.
-    # Near the subnormals loglaplace's r overflows and its r' is inf - inf,
-    # a fault of the kernel that this test does not judge; the bits agree
-    # there as well
+    # 1-element array give the bits of that point's element of a vector,
+    # without a RuntimeWarning (an error under the suite's filter)
     regular = fn not in (gen.r, gen.dr) or _SCORE_EDGES.get(spec.label(), (0,))[0] is not None
     xs = np.array(([0.0] if regular else []) + _GRID)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref = fn(spec, xs)
-        for x, want in zip(xs, ref):
-            for arg in (float(x), np.float64(x), np.array(x)):
-                got = fn(spec, arg)
-                assert type(got) is float and _same(got, want), (x, type(arg))
-            one = fn(spec, np.array([x]))
-            assert one.shape == (1,) and _same(one[0], want), x
+    ref = fn(spec, xs)
+    for x, want in zip(xs, ref):
+        for arg in (float(x), np.float64(x), np.array(x)):
+            got = fn(spec, arg)
+            assert type(got) is float and _same(got, want), (x, type(arg))
+        one = fn(spec, np.array([x]))
+        assert one.shape == (1,) and _same(one[0], want), x
+
+
+def test_loglaplace_score_limits_near_the_subnormals():
+    # r ~ -1 / (2x log(1/x)) and r' ~ 1 / (2x^2 log(1/x)) leave the doubles
+    # as x -> 0: r is -inf at the smallest subnormal, r' is +inf from x ~
+    # 1e-155, quietly, and a float and an array agree
+    spec = make_generator("loglaplace")
+    xs = [5e-324, 1e-310, 1e-300, 1e-200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r, d = gen.r(spec, np.array(xs)), gen.dr(spec, np.array(xs))
+        for i, x in enumerate(xs):
+            assert _same(gen.r(spec, x), r[i]) and _same(gen.dr(spec, x), d[i])
+    assert r[0] == -math.inf and np.all(np.isfinite(r[1:])) and np.all(r[1:] < -1e197)
+    assert np.all(d == math.inf)
+    # the same expression where r' is a double
+    x = np.array([1e-100, 1e-5, 1.0])
+    rx = gen.r(spec, x)
+    assert _same(gen.dr(spec, x), (0.5 - rx) / x - rx * rx)
+
+
+def _accepted(lo, hi):
+    """Values a parameter rule lo < v <= hi accepts: its two ends (the double
+    just inside an open lower end) and values between, log-uniform where
+    the range spans many decades."""
+    ends = st.sampled_from([float(np.nextafter(lo, math.inf)), hi])
+    if lo > 0.0 and hi > 1e6 * lo:
+        inner = st.floats(math.log(lo), math.log(hi)).map(lambda t: min(math.exp(t), hi))
+    else:
+        inner = st.floats(lo, hi, exclude_min=True, allow_subnormal=False)
+    return st.one_of(ends, inner.filter(lambda v: lo < v <= hi))
+
+
+ACCEPTED_SPECS = st.one_of(
+    [
+        st.fixed_dictionaries({n: _accepted(lo, hi) for n, (lo, hi) in rules.items()}).map(
+            lambda kw, gid=gid: make_generator(gid, **kw)
+        )
+        for gid, rules in gen._PARAM_RULES.items()
+    ]
+)
+# x: the ends of [0, inf] and the subnormals at every example, and drawn
+# log-uniform values up to 1e300
+_EDGE_X = [0.0, 5e-324, 1e-310, 1e-300, 1e300, math.inf]
+KERNEL_X = st.floats(math.log(5e-324), math.log(1e300)).map(math.exp)
+_WIDE = 1e-3  # sigma1 of the joint_pdf check, so that e^(sigma1 sqrt(x)) spans many x
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    ACCEPTED_SPECS,
+    st.lists(KERNEL_X, max_size=6),
+    st.floats(math.log(1e-300), 0.0).map(math.exp),
+)
+def test_every_kernel_is_finite_or_its_limit_across_the_accepted_ranges(spec, xs, q):
+    # a float and a 1-element array give the same bits, never NaN and never a
+    # RuntimeWarning; log g is +inf only at loglaplace's x = 0, and the
+    # ratios raise DomainError only where they are singular at x = 0
+    singular = spec.id in (GeneratorId.LAPLACE, GeneratorId.SLASH) or (
+        spec.id is GeneratorId.POWER_EXP and spec.params.xi > 0.0
+    )
+    theta = BLSParams(1.0, 1.0, _WIDE, 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert 0.0 < gen.partition_closed(spec) < math.inf
+        for x in _EDGE_X + xs:
+            for fn in (gen.log_g, gen.g, gen.r, gen.dr, gen.radial_sf):
+                if fn in (gen.r, gen.dr) and singular and x == 0.0:
+                    with pytest.raises(DomainError, match="singular"):
+                        fn(spec, x)
+                    continue
+                got, arr = fn(spec, x), fn(spec, np.array([x]))
+                assert not math.isnan(got) and _same(got, arr[0]), (fn.__name__, x, got, arr)
+                if fn is gen.log_g and got == math.inf:
+                    assert spec.id is GeneratorId.LAPLACE and x == 0.0
+                if fn is gen.radial_sf:
+                    assert 0.0 <= got <= 1.0
+            if x <= 1e11:  # t1 = e^(sigma1 sqrt(x)) is a double
+                pdf = dist.joint_pdf(theta, spec, math.exp(_WIDE * math.sqrt(x)), 1.0)
+                assert 0.0 <= pdf < math.inf or (pdf == math.inf and spec.id is GeneratorId.LAPLACE)
+        try:
+            root = gen.radial_isf(spec, q)
+        except DomainError:
+            pass  # the quantile is past the doubles
+        else:
+            assert 0.0 <= root < math.inf
+
+
+_TINY = float(np.finfo(float).tiny)
+
+
+def _up(v):
+    return float(np.nextafter(v, math.inf))
+
+
+def _down(v):
+    return float(np.nextafter(v, -math.inf))
+
+
+# each end of _PARAM_RULES: the last value accepted and the first past it
+_ENDS = [
+    ("logt", {"nu": _up(1e-154)}, {"nu": 1e-154}),
+    ("logt", {"nu": 1e308}, {"nu": _up(1e308)}),
+    ("logpvii", {"xi": 1e100, "theta": 1.0}, {"xi": _up(1e100), "theta": 1.0}),
+    ("logpvii", {"xi": 2.0, "theta": _up(1e-100)}, {"xi": 2.0, "theta": 1e-100}),
+    ("logpvii", {"xi": 2.0, "theta": 1e100}, {"xi": 2.0, "theta": _up(1e100)}),
+    ("loghyperbolic", {"nu": _up(1e-153)}, {"nu": 1e-153}),
+    ("loghyperbolic", {"nu": 700.0}, {"nu": _up(700.0)}),
+    ("logslash", {"nu": _up(1.0 + 1e-12)}, {"nu": 1.0 + 1e-12}),
+    ("logslash", {"nu": 90.0}, {"nu": _up(90.0)}),
+    ("logpexp", {"xi": _up(-0.9991)}, {"xi": -0.9991}),
+    # 0 and the normal doubles are accepted, the subnormals are not
+    ("logpexp", {"xi": _TINY}, {"xi": _down(_TINY)}),
+    ("logpexp", {"xi": -_TINY}, {"xi": -5e-324}),
+]
+
+
+@pytest.mark.parametrize("family, last, past", _ENDS, ids=lambda v: str(v))
+def test_each_end_accepts_the_last_value_and_rejects_the_next(family, last, past, capsys):
+    spec = make_generator(family, **last)
+    assert all(getattr(spec.params, n) == v for n, v in last.items())
+    with pytest.raises(DomainError, match="finite, non-subnormal"):
+        make_generator(family, **past)
+    flags = {"nu": "--nu", "xi": "--xi", "theta": "--theta-gen"}
+    argv = ["eval", "--model", family, "--theta", "1,2,0.5,0.3,0.4", "--pdf", "1,2"]
+    argv += [f"{flags[name]}={val!r}" for name, val in past.items()]
+    assert dispatch(argv) == 1
+    assert "requires a finite, non-subnormal" in capsys.readouterr().err

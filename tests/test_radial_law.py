@@ -39,7 +39,7 @@ SPECS = st.one_of(
         lambda xi, th: make_generator("logpvii", xi=xi, theta=th),
         _pos(1.01, 20.0), _pos(0.1, 100.0),
     ),
-    st.builds(lambda nu: make_generator("loghyperbolic", nu=nu), _pos(0.01, 1000.0)),
+    st.builds(lambda nu: make_generator("loghyperbolic", nu=nu), _pos(0.01, 700.0)),
     st.just(make_generator("loglaplace")),
     st.builds(lambda nu: make_generator("logslash", nu=nu), _pos(1.01, 50.0)),
     st.builds(lambda xi: make_generator("logpexp", xi=xi), _pos(-0.999, 1.0)),
