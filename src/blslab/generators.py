@@ -491,6 +491,8 @@ def radial_isf(spec: GeneratorSpec, q):
             x = theta * np.expm1(y)
             big = np.isinf(x)  # for theta < 1, expm1 overflows first
             x[big] = np.exp(y[big] + math.log(theta))
+            tiny = y < _TINY  # a subnormal y (logt, nu > ~1e292) lost bits: x = theta y
+            x[tiny] = (theta / xm1) * -np.log(q[tiny])
         elif gid is GeneratorId.LOGISTIC:
             x = np.log1p(2.0 * (1.0 - q) / q)
         else:
