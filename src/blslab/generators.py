@@ -289,8 +289,8 @@ def r(spec: GeneratorSpec, x):
     A float (or any 0-d input) gives a float, an array gives an array.
     Domain error at x = 0 for the families whose ratio is singular there
     (loglaplace, logslash, logpexp with xi > 0), and for x < 0 or NaN.
-    logpexp with xi < 0 gives -inf where r falls below the double range
-    (x ~ 1e300 at xi = -0.9), as its limit at +inf is.
+    -inf where r falls below the double range: logpexp with xi < 0 at x ~
+    1e300 (xi = -0.9), as its limit at +inf is, and loglaplace at 5e-324.
     """
     x = _score_arg(spec, x)
     gid, p = spec.id, spec.params
@@ -320,8 +320,8 @@ def dr(spec: GeneratorSpec, x):
     """Derivative r'(x) of the score ratio, in closed form for every family.
 
     A float (or any 0-d input) gives a float, an array gives an array.
-    Singular at x = 0 where r is (same DomainError); finite or -0 at +inf,
-    except for logpexp with xi < -1/2, whose r' tends to -inf.
+    Singular at x = 0 where r is (same DomainError), and +inf near it where
+    r' leaves the doubles; finite or -0 at +inf but for logpexp, xi < -1/2: -inf.
     """
     x = _score_arg(spec, x)
     gid, p = spec.id, spec.params
