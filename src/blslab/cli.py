@@ -7,8 +7,8 @@ Every file-writing run drops a manifest (<out>.manifest.json) next to its
 output recording the subcommand, the argv, the resolved flags, the seed, the
 library version, and the wall-clock duration; replaying the recorded argv
 reproduces the output bit-identically for the deterministic subcommands.
-Worker counts (--threads, or the BLSLAB_THREADS environment variable) never
-change any output, only how fast simulate runs; compare runs on one thread.
+Worker counts (simulate --threads, or the BLSLAB_THREADS environment
+variable) never change any output, only how fast simulate runs.
 """
 
 from __future__ import annotations
@@ -344,7 +344,7 @@ def _cmd_compare(ns, argv, t0):
             families = [_family_arg(f) for f in families]
         except argparse.ArgumentTypeError as e:
             raise _UsageError(f"compare: {e}") from None
-    cmp = compare_models(ds, families=families, workers=_threads(ns))
+    cmp = compare_models(ds, families=families)
     as_json = ns.out is not None and str(ns.out).endswith(".json")
     text = cmp.to_json(indent=2) + "\n" if as_json else cmp.to_tsv()
     _emit(text, ns.out, ns, argv, t0)
@@ -450,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=lambda s: tuple(s.split(",")),
         help="comma-separated family names (default: all eight)",
     )
-    p.add_argument("--threads", type=_positive_int, help="accepted for compatibility; changes nothing")
     p.add_argument(
         "--out",
         help="output path; .json extension selects JSON, anything else TSV (stdout TSV if omitted)",

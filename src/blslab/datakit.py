@@ -311,13 +311,11 @@ def compare_models(
     ds: Dataset,
     families: list[GeneratorId] | None = None,
     grids: dict[GeneratorId, list[GeneratorParams]] | None = None,
-    workers: int = 1,
 ) -> ModelComparison:
     """Fit every requested family and rank the results by AIC and BIC.
 
     Families whose fit fails are recorded and the comparison proceeds with
-    the survivors. AIC ties break by family enumeration order. workers is
-    accepted for compatibility and changes nothing.
+    the survivors. AIC ties break by family enumeration order.
     """
     if families is None:
         families = list(GeneratorId)

@@ -12,8 +12,9 @@ zti = (log ti - log etai) / sigmai, and Z the family partition constant.
 
 The squared Mahalanobis radius xq follows the radial law with density
 pi g(x) / Z. Its closed survival function S (``generators.radial_sf``) and
-inverse carry the radial CDF and quantile and the sampler; the joint and
-marginal CDFs are one angle integral of S over the rays, with no truncation.
+inverse carry the radial CDF and quantile, ``generators.radial_draw`` the
+sampler; the joint and marginal CDFs are one angle integral of S over the
+rays, with no truncation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from . import specfun
 from .errors import (
     DomainError,
     IntegrationError,
-    RootFindingError,
     ZeroProbabilityError,
 )
 from .generators import GeneratorId, GeneratorSpec
@@ -207,8 +207,11 @@ def mahalanobis_quantile(spec: GeneratorSpec, p: float) -> float:
 def sample(theta: BLSParams, spec: GeneratorSpec, n: int, seed) -> np.ndarray:
     """Draw n pairs; returns an (n, 2) array of strictly positive values.
 
-    Deterministic given seed: exactly two uniforms are consumed per draw
-    (radial probability, angle), independent of any worker configuration.
+    Deterministic given seed: it first takes n pairs of uniforms (radial
+    tail probability, angle); loghyperbolic, loglaplace, logslash and
+    logpexp then take the rest of their radial draws from the same stream
+    (see generators.radial_draw). DomainError where a radial draw exceeds
+    the double range.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"sample size must be a positive integer, got {n}")
@@ -217,7 +220,7 @@ def sample(theta: BLSParams, spec: GeneratorSpec, n: int, seed) -> np.ndarray:
     except (TypeError, ValueError) as exc:  # a negative or non-integer seed
         raise DomainError(f"invalid seed {seed!r}: {exc}") from None
     u = rng.random((int(n), 2))
-    d2 = gen.radial_isf(spec, 1.0 - u[:, 0])  # tail probability in (0, 1]
+    d2 = gen.radial_draw(spec, 1.0 - u[:, 0], rng)  # tail probability in (0, 1]
     rad = np.sqrt(d2)
     ang = 2.0 * math.pi * u[:, 1]
     z1 = rad * np.cos(ang)
@@ -352,25 +355,23 @@ def marginal_quantile(
     sigma = theta.sigma1 if component == 1 else theta.sigma2
     if p == 0.5:
         return eta
-    q = abs(p - 0.5)
+    tail, side = min(p, 1.0 - p), -1.0 if p < 0.5 else 1.0  # 1 - p is exact for p > 1/2
 
-    def f(zv):  # P(0 < Z <= zv) - q
-        return marginal_cdf_z(spec, zv) - 0.5 - q
+    def quantile(zv):  # eta e^(sigma z) at z = side zv, or raise beyond the doubles
+        s = side * sigma * zv
+        t = eta * math.exp(s) if s <= gen._LOG_X_HI else math.inf
+        if not 0.0 < t < math.inf:
+            raise DomainError(f"{spec.label()}: quantile at p={p} is beyond the double range")
+        return t
+
+    def f(zv):  # P(Z <= -zv) - tail, decreasing in zv
+        return marginal_cdf_z(spec, -zv) - tail
 
     hi = 1.0
-    for _ in range(60):
-        if f(hi) >= 0.0:
-            break
+    while f(hi) > 0.0:
+        quantile(hi)  # the root lies beyond hi
         hi *= 2.0
-    else:  # pragma: no cover
-        raise RootFindingError(f"failed to bracket marginal quantile at p={p}")
-    zq = optimize.brentq(f, 0.0, hi, xtol=1e-11, rtol=1e-15)
-    if p < 0.5:
-        zq = -zq
-    t = eta * math.exp(sigma * zq) if sigma * zq <= gen._LOG_X_HI else math.inf
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"{spec.label()}: quantile at p={p} is beyond the double range")
-    return t
+    return quantile(optimize.brentq(f, 0.0, hi, xtol=1e-11, rtol=1e-15))
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,14 @@ sigma sqrt(theta / (2 xi - 2)), and a profile over theta at fixed xi is flat.
 Every radial survival function S is closed. Its inverse is closed for
 lognormal, logt, logpvii and loglogistic; for loghyperbolic, loglaplace,
 logslash and logpexp it takes safeguarded Halley steps on log S, and S is
-e^(log S) of the same tail evaluation. A large call
-starts those steps from a cubic Hermite interpolant of the inverse through a
-few roots of its own, so that a point costs about one evaluation of S.
+e^(log S) of the same tail evaluation. Those four families draw the radial
+law from an exact product of standard draws instead of the inverse.
 
 The enum values double as the CLI family names.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -54,6 +52,7 @@ __all__ = [
     "partition_closed",
     "radial_sf",
     "radial_isf",
+    "radial_draw",
     "partition_numeric",
     "characteristic_generator",
     "FAMILY_NAMES",
@@ -470,10 +469,9 @@ def radial_isf(spec: GeneratorSpec, q):
 
     Closed for lognormal, logt, logpvii and loglogistic. loghyperbolic,
     loglaplace, logslash and logpexp invert S by Halley steps (see
-    _radial_isf_newton), from a closed start on a call of fewer than 4096
-    points and from one interpolated between roots of the call itself on a
-    larger call; either way each root is within 1e-12 relative of the exact
-    one. DomainError where x exceeds the double range.
+    _radial_isf_newton), each root within 1e-12 relative of the exact one
+    and independent of the other points of the call. DomainError where x
+    exceeds the double range.
     """
     scalar = np.ndim(q) == 0
     qa = np.atleast_1d(np.asarray(q, dtype=float))
@@ -504,6 +502,44 @@ def radial_isf(spec: GeneratorSpec, q):
         )
     out[inner] = x
     return out.item() if scalar else out
+
+
+def radial_draw(spec: GeneratorSpec, q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draws of the radial law, one for each uniform q in (0, 1] of a 1-d q.
+
+    lognormal, logt, logpvii and loglogistic return radial_isf(spec, q) and
+    take nothing from rng. The other four are normal scale mixtures (Andrews
+    & Mallows 1974): each draw is an exact product of standard draws
+    (Devroye 1986), with E = -log q as one Exp(1) and the rest taken from
+    rng, n values at a time in the order listed:
+
+        loglaplace          X = 2 E E',  E' ~ Exp(1)
+        logslash(nu)        X = 2 E' q^(-2/(nu - 1)),  E' ~ Exp(1)
+        loghyperbolic(nu)   X = (t/nu)(2 + t/nu), t = E plus E' ~ Exp(1)
+                            where a uniform falls below 1/(nu + 1)
+        logpexp(xi)         X = (2G)^a q,  a = 1 + xi, G ~ Gamma(a + 1)
+
+    DomainError where a draw exceeds the double range.
+    """
+    gid, p, n = spec.id, spec.params, q.size
+    if gid in _PEARSON_VII or gid in (GeneratorId.LOGNORMAL, GeneratorId.LOGISTIC):
+        return radial_isf(spec, q)
+    e = -np.log(q)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        if gid is GeneratorId.LAPLACE:
+            x = 2.0 * e * rng.standard_exponential(n)
+        elif gid is GeneratorId.SLASH:
+            x = 2.0 * rng.standard_exponential(n) * np.power(q, -2.0 / (p.nu - 1.0))
+        elif gid is GeneratorId.HYPERBOLIC:
+            e2, coin = rng.standard_exponential(n), rng.random(n)
+            d = (e + np.where(coin < 1.0 / (p.nu + 1.0), e2, 0.0)) / p.nu
+            x = d * (2.0 + d)
+        else:  # logpexp: w = x^(1/a) / 2 ~ Gamma(a) is G times a Beta(a, 1)
+            a = 1.0 + p.xi
+            x = np.exp(a * np.log(2.0 * rng.standard_gamma(a + 1.0, n)) - e)
+    if np.any(np.isinf(x)):
+        raise DomainError(f"{spec.label()}: a radial draw exceeds the double range")
+    return x
 
 
 def _isf_start(spec: GeneratorSpec, q: np.ndarray) -> np.ndarray:
@@ -630,8 +666,6 @@ def _halley_scale(spec: GeneratorSpec) -> float:
 _LOG_X_LO, _LOG_X_HI = math.log(_TINY), math.log(_X_MAX)
 _HALLEY_ACCEPT = 1e-4  # a Halley step this short leaves an error ~ step^3
 _CHUNK = 1 << 12
-_HERMITE_MIN = 1 << 12  # a call this large starts Halley from interpolated roots
-_HERMITE_NODES = 128
 
 
 def _radial_isf_newton(spec: GeneratorSpec, q: np.ndarray):
@@ -649,59 +683,19 @@ def _radial_isf_newton(spec: GeneratorSpec, q: np.ndarray):
     about 1 ulp while the slope can tend to 0), when its step is <= 1e-12, or
     when a step inside the bracket is <= 1e-4: Halley's error after such a
     step is O(step^3), so t - step is accepted without another evaluation.
-    Roots beyond the double range are +inf. It works through q in chunks of
-    _CHUNK points, so its temporaries stay small whatever the size of q.
-
-    A call of fewer than _HERMITE_MIN live points starts each from the
-    closed guess of _isf_start: 2-3 evaluations of the tails a point. A
-    larger one first solves _HERMITE_NODES roots that way, at nodes spread
-    evenly in u = log(-log q) over the call's own range, and starts every
-    point from the cubic Hermite interpolant of t in u through them, with
-    slopes dt/du = S (-log S) / (k x f(x)) (Hormann & Leydold, ACM TOMACS
-    13(4), 2003). That start is mostly within 1e-7 of the root (up to ~1e-4
-    in logslash's power tail), so the first step is accepted: about one
-    evaluation a point, nodes included. The nodes live and die in the call.
+    Each point starts from the closed guess of _isf_start and takes 2-3
+    evaluations of the tails. Roots beyond the double range are +inf. It
+    works through q in chunks of _CHUNK points, so its temporaries stay
+    small whatever the size of q.
     """
     k = _halley_scale(spec)
     x = np.full_like(q, np.inf)
     live = q >= radial_sf(spec, _X_MAX)
-    if np.count_nonzero(live) < _HERMITE_MIN:
-        start = functools.partial(_isf_start, spec)
-    else:
-        start = _hermite_start(spec, q[live], k)
     for i in range(0, q.size, _CHUNK):
         idx = np.nonzero(live[i : i + _CHUNK])[0]
-        t = np.clip(start(q[i + idx]), _LOG_X_LO / k, _LOG_X_HI / k)
+        t = np.clip(_isf_start(spec, q[i + idx]), _LOG_X_LO / k, _LOG_X_HI / k)
         _halley(spec, q[i + idx], t, x[i : i + _CHUNK], idx, k)  # x[...] is a view
     return x
-
-
-def _hermite_start(spec: GeneratorSpec, q: np.ndarray, k: float):
-    """The interpolated start of _radial_isf_newton, as a function of q."""
-    u = np.log(-np.log(q))
-    lo, hi = u.min(), u.max()
-    if not hi > lo:
-        return functools.partial(_isf_start, spec)
-    un = np.linspace(lo, hi, _HERMITE_NODES)
-    qn = np.clip(np.exp(-np.exp(un)), q.min(), q.max())
-    xn = _radial_isf_newton(spec, qn)
-    du = np.log(-np.log(qn))  # the nodes' own u: qn rounds (by ~1 near q = 1)
-    dn = np.exp(np.log(qn) + du - _radial_log_tails(spec, xn)[2]) / k
-    tn = np.log(xn) / k + (un - du) * dn  # back onto the even grid, to first order
-    h = (hi - lo) / (_HERMITE_NODES - 1)
-
-    def interpolate(q):
-        v = (np.log(-np.log(q)) - lo) / h
-        j = np.clip(v.astype(np.intp), 0, _HERMITE_NODES - 2)
-        s = v - j
-        r = 1.0 - s
-        return (
-            (1.0 + 2.0 * s) * r * r * tn[j]
-            + s * s * (3.0 - 2.0 * s) * tn[j + 1]
-            + s * r * h * (r * dn[j] - s * dn[j + 1])
-        )
-
-    return interpolate
 
 
 def _halley(spec: GeneratorSpec, q, t, x, idx, k):

@@ -7,7 +7,6 @@ import pytest
 
 import blslab.datakit as dk
 import blslab.estimation as est
-from blslab import generators as gen
 from blslab.datakit import (
     COMPARISON_COLUMNS,
     FIXTURE_SEED,
@@ -241,15 +240,6 @@ def test_grid_override_is_honored(ln_ds):
     assert cmp.best().fit.spec.params.nu == 7.0
 
 
-def test_workers_do_not_change_results(ln_ds):
-    fams = [GeneratorId.LOGNORMAL, GeneratorId.LOGISTIC, GeneratorId.LAPLACE]
-    a = compare_models(ln_ds, families=fams)
-    b = compare_models(ln_ds, families=fams, workers=3)
-    assert [(r.family, r.fit.aic) for r in a.rows] == [
-        (r.family, r.fit.aic) for r in b.rows
-    ]
-
-
 def test_heavy_tailed_sample_prefers_its_own_family():
     # generate from the Bessel-K0 family and let it compete against a light
     # grid of rivals; the generating family should top the AIC table on a
@@ -428,19 +418,15 @@ def test_qq_large_sample_tracks_identity():
     assert np.corrcoef(theo, emp)[0, 1] > 0.99
 
 
-@pytest.mark.parametrize("n", [50, gen._HERMITE_MIN + 100])
+@pytest.mark.parametrize("n", [50, 4096 + 100])
 def test_qq_theoretical_equals_scalar_quantiles(ln_fit, n):
-    # one vectorized radial_isf call: bit for bit the scalar quantiles on a
-    # call below the interpolated-start threshold, within 1e-12 above it
+    # one vectorized radial_isf call: bit for bit the scalar quantiles
     spec = make_generator("loglaplace")
     fit = dataclasses.replace(ln_fit, spec=spec)
     pairs = sample(fit.theta_hat, spec, n, seed=11)
     theo = np.array(qq_mahalanobis(pairs, fit).theoretical)
     scalar = np.array([mahalanobis_quantile(spec, (i - 0.5) / n) for i in range(1, n + 1)])
-    if n < gen._HERMITE_MIN:
-        assert np.array_equal(theo, scalar)
-    else:
-        assert np.allclose(theo, scalar, rtol=1e-12, atol=0.0)
+    assert np.array_equal(theo, scalar)
 
 
 def test_qq_single_pair(ln_fit):

@@ -89,13 +89,40 @@ def test_marginal_quantile_domain():
         dist.marginal_quantile(THETA, LN, 1, 1.0)
 
 
-@pytest.mark.parametrize("nu, p", [(0.5, 0.999), (0.05, 0.9), (0.5, 0.001), (0.05, 0.1)])
+@pytest.mark.parametrize(
+    "nu, p", [(0.5, 0.999), (0.05, 0.9), (0.5, 0.001), (0.05, 0.1), (4.0, 1e-16), (4.0, 1e-300)]
+)
 def test_marginal_quantile_beyond_double_range_is_domain_error(nu, p):
     # e^(sigma z) overflows (math.exp raised OverflowError) or underflows to
-    # 0, outside the support; radial_isf raises DomainError there too
+    # 0, outside the support; radial_isf raises DomainError there too. The
+    # bracket search stops there, long before logt(4)'s root near z ~ 1e75
+    # at p = 1e-300
     th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
     with pytest.raises(DomainError, match="beyond the double range"):
         dist.marginal_quantile(th, make_generator("logt", nu=nu), 1, p)
+
+
+def _t4_ppf(p):
+    # the closed Student-t(4) quantile: with a = 4p(1 - p) and
+    # c = cos(arccos(sqrt a) / 3) / sqrt a, t = sign(p - 1/2) 2 sqrt(c - 1)
+    a = 4.0 * p * (1.0 - p)
+    c = math.cos(math.acos(math.sqrt(a)) / 3.0) / math.sqrt(a)
+    return math.copysign(2.0 * math.sqrt(c - 1.0), p - 0.5)
+
+
+@pytest.mark.parametrize("p", [1e-16, 1e-12, 1e-8, 0.01, 0.3, 0.7, 0.99, 1 - 1e-8, 1 - 1e-12])
+def test_marginal_quantile_tails_match_closed_quantiles(p):
+    # the lower tail is solved as P(Z <= -z) = min(p, 1 - p) itself, which
+    # p - 1/2 rounded away (lognormal was 0.063 off at p = 1e-16)
+    from scipy.special import ndtri
+
+    th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+    z = ndtri(p) if p < 0.5 else -ndtri(1.0 - p)  # 1 - p is exact for p > 1/2
+    want = 2.0 * math.exp(0.3 * z)
+    assert dist.marginal_quantile(th, LN, 2, p) == pytest.approx(want, rel=1e-10)
+    if p > 1e-16:  # logt(4) leaves the doubles there (the test above)
+        want = 2.0 * math.exp(0.3 * _t4_ppf(p))
+        assert dist.marginal_quantile(th, LT4, 2, p) == pytest.approx(want, rel=1e-10)
 
 
 SMALL_Z = [1e-7, -1e-7, 1e-4, -1e-4, 0.01, -0.01]

@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 
 from blslab import distribution as dist
+from blslab import generators as gen
 from blslab.distribution import BLSParams
 from blslab.errors import DomainError
 from blslab.generators import make_generator
@@ -145,3 +146,32 @@ def test_slash_radial_band_counts():
     chi2 = np.sum((counts - expected) ** 2 / expected)
     pval = stats.chi2.sf(chi2, df=20 - 1)
     assert pval > 0.005
+
+
+@pytest.mark.parametrize(
+    "spec, sigma",
+    [
+        (make_generator("loglaplace"), 0.5),
+        # X ~ 1e300 and logslash's power tail: a small sigma keeps e^(sigma z) finite
+        (make_generator("loghyperbolic", nu=1e-150), 1e-152),
+        (make_generator("loghyperbolic", nu=2.0), 0.5),
+        (make_generator("loghyperbolic", nu=700.0), 0.5),
+        (make_generator("logslash", nu=1.5), 1e-10),
+        (make_generator("logslash", nu=90.0), 0.5),
+        (make_generator("logpexp", xi=-0.999), 0.5),
+        (make_generator("logpexp", xi=0.5), 0.5),
+        (make_generator("logpexp", xi=1.0), 0.5),
+    ],
+    ids=lambda v: v.label() if hasattr(v, "label") else f"sigma={v:g}",
+)
+def test_representation_draws_follow_the_radial_law(spec, sigma):
+    # the four families drawn as products of standard draws, not through
+    # radial_isf: KS of the sampled Mahalanobis radius against 1 - S
+    th = BLSParams(1.0, 2.0, sigma, sigma, 0.4)
+    n = 400_000
+    x = dist.sample(th, spec, n, seed=20261019)
+    d2 = np.sort(dist.mahalanobis_sq(th, x[:, 0], x[:, 1]))
+    cdf = 1.0 - gen.radial_sf(spec, d2)
+    i = np.arange(1, n + 1)
+    ks = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
+    assert ks <= stats.kstwo.isf(1e-3, n)

@@ -237,11 +237,11 @@ def test_radial_isf_matches_mpmath_root(spec):
         [10.0 ** -np.arange(300.0, 0.0, -15.0), [0.05, 0.3, 0.5, 0.7, 0.9, 0.99]]
         + [[1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12], [edge] if edge > 0.0 else []]
     )
-    # each q alone, and all of them in one call large enough to start from
-    # the interpolated roots (padded with uniform q in the same range)
+    # each q alone, and all of them in one large call (padded with uniform
+    # q in the same range)
     scalar = _isf(spec, qa)
     qs = qa[np.isfinite(scalar)]
-    pad = np.random.default_rng(5).uniform(qs.min(), 1.0, gen._HERMITE_MIN)
+    pad = np.random.default_rng(5).uniform(qs.min(), 1.0, 4096)
     large = gen.radial_isf(spec, np.concatenate([qs, pad]))[: qs.size]
     for x in (scalar[np.isfinite(scalar)], large):  # fail fast, before mpmath searches
         assert np.all(np.abs(gen.radial_sf(spec, x) / qs - 1.0) <= 1e-6)
@@ -310,12 +310,10 @@ FEW_EVALS = [
 def test_halley_isf_needs_few_tail_evaluations(spec, monkeypatch):
     # Newton took ~4.4 evaluations of the tails per point on uniform q;
     # Halley's steps from the closed start, with the short-step accept rule,
-    # take 2-3; from the interpolated start of a large call the first step
-    # is accepted, so a point costs one evaluation plus its share of the nodes
+    # take 2-3, in a small call as in a large one
     q = 1.0 - np.random.default_rng(7).random(10**4)
-    assert _tail_evaluations(spec, q, monkeypatch) <= 1.1
-    small = q[: gen._HERMITE_MIN - 1]
-    assert _tail_evaluations(spec, small, monkeypatch) <= 3.0
+    assert _tail_evaluations(spec, q, monkeypatch) <= 3.0
+    assert _tail_evaluations(spec, q[:4095], monkeypatch) <= 3.0
 
 
 @pytest.mark.parametrize("spec", ITERATED, ids=lambda s: s.label())
@@ -325,34 +323,34 @@ def test_large_call_roots_match_scalar_calls(spec):
     q = q[q > gen.radial_sf(spec, 1e300)]  # logslash(1.01) leaves the doubles early
     x = gen.radial_isf(spec, q)
     for i in range(0, q.size, 97):
-        assert abs(x[i] - gen.radial_isf(spec, float(q[i]))) <= 1e-12 * x[i], q[i]
+        assert x[i] == gen.radial_isf(spec, float(q[i])), q[i]
 
 
 _FRESH = """
 import sys, numpy as np
 from blslab import generators as gen
 from blslab.generators import make_generator
-q = 1.0 - np.random.default_rng(3).random(2 * gen._HERMITE_MIN + 5)
+q = 1.0 - np.random.default_rng(3).random(2 * 4096 + 5)
 specs = [make_generator(f, **kw) for f, kw in {specs!r}]
 np.save(sys.argv[1], np.stack([gen.radial_isf(s, q) for s in specs]))
 """
 
 
 def test_no_state_crosses_calls(tmp_path):
-    # the interpolation nodes live and die inside one call: repeating a call,
-    # or interleaving it with calls on other specs and sizes, gives the bits
+    # each root depends on its own q alone: repeating a call, or
+    # interleaving it with calls on other specs and sizes, gives the bits
     # of the same call in a fresh interpreter
-    q = 1.0 - np.random.default_rng(3).random(2 * gen._HERMITE_MIN + 5)
+    q = 1.0 - np.random.default_rng(3).random(2 * 4096 + 5)
     specs = ITERATED[1:4] + ITERATED[-2:]
     for s in specs:
-        gen.radial_isf(s, q[: gen._HERMITE_MIN + 7] ** 2)
+        gen.radial_isf(s, q[: 4096 + 7] ** 2)
     first = [gen.radial_isf(s, q) for s in specs]
     for s, x in zip(reversed(specs), reversed(first)):
         gen.radial_isf(s, q[::-3])
         gen.radial_isf(s, 0.25)
-        gen.radial_isf(s, q[: gen._HERMITE_MIN + 7] ** 3)
+        gen.radial_isf(s, q[: 4096 + 7] ** 3)
         assert np.array_equal(gen.radial_isf(s, q), x)
-    # a point's start depends on the call's range of q, not on its order
+    # nor on the order of the call
     assert np.array_equal(gen.radial_isf(specs[0], q[::-1]), first[0][::-1])
     args = [(s.id.value, {k: v for k, v in vars(s.params).items() if v is not None})
             for s in specs]
@@ -366,9 +364,9 @@ def test_no_state_crosses_calls(tmp_path):
 @settings(PROFILE, max_examples=100)
 @given(SPECS, st.lists(QS, min_size=1, max_size=16), st.integers(0, 2**32 - 1))
 def test_large_calls_are_monotone_and_invert_sf(spec, qs, seed):
-    # the interpolated start serves calls of _HERMITE_MIN points or more
+    # calls of 4096 points or more
     lo = gen.radial_sf(spec, 1e300)  # keep every root inside the doubles
-    u = np.random.default_rng(seed).random(gen._HERMITE_MIN)
+    u = np.random.default_rng(seed).random(4096)
     q = np.sort(np.concatenate([[v for v in qs if v > lo], lo + (1.0 - lo) * (1.0 - u)]))
     x = gen.radial_isf(spec, q)
     assert np.all(np.isfinite(x))
