@@ -7,8 +7,6 @@ Every file-writing run drops a manifest (<out>.manifest.json) next to its
 output recording the subcommand, the argv, the resolved flags, the seed, the
 library version, and the wall-clock duration; replaying the recorded argv
 reproduces the output bit-identically for the deterministic subcommands.
-Worker counts (simulate --threads, or the BLSLAB_THREADS environment
-variable) never change any output, only how fast simulate runs.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -140,19 +137,6 @@ def _seed_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"--seed must be an integer, got {text!r}") from None
     if v < 0:
         raise argparse.ArgumentTypeError("--seed must be non-negative")
-    return v
-
-
-def _threads(ns) -> int:
-    if ns.threads is not None:
-        return ns.threads
-    raw = os.environ.get("BLSLAB_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise _UsageError(f"BLSLAB_THREADS must be an integer, got {raw!r}") from None
-    if v < 1:
-        raise _UsageError(f"BLSLAB_THREADS must be positive, got {raw!r}")
     return v
 
 
@@ -316,7 +300,7 @@ def _cmd_simulate(ns, argv, t0):
         replications=ns.reps,
         master_seed=ns.seed,
     )
-    report = run_study(config, workers=_threads(ns))
+    report = run_study(config)
     _emit(report.to_tsv(), ns.out, ns, argv, t0)
 
 
@@ -427,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_floats_arg, required=True, help="correlation grid, comma-separated")
     p.add_argument("--reps", type=_positive_int, required=True, help="Monte Carlo replications per cell")
     p.add_argument("--seed", type=_seed_arg, default=0, help="master seed (default 0)")
-    p.add_argument("--threads", type=_positive_int, help="worker threads (default: BLSLAB_THREADS or 1)")
     p.add_argument("--out", help="output TSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_simulate)
 

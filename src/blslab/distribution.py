@@ -165,8 +165,17 @@ def joint_log_pdf(theta: BLSParams, spec: GeneratorSpec, t1, t2):
 
 
 def joint_pdf(theta: BLSParams, spec: GeneratorSpec, t1, t2):
-    """Joint density f(t1, t2); a float for two 0-d inputs, as joint_log_pdf."""
-    out = np.exp(joint_log_pdf(theta, spec, t1, t2))
+    """Joint density f(t1, t2); a float for two 0-d inputs, as joint_log_pdf.
+
+    +inf where the density is infinite (the loglaplace centre); DomainError
+    where a finite density exceeds the double range.
+    """
+    log_f = joint_log_pdf(theta, spec, t1, t2)
+    # the largest finite log density, in Python floats for a scalar call
+    top = log_f if isinstance(log_f, float) else np.max(log_f, where=log_f < np.inf, initial=-np.inf)
+    if gen._LOG_X_HI < top < math.inf:
+        raise DomainError(f"{spec.label()}: the joint density exceeds the double range")
+    out = np.exp(log_f)
     return out if isinstance(out, np.ndarray) else float(out)
 
 

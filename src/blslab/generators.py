@@ -21,10 +21,10 @@ unchanged, so logpvii(xi, theta) at scales sigma is logt(2 xi - 2) at scales
 sigma sqrt(theta / (2 xi - 2)), and a profile over theta at fixed xi is flat.
 
 Every radial survival function S is closed. Its inverse is closed for
-lognormal, logt, logpvii and loglogistic; for loghyperbolic, loglaplace,
-logslash and logpexp it takes safeguarded Halley steps on log S, and S is
-e^(log S) of the same tail evaluation. Those four families draw the radial
-law from an exact product of standard draws instead of the inverse.
+lognormal, logt, logpvii, logpexp and loglogistic; for loghyperbolic,
+loglaplace and logslash it takes safeguarded Halley steps on log S, and S is
+e^(log S) of the same tail evaluation. Those three families and logpexp draw
+the radial law from an exact product of standard draws instead of the inverse.
 
 The enum values double as the CLI family names.
 """
@@ -106,12 +106,12 @@ class GeneratorParams:
 
 # Each family's extra parameters, in label order, and the range lo < value
 # <= hi a GeneratorSpec accepts. Past an end a kernel leaves the doubles or
-# its accuracy contract: logt r'(0) = (nu + 2) / (2 nu^2) and theta + x;
-# logpvii r'(0) = xi / theta^2 and Z; loghyperbolic Z (a normal double);
-# logslash s - 1 (0 at the double after 1) and gamma(s, x/2) near x = 1e-5
-# (0 from nu ~ 94); logpexp radial_sf's 1 - P(a, w), within 5 eps / a only
-# down to a = 1 + xi ~ 6e-4. A value must also be 0 or a normal double, or
-# logpexp's r' is 0 * inf at a subnormal xi and x.
+# its accuracy contract: logt r'(0) = (nu + 2) / (2 nu^2); logpvii r'(0) =
+# xi / theta^2 and Z; loghyperbolic Z (a normal double); logslash s - 1 (0 at
+# the double after 1) and gamma(s, x/2) near x = 1e-5 (0 from nu ~ 94).
+# logpexp's lower end, a = 1 + xi ~ 9e-4, is the smallest a at which its
+# radial law is checked against mpmath. A value must also be 0 or a normal
+# double, or logpexp's r' is 0 * inf at a subnormal xi and x.
 _PARAM_RULES = {
     GeneratorId.LOGNORMAL: {},
     GeneratorId.STUDENT_T: {"nu": (1e-154, 1e308)},
@@ -210,6 +210,17 @@ def _log1p_ratio(x, theta: float):
     return np.where(big, np.log(np.maximum(x, 1.0)) - math.log(theta), u) if big.any() else u
 
 
+def _pvii_ratio(x, c: float, theta: float):
+    # c / (theta + x). theta + x overflows only for theta >= 2^970, half an
+    # ulp of X_MAX (logt with nu ~ 1e308), at x near X_MAX: there it is
+    # (c / theta) / (1 + x / theta)
+    if theta < 2.0**970:
+        return c / (theta + x)
+    with np.errstate(over="ignore"):
+        s = np.add(theta, x)
+    return np.where(np.isinf(s), (c / theta) / (1.0 + x / theta), c / s)
+
+
 def _slash_g_series(s: float, y):
     # g(x) = 2^-s (1/s - y/(s+1) + y^2/(2(s+2))),  y = x/2 -> 0
     return 2.0**-s * (1.0 / s - y / (s + 1.0) + y * y / (2.0 * (s + 2.0)))
@@ -297,7 +308,7 @@ def r(spec: GeneratorSpec, x):
         out = np.full_like(x, -0.5)
     elif gid in _PEARSON_VII:
         xi, _, theta = _pvii(p)
-        out = -xi / (theta + x)
+        out = -_pvii_ratio(x, xi, theta)
     elif gid is GeneratorId.HYPERBOLIC:
         out = -0.5 * p.nu / np.sqrt(1.0 + x)
     elif gid is GeneratorId.LAPLACE:
@@ -328,7 +339,7 @@ def dr(spec: GeneratorSpec, x):
         out = np.zeros_like(x)
     elif gid in _PEARSON_VII:
         xi, _, theta = _pvii(p)
-        t = 1.0 / (theta + x)
+        t = _pvii_ratio(x, 1.0, theta)
         out = xi * t * t
     elif gid is GeneratorId.HYPERBOLIC:
         t = 1.0 / (1.0 + x)
@@ -438,9 +449,9 @@ def radial_sf(spec: GeneratorSpec, x):
 
     Closed form for every family, computed as the upper tail itself, so a
     tail probability keeps its relative accuracy (no 1 - F cancellation).
-    For loghyperbolic, loglaplace, logslash and logpexp it is e^(log S) of
-    the tails that radial_isf inverts; logpexp takes 1 - P(a, w) below
-    w = 1.1, where S stays above ~a/5 and so within ~5 eps / a relative.
+    For loghyperbolic, loglaplace and logslash it is e^(log S) of the tails
+    that radial_isf inverts. logpexp takes 1 - P(a, w) below w = 1.1 where
+    it is above 0.01, so within ~100 eps relative, and Q(a, w) elsewhere.
     DomainError for x < 0 or NaN.
     """
     x0 = _arg(x)
@@ -453,6 +464,20 @@ def radial_sf(spec: GeneratorSpec, x):
     elif gid in _PEARSON_VII:
         _, xm1, theta = _pvii(p)
         sf = np.exp(-xm1 * _log1p_ratio(x, theta))
+    elif gid is GeneratorId.POWER_EXP:
+        # S = Q(a, w), a = 1 + xi, w = x^(1/a) / 2: 1 - P below w = 1.1, where
+        # scipy's Q is 5-30x slower than P for a < 1, with P = w^a / Gamma(a + 1)
+        # = x / (2^a Gamma(a + 1)) where w < 1e-100 or underflows (xi -> -1).
+        # 1 - P is within ~eps / S of S, so Q where S < 0.01 (a < ~0.05) too
+        a = 1.0 + p.xi
+        with np.errstate(over="ignore"):  # w = inf beyond the double range: S = 0
+            w = 0.5 * np.power(x, 1.0 / a)
+        head, tiny = w < 1.1, w < 1e-100
+        sf = np.zeros_like(w)
+        sf[head] = 1.0 - special.gammainc(a, w[head])
+        sf[tiny] = 1.0 - x[tiny] / (2.0**a * math.gamma(a + 1.0))
+        tail = sf < 0.01  # and every point at or above w = 1.1, where sf is 0
+        sf[tail] = special.gammaincc(a, w[tail])
     elif gid is GeneratorId.LOGISTIC:
         sf = 2.0 * special.expit(-x)
     else:
@@ -467,9 +492,9 @@ def radial_sf(spec: GeneratorSpec, x):
 def radial_isf(spec: GeneratorSpec, q):
     """Inverse survival function: the x with S(x) = q, for q in (0, 1].
 
-    Closed for lognormal, logt, logpvii and loglogistic. loghyperbolic,
-    loglaplace, logslash and logpexp invert S by Halley steps (see
-    _radial_isf_newton), each root within 1e-12 relative of the exact one
+    Closed for lognormal, logt, logpvii, logpexp and loglogistic.
+    loghyperbolic, loglaplace and logslash invert S by Halley steps (see
+    _radial_isf_newton). Each root is within 1e-12 relative of the exact one
     and independent of the other points of the call. DomainError where x
     exceeds the double range.
     """
@@ -491,6 +516,17 @@ def radial_isf(spec: GeneratorSpec, q):
             x[big] = np.exp(y[big] + math.log(theta))
             tiny = y < _TINY  # a subnormal y (logt, nu > ~1e292) lost bits: x = theta y
             x[tiny] = (theta / xm1) * -np.log(q[tiny])
+        elif gid is GeneratorId.POWER_EXP:
+            # x = (2w)^a with Q(a, w) = q, from P(a, w) = 1 - q above 1/2, where
+            # 1 - q is exact; where w < 1e-100 (it underflows as xi -> -1),
+            # P = w^a / Gamma(a + 1) gives x = 2^a Gamma(a + 1) (1 - q)
+            a = 1.0 + p.xi
+            w, head = np.empty_like(q), q > 0.5
+            w[head] = special.gammaincinv(a, 1.0 - q[head])
+            w[~head] = special.gammainccinv(a, q[~head])
+            x = np.exp(a * (np.log(np.maximum(w, 1e-100)) + _LOG2))
+            tiny = w < 1e-100
+            x[tiny] = 2.0**a * math.gamma(a + 1.0) * (1.0 - q[tiny])
         elif gid is GeneratorId.LOGISTIC:
             x = np.log1p(2.0 * (1.0 - q) / q)
         else:
@@ -543,8 +579,8 @@ def radial_draw(spec: GeneratorSpec, q: np.ndarray, rng: np.random.Generator) ->
 
 
 def _isf_start(spec: GeneratorSpec, q: np.ndarray) -> np.ndarray:
-    """A closed guess at the root of S(x) = q, in the Halley variable
-    log(x) / _halley_scale(spec)."""
+    """A closed guess at log x for the root of S(x) = q, for loghyperbolic,
+    loglaplace and logslash."""
     lq, p = -np.log(q), spec.params
     if spec.id is GeneratorId.HYPERBOLIC:
         d = lq / p.nu  # S = e^(-nu d) (1 + nu d / (nu + 1)) with d = sqrt(1+x) - 1
@@ -552,25 +588,10 @@ def _isf_start(spec: GeneratorSpec, q: np.ndarray) -> np.ndarray:
     if spec.id is GeneratorId.LAPLACE:
         v = lq + 0.5 * np.log1p(0.5 * math.pi * lq)  # tail: S ~ sqrt(pi v/2) e^-v
         return np.log(np.maximum(lq, 0.5 * v * v))
-    if spec.id is GeneratorId.SLASH:
-        # start from logpvii(xi = theta = s): the same head and tail order
-        s = 0.5 * (p.nu + 1.0)
-        a = lq / (s - 1.0)
-        return math.log(2.0 * s) + a + np.log(-np.expm1(-a))
-    # logpexp, in log(2w) with w = x^(1/a) / 2 and S = Q(a, w). Below w = 1
-    # (q above Q(a, 1)), P = w^a e^-w M(1, a + 1, w) / Gamma(a + 1), which is
-    # w^a e^(-a w / (a + 1)) / Gamma(a + 1) to first order in w; above it,
-    # Legendre's continued fraction for Gamma(a, w) to its second convergent,
-    # solved for w by a few fixed-point steps
-    a, b = 1.0 + p.xi, -p.xi
-    lw_head = (np.log(-np.expm1(-lq)) + math.lgamma(a + 1.0)) / a
-    lw_head = lw_head + np.exp(np.minimum(lw_head, 0.0)) / (a + 1.0)
-    w = np.maximum(lq - math.lgamma(a), 1.0)
-    for _ in range(4):
-        cf = (w + 2.0 + b) / ((w + b) * (w + 2.0 + b) - b)
-        w = np.maximum(lq - math.lgamma(a) + a * np.log(w) + np.log(cf), 1.0)
-    tail = lq > -math.log(special.gammaincc(a, 1.0))
-    return _LOG2 + np.where(tail, np.log(w), lw_head)
+    # logslash: start from logpvii(xi = theta = s), the same head and tail order
+    s = 0.5 * (p.nu + 1.0)
+    a = lq / (s - 1.0)
+    return math.log(2.0 * s) + a + np.log(-np.expm1(-a))
 
 
 # loglaplace head: 1 - v K1(v) = -sum_k c_k (2x)^(k+1) (log(x/2) - d_k), v = sqrt(2x),
@@ -580,8 +601,6 @@ _FACT = np.cumprod(np.r_[1.0, _HEAD_K + 1.0])  # 0! .. 7!
 _PSI = np.r_[0.0, np.cumsum(1.0 / (_HEAD_K + 1.0))] - np.euler_gamma  # psi(1) .. psi(8)
 _LAPLACE_HEAD_C = 1.0 / (4.0 ** (_HEAD_K + 1) * _FACT[:-1] * _FACT[1:])
 _LAPLACE_HEAD_D = _PSI[:-1] + _PSI[1:]
-# logpexp tails: P where w < 1.1, Q above; closed forms below 1e-100 and above 600
-_PEXP_TINY_W, _PEXP_HEAD_W, _PEXP_TAIL_W = 1e-100, 1.1, 600.0
 
 
 def _slash_log_t(s: float, x: np.ndarray) -> np.ndarray:
@@ -598,11 +617,11 @@ def _slash_log_t(s: float, x: np.ndarray) -> np.ndarray:
 
 def _radial_log_tails(spec: GeneratorSpec, x: np.ndarray):
     """log S(x), log F(x) = log(1 - S(x)), log(x f(x)) with f = pi g / Z, and
-    dL = d log(x f(x)) / d log x = 1 + x r(x), at x > 0, for the four
+    dL = d log(x f(x)) / d log x = 1 + x r(x), at x > 0, for the three
     families that radial_isf inverts by Halley steps: loghyperbolic,
-    loglaplace, logslash and logpexp. Each of S and F keeps its relative
-    accuracy (no 1 - S cancellation for a small F, none of 1 - F for a small
-    S). radial_sf takes its S from here."""
+    loglaplace and logslash. Each of S and F keeps its relative accuracy (no
+    1 - S cancellation for a small F, none of 1 - F for a small S).
+    radial_sf takes their S from here."""
     if spec.id is GeneratorId.HYPERBOLIC:
         nu = spec.params.nu
         w = np.sqrt(1.0 + x)
@@ -620,47 +639,12 @@ def _radial_log_tails(spec: GeneratorSpec, x: np.ndarray):
         cdf[v < 0.5] = -np.sum(terms * (np.log(0.5 * xh) - _LAPLACE_HEAD_D), axis=1)
         # x r(x) = -v K1(v) / (2 K0(v))
         return log_sf, np.log(cdf), np.log(x * k0) - v, 1.0 - 0.5 * vk1 / k0
-    if spec.id is GeneratorId.SLASH:
-        # S = T + e^-y, y = x/2, and x f(x) = (s - 1) T; x r(x) = y e^-y / T - s
-        s = 0.5 * (spec.params.nu + 1.0)
-        log_t = _slash_log_t(s, x)
-        log_cdf = np.log(-np.expm1(-0.5 * x) - np.exp(log_t))
-        dl = (1.0 - s) + np.exp(np.log(x) - _LOG2 - 0.5 * x - log_t)
-        return np.logaddexp(log_t, -0.5 * x), log_cdf, math.log(s - 1.0) + log_t, dl
-    # logpexp: a = 1 + xi, w = x^(1/a) / 2, S = Q(a, w), F = P(a, w),
-    # x f(x) = w^a e^-w / Gamma(a + 1) and dL = 1 - w/a. One scipy P or Q per
-    # point: P below w = 1.1 (where scipy's Q is slow for a < 1, and Q = 1 - P
-    # is still above ~a/5), Q above. Both in logs where a double would not
-    # hold them: P = w^a / Gamma(a + 1) where w is below 1e-100 or underflows
-    # (xi -> -1), and Gamma(a, w) by its asymptotic series above w = 600.
-    a, lg = 1.0 + spec.params.xi, math.lgamma(2.0 + spec.params.xi)
-    # log S varies by w times the relative error of w, so w comes from x
-    # itself, not from e^(log w), whose error grows with log w
-    lw = np.log(x) / a - _LOG2
-    with np.errstate(over="ignore"):  # w = inf beyond the double range: S = 0
-        w = 0.5 * np.power(x, 1.0 / a)
-    head = w < _PEXP_HEAD_W
-    log_pq = np.empty_like(w)  # log P on the head, log Q above it
-    log_pq[head] = np.log(special.gammainc(a, np.maximum(w[head], _PEXP_TINY_W)))
-    log_pq[~head] = np.log(special.gammaincc(a, np.minimum(w[~head], _PEXP_TAIL_W)))
-    tiny, big = w < _PEXP_TINY_W, w > _PEXP_TAIL_W
-    log_pq[tiny] = a * lw[tiny] - lg
-    if big.any():  # Gamma(a, w) e^w w^(1-a) = 1 + (a-1)/w + ..., to 1e-16
-        series = 1.0
-        for k in range(6, 0, -1):
-            series = 1.0 + (a - k) / w[big] * series
-        log_pq[big] = (a - 1.0) * lw[big] - w[big] - math.lgamma(a) + np.log(series)
-    log_qp = np.log1p(-np.exp(log_pq))
-    log_sf, log_cdf = np.where(head, log_qp, log_pq), np.where(head, log_pq, log_qp)
-    return log_sf, log_cdf, a * lw - w - lg, 1.0 - w / a
-
-
-def _halley_scale(spec: GeneratorSpec) -> float:
-    # Halley works in t = log(x) / k: log x for three families, and log(2w) =
-    # log(x) / a for logpexp, whose log S varies on the scale a of log x. In
-    # log x a step of 1e-4, which the accept rule takes as converged, would
-    # leave an error of ~1e-12 / (12 a^2): 3e-12 of x measured at xi = -0.99
-    return 1.0 + spec.params.xi if spec.id is GeneratorId.POWER_EXP else 1.0
+    # logslash: S = T + e^-y, y = x/2, and x f(x) = (s - 1) T; x r(x) = y e^-y / T - s
+    s = 0.5 * (spec.params.nu + 1.0)
+    log_t = _slash_log_t(s, x)
+    log_cdf = np.log(-np.expm1(-0.5 * x) - np.exp(log_t))
+    dl = (1.0 - s) + np.exp(np.log(x) - _LOG2 - 0.5 * x - log_t)
+    return np.logaddexp(log_t, -0.5 * x), log_cdf, math.log(s - 1.0) + log_t, dl
 
 
 _LOG_X_LO, _LOG_X_HI = math.log(_TINY), math.log(_X_MAX)
@@ -669,13 +653,13 @@ _CHUNK = 1 << 12
 
 
 def _radial_isf_newton(spec: GeneratorSpec, q: np.ndarray):
-    """Solve S(x) = q by Halley's method in t = log(x) / k (k from
-    _halley_scale), vectorized.
+    """Solve S(x) = q by Halley's method in t = log x, vectorized, for
+    loghyperbolic, loglaplace and logslash.
 
     For q > 1/2 it solves f = log(1 - q) - log F = 0, else f = log S - log q
-    = 0, so the residual keeps its relative accuracy. With f' = -k x f(x)/S
-    (or /F) and dL = d log(x f(x)) / d log x, f'' = f' (k dL - f') on the tail
-    branch and f' (k dL + f') on the head branch; the step is the Newton step
+    = 0, so the residual keeps its relative accuracy. With f' = -x f(x)/S
+    (or /F) and dL = d log(x f(x)) / d log x, f'' = f' (dL - f') on the tail
+    branch and f' (dL + f') on the head branch; the step is the Newton step
     f/f' divided by c = 1 - f f'' / (2 f'^2), or the Newton step itself
     where c leaves (1/2, 2). Each evaluation narrows a bracket, initially the
     double range, and a step leaving it bisects instead. A point stops when
@@ -688,31 +672,30 @@ def _radial_isf_newton(spec: GeneratorSpec, q: np.ndarray):
     works through q in chunks of _CHUNK points, so its temporaries stay
     small whatever the size of q.
     """
-    k = _halley_scale(spec)
     x = np.full_like(q, np.inf)
     live = q >= radial_sf(spec, _X_MAX)
     for i in range(0, q.size, _CHUNK):
         idx = np.nonzero(live[i : i + _CHUNK])[0]
-        t = np.clip(_isf_start(spec, q[i + idx]), _LOG_X_LO / k, _LOG_X_HI / k)
-        _halley(spec, q[i + idx], t, x[i : i + _CHUNK], idx, k)  # x[...] is a view
+        t = np.clip(_isf_start(spec, q[i + idx]), _LOG_X_LO, _LOG_X_HI)
+        _halley(spec, q[i + idx], t, x[i : i + _CHUNK], idx)  # x[...] is a view
     return x
 
 
-def _halley(spec: GeneratorSpec, q, t, x, idx, k):
+def _halley(spec: GeneratorSpec, q, t, x, idx):
     # the iteration of _radial_isf_newton; writes the root for q[i] to x[idx[i]]
     sign = np.where(q > 0.5, -1.0, 1.0)  # -1 on the head branch
     target = np.where(q > 0.5, np.log1p(-q), np.log(q))
-    lo, hi = np.full_like(t, _LOG_X_LO / k), np.full_like(t, _LOG_X_HI / k)
+    lo, hi = np.full_like(t, _LOG_X_LO), np.full_like(t, _LOG_X_HI)
     for _ in range(100):
         if idx.size == 0:
             return
-        log_sf, log_cdf, log_xf, dl = _radial_log_tails(spec, np.exp(k * t))
+        log_sf, log_cdf, log_xf, dl = _radial_log_tails(spec, np.exp(t))
         log_p = np.where(sign < 0.0, log_cdf, log_sf)
         f = sign * (log_p - target)  # > 0 below the root
-        slope = -k * np.exp(log_xf - log_p)
+        slope = -np.exp(log_xf - log_p)
         lo, hi = np.where(f > 0.0, t, lo), np.where(f < 0.0, t, hi)
         step = f / np.minimum(slope, -_TINY)
-        c = 1.0 - 0.5 * step * (k * dl - sign * slope)
+        c = 1.0 - 0.5 * step * (dl - sign * slope)
         step = step / np.where((0.5 < c) & (c < 2.0), c, 1.0)
         t_new = t - step
         inside = (lo < t_new) & (t_new < hi)
@@ -723,7 +706,7 @@ def _halley(spec: GeneratorSpec, q, t, x, idx, k):
             | (inside & (np.abs(step) <= _HALLEY_ACCEPT))
             | (np.abs(t_new - t) <= 1e-12)
         )
-        x[idx[done]] = np.exp(k * np.where(small, t, t_new)[done])
+        x[idx[done]] = np.exp(np.where(small, t, t_new)[done])
         idx, sign, target, t, lo, hi = (
             a[~done] for a in (idx, sign, target, t_new, lo, hi)
         )

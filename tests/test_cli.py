@@ -220,20 +220,14 @@ def test_simulate_grid_layout_and_determinism(capsys):
     assert len(lines) == 5  # header + 2 sizes x 2 correlations
     assert lines[0].split("\t")[:2] == ["n", "rho"]
     assert [ln.split("\t")[0] for ln in lines[1:]] == ["25", "25", "50", "50"]
-    assert dispatch(argv + ["--threads", "3"]) == 0
-    assert capsys.readouterr().out == first  # workers never change bytes
 
 
-def test_simulate_env_threads_fallback(monkeypatch, capsys):
+def test_simulate_has_no_threads_flag(capsys):
+    # simulate runs its replications serially; a worker count is no option
     argv = ["simulate", "--model", "lognormal", "--n", "25", "--rho", "0.25",
-            "--reps", "10", "--seed", "1"]
-    assert dispatch(argv) == 0
-    base = capsys.readouterr().out
-    monkeypatch.setenv("BLSLAB_THREADS", "4")
-    assert dispatch(argv) == 0
-    assert capsys.readouterr().out == base
-    monkeypatch.setenv("BLSLAB_THREADS", "zero")
-    assert dispatch(argv) == 1  # unusable env value is a usage error
+            "--reps", "10", "--seed", "1", "--threads", "3"]
+    assert dispatch(argv) == 1
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_simulate_writes_tsv_and_manifest(tmp_path):
@@ -352,7 +346,6 @@ def test_cli_commands_do_not_load_scipy_optimize_or_integrate(data_csv, tmp_path
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
-    env.pop("BLSLAB_THREADS", None)
     commands = [
         ["summary", "--data", data_csv],
         ["fit", "--data", data_csv, "--model", "logslash"],

@@ -85,6 +85,18 @@ def test_joint_pdf_laplace_singular_at_median_point():
     assert math.isinf(dist.joint_pdf(THETA, LAP, THETA.eta1, THETA.eta2))
 
 
+@pytest.mark.parametrize("spec", [SL4, make_generator("logt", nu=0.001)], ids=lambda s: s.label())
+def test_joint_pdf_beyond_the_double_range_is_a_domain_error(spec):
+    # at t1 = 5e-324 the density exceeds the doubles though its log does not
+    th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+    assert math.log(np.finfo(float).max) < dist.joint_log_pdf(th, spec, 5e-324, 1.0) < math.inf
+    with pytest.raises(DomainError, match="double range"):
+        dist.joint_pdf(th, spec, 5e-324, 1.0)
+    with pytest.raises(DomainError, match="double range"):
+        dist.joint_pdf(th, spec, np.array([5e-324, 1.0]), np.array([1.0, 1.0]))
+    assert 0.0 < dist.joint_pdf(th, spec, 1.0, 1.0) < math.inf
+
+
 def test_mahalanobis_sq_matches_quadratic_form():
     z1 = (math.log(1.3) - math.log(THETA.eta1)) / THETA.sigma1
     z2 = (math.log(2.6) - math.log(THETA.eta2)) / THETA.sigma2

@@ -461,6 +461,31 @@ def test_loglaplace_score_limits_near_the_subnormals():
     assert _same(gen.dr(spec, x), (0.5 - rx) / x - rx * rx)
 
 
+def test_logt_score_where_theta_plus_x_overflows():
+    # at nu = 1e308, theta + x overflows from x ~ 8e307; r = -xi / (theta + x)
+    # and r' = xi / (theta + x)^2 are still far from 0 there (r ~ -0.185 at
+    # 1.7e308), quietly, and a float and an array agree
+    import mpmath as mp
+
+    spec = make_generator("logt", nu=1e308)
+    xs = [1e300, 1e308, 1.7e308, float(np.finfo(float).max)]
+    with mp.workdps(40):
+        xi, theta = mp.mpf(1e308) / 2 + 1, mp.mpf(1e308)
+        want_r = [float(-xi / (theta + mp.mpf(x))) for x in xs]
+        want_dr = [float(xi / (theta + mp.mpf(x)) ** 2) for x in xs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r, d = gen.r(spec, np.array(xs)), gen.dr(spec, np.array(xs))
+        for i, x in enumerate(xs):
+            assert _same(gen.r(spec, x), r[i]) and _same(gen.dr(spec, x), d[i])
+    np.testing.assert_allclose(r, want_r, rtol=1e-15)
+    # r' is subnormal there, with ~15 significant digits
+    np.testing.assert_allclose(d, want_dr, rtol=1e-13)
+    # where theta + x is a double, the expressions of every smaller nu
+    assert _same(r[0], -(5e307 + 1.0) / (1e308 + 1e300))
+    assert gen.r(spec, math.inf) == 0.0 and gen.dr(spec, math.inf) == 0.0
+
+
 def _accepted(lo, hi):
     """Values a parameter rule lo < v <= hi accepts: its two ends (the double
     just inside an open lower end) and values between, log-uniform where
