@@ -14,12 +14,14 @@ The squared Mahalanobis radius xq follows the radial law with density
 pi g(x) / Z. Its closed survival function S (``generators.radial_sf``) and
 inverse carry the radial CDF and quantile, ``generators.radial_draw`` the
 sampler; the joint and marginal CDFs are one angle integral of S over the
-rays, with no truncation.
+rays, with no truncation, and the marginal and conditional densities one
+line integral of g.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,16 +103,6 @@ def _positive(t, name: str):
     # a float for 0-d input, else a float array; t > 0 everywhere, not NaN
     msg = f"{name} must be strictly positive"
     return specfun.checked(t, msg, DomainError, strict=True)
-
-
-def _checked_quad(f, a, b, epsabs=1e-11, epsrel=1e-10, **kw):
-    val, err = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200, **kw)
-    budget = max(1e-9, 1e-7 * abs(val))
-    if not np.isfinite(val) or err > budget:
-        raise IntegrationError(
-            f"quadrature failed on [{a}, {b}]: value {val}, error estimate {err}"
-        )
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +211,8 @@ def sample(theta: BLSParams, spec: GeneratorSpec, n: int, seed) -> np.ndarray:
     Deterministic given seed: it first takes n pairs of uniforms (radial
     tail probability, angle); loghyperbolic, loglaplace, logslash and
     logpexp then take the rest of their radial draws from the same stream
-    (see generators.radial_draw). DomainError where a radial draw exceeds
-    the double range.
+    (see generators.radial_draw). DomainError where a radial draw or a draw
+    of T = eta e^(sigma z) leaves the double range (logt(0.1) at sigma = 0.5).
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"sample size must be a positive integer, got {n}")
@@ -235,9 +227,12 @@ def sample(theta: BLSParams, spec: GeneratorSpec, n: int, seed) -> np.ndarray:
     z1 = rad * np.cos(ang)
     z2 = rad * np.sin(ang)
     w2 = theta.rho * z1 + math.sqrt(1.0 - theta.rho**2) * z2
-    t1 = theta.eta1 * np.exp(theta.sigma1 * z1)
-    t2 = theta.eta2 * np.exp(theta.sigma2 * w2)
-    return np.column_stack([t1, t2])
+    with np.errstate(over="ignore"):  # a draw past the doubles is caught below
+        t = np.column_stack([theta.eta1 * np.exp(theta.sigma1 * z1),
+                             theta.eta2 * np.exp(theta.sigma2 * w2)])
+    if not np.all((0.0 < t) & (t < math.inf)):
+        raise DomainError(f"{spec.label()}: a draw of T lies beyond the double range")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +318,43 @@ def joint_cdf(theta: BLSParams, spec: GeneratorSpec, t1: float, t2: float) -> fl
 # marginal law of the standardized component
 
 
-def marginal_pdf_z(spec: GeneratorSpec, zv: float) -> float:
-    """Density of one standardized log-scale component Z1 at zv.
+def _line_mass(spec: GeneratorSpec, z: float, lo: float, hi: float) -> float:
+    """int_lo^hi g(z^2 + w^2) dw / Z, to about 1e-10 relative to its own size.
 
-    f(z) = 2 int_0^inf g(z^2 + v^2) dv / Z.
+    The marginal density of Z1 at z is the whole line; the conditional
+    densities are ratios with a segment of it. One quadrature over |w| on
+    each side of w = 0, where loglaplace's g is singular at z = 0, run once
+    for equal sides. IntegrationError where quad reports a failure or its
+    error estimate exceeds the budget.
     """
-    zv = float(zv)
-    zq = zv * zv
-    z = gen.partition_closed(spec)
-    return 2.0 / z * _checked_quad(lambda v: gen.g(spec, zq + v * v), 0.0, np.inf)
+    zq = z * z
+    sides = Counter(ab for ab in ((max(lo, 0.0), hi), (max(-hi, 0.0), -lo)) if ab[0] < ab[1])
+    total = 0.0
+    for (a, b), k in sides.items():
+        # quad adds its message as a fourth item where it reports a failure
+        val, err, _, *fail = integrate.quad(
+            lambda w: gen.g(spec, zq + w * w), a, b,
+            epsabs=0.0, epsrel=1e-10, limit=200, full_output=1,
+        )
+        if fail or not np.isfinite(val) or err > max(1e-9, 1e-7 * abs(val)):
+            raise IntegrationError(
+                f"{spec.label()}: quadrature failed on [{a}, {b}] at z={z}: value {val}, "
+                f"error estimate {err}. {fail[0].splitlines()[0] if fail else ''}"
+            )
+        total += k * val
+    return total / gen.partition_closed(spec)
+
+
+def marginal_pdf_z(spec: GeneratorSpec, zv: float) -> float:
+    """Density of one standardized log-scale component Z1 at zv,
+
+        f(z) = int_-inf^inf g(z^2 + w^2) dw / Z,
+
+    by quadrature to about 1e-10 relative, in the tails as well.
+    IntegrationError where the quadrature fails: logt with nu <~ 1e-11 near
+    z = 0, and loghyperbolic with nu <~ 1e-6, whose g decays too slowly.
+    """
+    return _line_mass(spec, float(zv), -math.inf, math.inf)
 
 
 def marginal_cdf_z(spec: GeneratorSpec, zv: float) -> float:
@@ -400,19 +423,6 @@ def conditional_pdf_t2_given_t1(
     return joint_pdf(theta, spec, float(t1), float(t2)) / marg_t1
 
 
-def _std_t_pdf(x: float, nu: float) -> float:
-    return math.exp(
-        specfun.ln_gamma(0.5 * (nu + 1.0))
-        - specfun.ln_gamma(0.5 * nu)
-        - 0.5 * math.log(nu * math.pi)
-        - 0.5 * (nu + 1.0) * math.log1p(x * x / nu)
-    )
-
-
-def _std_normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
 def conditional_pdf_t1_given_t2_in_interval(
     theta: BLSParams,
     spec: GeneratorSpec,
@@ -421,9 +431,12 @@ def conditional_pdf_t1_given_t2_in_interval(
 ) -> float:
     """Density of T1 given T2 in (lo, hi], 0 <= lo < hi <= inf.
 
-    Closed fast paths for lognormal (normal CDF ratio) and logt (Student-t
-    CDF ratio with nu + 1 degrees of freedom in the numerator); adaptive
-    quadrature otherwise.
+    With z1 the standardized t1 and w = (z2 - rho z1) / sqrt(1 - rho^2), the
+    numerator is the line mass of g over the w-range of the interval at
+    z1 (quadrature, about 1e-10 relative) and the denominator
+    P(lo < T2 <= hi) is the joint_cdf angle rule, the same route for every
+    family. ZeroProbabilityError where that probability is below 1e-12;
+    IntegrationError where the quadrature fails.
     """
     if not t1 > 0.0:
         raise DomainError("conditional density requires t1 > 0")
@@ -442,48 +455,14 @@ def conditional_pdf_t1_given_t2_in_interval(
         return (math.log(v) - math.log(theta.eta2)) / theta.sigma2
 
     b_lo, b_hi = btilde(lo), btilde(hi)
-    w_lo = (b_lo - rho * zt1) / c if np.isfinite(b_lo) else -math.inf
-    w_hi = (b_hi - rho * zt1) / c if np.isfinite(b_hi) else math.inf
-
-    gid = spec.id
-    if gid is GeneratorId.LOGNORMAL:
-        denom = _phi_diff(b_lo, b_hi)
-        if denom < 1e-12:
-            raise ZeroProbabilityError("conditioning interval has zero probability")
-        num = _std_normal_pdf(zt1) * _phi_diff(w_lo, w_hi)
-        return num / (t1 * theta.sigma1 * denom)
-    if gid is GeneratorId.STUDENT_T:
-        nu = spec.params.nu
-        denom = _t_cdf_diff(b_lo, b_hi, nu)
-        if denom < 1e-12:
-            raise ZeroProbabilityError("conditioning interval has zero probability")
-        s = math.sqrt((nu + 1.0) / (nu + zt1 * zt1))
-        num = _std_t_pdf(zt1, nu) * _t_cdf_diff(s * w_lo, s * w_hi, nu + 1.0)
-        return num / (t1 * theta.sigma1 * denom)
-
     # P(b_lo < Z2 <= b_hi); the angle rule takes b = -inf or +inf as it is
     lo_p, hi_p = (_wedge_prob(spec, [[1.0, 0.0]], [b]) for b in (b_lo, b_hi))
     denom = hi_p - lo_p
     if denom < 1e-12:
         raise ZeroProbabilityError("conditioning interval has zero probability")
-    z = gen.partition_closed(spec)
-    zq = zt1 * zt1
-
-    def integrand(w):
-        return gen.g(spec, zq + w * w) / z
-
-    lo_w = w_lo if np.isfinite(w_lo) else -np.inf
-    hi_w = w_hi if np.isfinite(w_hi) else np.inf
-    num = _checked_quad(integrand, lo_w, hi_w, epsabs=1e-12, epsrel=1e-9)
-    return num / (t1 * theta.sigma1 * denom)
-
-
-def _phi_diff(a: float, b: float) -> float:
-    return specfun.std_normal_cdf(b) - specfun.std_normal_cdf(a)
-
-
-def _t_cdf_diff(a: float, b: float, nu: float) -> float:
-    return specfun.student_t_cdf(b, nu) - specfun.student_t_cdf(a, nu)
+    w_lo = (b_lo - rho * zt1) / c if np.isfinite(b_lo) else -math.inf
+    w_hi = (b_hi - rho * zt1) / c if np.isfinite(b_hi) else math.inf
+    return _line_mass(spec, zt1, w_lo, w_hi) / (t1 * theta.sigma1 * denom)
 
 
 # ---------------------------------------------------------------------------

@@ -108,9 +108,8 @@ def replication_seed(master_seed: int, n_index: int, rho_index: int, rep: int) -
 
 
 def _one_replication(spec, theta_true, n, seed):
-    x = sample(theta_true, spec, n, seed)
     try:
-        fit = fit_mle(x, spec, compute_se=False)
+        fit = fit_mle(sample(theta_true, spec, n, seed), spec, compute_se=False)
     except BlsError:
         return None
     if not fit.converged:
@@ -119,7 +118,12 @@ def _one_replication(spec, theta_true, n, seed):
 
 
 def run_study(config: MCConfig, workers: int = 1) -> MCReport:
-    """Run the full (n, rho) grid; deterministic for a fixed master seed."""
+    """Run the full (n, rho) grid; deterministic for a fixed master seed.
+
+    A replication fails, and counts in its cell's ``failed``, where its
+    sample leaves the double range or its fit raises a BlsError or does
+    not converge.
+    """
     workers = max(1, int(workers))
     cells = []
     for i_n, n in enumerate(config.sample_sizes):

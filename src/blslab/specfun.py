@@ -1,13 +1,12 @@
 """Special functions used by the generators and the radial laws.
 
 Thin validated wrappers over ``scipy.special`` and ``math.lgamma``: log-gamma,
-the lower incomplete gamma function, modified Bessel functions K0/K1 (plain
-and exponentially scaled), and the reference CDFs (standard normal,
-Student-t, F) used as fast paths and oracles for the radial laws. Each
-function raises ``ValueError`` outside its domain (NaN included), accepts
-+inf, and returns a ``float`` for scalar input (the CDFs take scalars only).
-``checked`` is that input check, shared with ``generators`` and
-``distribution``: a 0-d input stays a float, with one comparison.
+the lower incomplete gamma function, and modified Bessel functions K0/K1
+(plain and exponentially scaled). Each function raises ``ValueError``
+outside its domain (NaN included), accepts +inf, and returns a ``float``
+for scalar input. ``checked`` is that input check, shared with
+``generators`` and ``distribution``: a 0-d input stays a float, with one
+comparison.
 
 Accuracy contracts, enforced by tests/test_specfun.py
 -----------------------------------------------------
@@ -15,7 +14,6 @@ Accuracy contracts, enforced by tests/test_specfun.py
   x in [0, 200].
 * ``bessel_k0``/``bessel_k1`` and the scaled forms: relative error <= 1e-10
   for u in (0, 700].
-* CDFs: absolute error <= 1e-10.
 
 No blslab module imports scipy when it loads. ``scipy.special`` (here and in
 ``generators``), ``scipy.integrate`` and ``scipy.optimize`` are each reached
@@ -39,9 +37,6 @@ __all__ = [
     "bessel_k1",
     "bessel_k0e",
     "bessel_k1e",
-    "std_normal_cdf",
-    "student_t_cdf",
-    "f_cdf",
 ]
 
 
@@ -129,25 +124,3 @@ def bessel_k0e(u):
 def bessel_k1e(u):
     """Exponentially scaled K1: exp(u) * K1(u)."""
     return _bessel(special.k1e, u)
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return float(special.ndtr(float(x)))
-
-
-def student_t_cdf(x: float, nu: float) -> float:
-    """CDF of Student's t with nu > 0 degrees of freedom."""
-    if not nu > 0.0:
-        raise ValueError(f"student_t_cdf requires nu > 0, got {nu}")
-    return float(special.stdtr(nu, float(x)))
-
-
-def f_cdf(x: float, d1: float, d2: float) -> float:
-    """CDF of the F distribution with (d1, d2) degrees of freedom, x >= 0."""
-    if not (d1 > 0.0 and d2 > 0.0):
-        raise ValueError("f_cdf requires d1 > 0 and d2 > 0")
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"f_cdf requires x >= 0, got {x}")
-    return float(special.fdtr(d1, d2, x))

@@ -1,21 +1,24 @@
 """Marginal and conditional laws against closed corollaries and quadrature.
 
-The lognormal and logt conditional fast paths have textbook closed forms
-(lognormal regression, scaled Student-t with nu + 1 degrees of freedom) that
-scipy evaluates independently; the generic path is compared against direct
-quadrature ratios of the joint density.
+Every marginal and conditional density is one line integral of g. For
+lognormal and logt it has textbook closed forms (normal margins and
+regression; Student-t margins, and a scaled Student-t with nu + 1 degrees
+of freedom given z1) that scipy and mpmath evaluate independently; the
+other families are compared against direct quadrature ratios of the joint
+density.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from blslab import distribution as dist
 from blslab import generators as gen
 from blslab.distribution import BLSParams
-from blslab.errors import DomainError, ZeroProbabilityError
+from blslab.errors import DomainError, IntegrationError, ZeroProbabilityError
 from blslab.generators import make_generator
 
 LN = make_generator("lognormal")
@@ -50,6 +53,37 @@ def test_marginal_logt_is_student_t():
         assert dist.marginal_cdf_z(LT4, z) == pytest.approx(
             stats.t.cdf(z, 4), abs=1e-9
         )
+
+
+def _hyperbolic2_pdf(z):
+    # loghyperbolic(nu) margin: 2 a K1(nu a) / Z with a = sqrt(1 + z^2)
+    a = math.sqrt(1.0 + z * z)
+    return 2.0 * a * special.k1(2.0 * a) / gen.partition_closed(make_generator("loghyperbolic", nu=2.0))
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-8, 8.0, 30.0])
+@pytest.mark.parametrize(
+    "spec, closed",
+    [(LN, stats.norm.pdf), (LT4, lambda z: stats.t.pdf(z, 4)),
+     (make_generator("loghyperbolic", nu=2.0), _hyperbolic2_pdf)],
+    ids=["lognormal", "logt4", "loghyperbolic2"],
+)
+def test_marginal_pdf_is_relatively_accurate_in_the_tails(spec, closed, z):
+    # quad at epsabs=0: lognormal was 1.1e-6 off at z = 8 and loghyperbolic(2)
+    # 1.6e-4 off at z = 30 under an absolute tolerance of 1e-11
+    assert dist.marginal_pdf_z(spec, z) == pytest.approx(closed(z), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "spec", [make_generator("logt", nu=1e-12), make_generator("loghyperbolic", nu=1e-150)],
+    ids=lambda s: s.label(),
+)
+def test_marginal_pdf_raises_where_quadrature_fails(spec):
+    # near the lower end of nu the line integral at z = 0 is beyond quad;
+    # it returned -3.2e-13 (logt, true 5e-7) and 8.9e-298 (loghyperbolic,
+    # true ~3.2e-151) without a word
+    with pytest.raises(IntegrationError):
+        dist.marginal_pdf_z(spec, 0.0)
 
 
 def test_marginal_slash_center_value():
@@ -243,21 +277,34 @@ def test_conditional_t2_given_t1_integrates_to_one(spec, tol):
 # conditional density of T1 given T2 in an interval
 
 
-def _phi_ratio_reference(theta, t1, lo, hi):
-    """Closed lognormal reference built from scipy normal CDFs."""
+def _prob(law, a, b):
+    """P(a < X <= b) from survival functions on the side where they do not
+    cancel, so that a tail interval keeps its relative accuracy."""
+    if a >= 0.0:
+        return law.sf(a) - law.sf(b)
+    if b <= 0.0:
+        return law.sf(-b) - law.sf(-a)
+    return 1.0 - law.sf(b) - law.sf(-a)
+
+
+def _closed_interval_reference(theta, spec, t1, lo, hi):
+    """Closed lognormal or logt(nu) interval conditional from scipy: the
+    margin of z1 times P(w in the interval's w-range | z1), over P(lo < T2 <= hi).
+    Given z1, w is standard normal, or Student-t(nu + 1) over
+    s = sqrt((nu + 1) / (nu + z1^2)), for logt."""
     z1 = (math.log(t1) - math.log(theta.eta1)) / theta.sigma1
     c = math.sqrt(1.0 - theta.rho**2)
     a = (math.log(lo) - math.log(theta.eta2)) / theta.sigma2 if lo > 0 else -np.inf
-    b = (
-        (math.log(hi) - math.log(theta.eta2)) / theta.sigma2
-        if math.isfinite(hi)
-        else np.inf
-    )
-    num = stats.norm.cdf((b - theta.rho * z1) / c) - stats.norm.cdf(
-        (a - theta.rho * z1) / c
-    )
-    den = stats.norm.cdf(b) - stats.norm.cdf(a)
-    return stats.norm.pdf(z1) / (theta.sigma1 * t1) * num / den
+    b = (math.log(hi) - math.log(theta.eta2)) / theta.sigma2 if math.isfinite(hi) else np.inf
+    wa, wb = (a - theta.rho * z1) / c, (b - theta.rho * z1) / c
+    if spec.id is gen.GeneratorId.LOGNORMAL:
+        margin, given, s = stats.norm, stats.norm, 1.0
+    else:
+        nu = spec.params.nu
+        margin, given = stats.t(nu), stats.t(nu + 1.0)
+        s = math.sqrt((nu + 1.0) / (nu + z1 * z1))
+    num = margin.pdf(z1) * _prob(given, s * wa, s * wb)
+    return num / (theta.sigma1 * t1 * _prob(margin, a, b))
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.8), (1.5, 3.0), (2.5, math.inf)])
@@ -265,8 +312,69 @@ def test_conditional_interval_lognormal_closed(lo, hi):
     for t1 in (0.7, 1.2, 2.1):
         mine = dist.conditional_pdf_t1_given_t2_in_interval(THETA, LN, t1, (lo, hi))
         assert mine == pytest.approx(
-            _phi_ratio_reference(THETA, t1, lo, hi), rel=1e-12
+            _closed_interval_reference(THETA, LN, t1, lo, hi), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.8), (5.0, 9.0), (2.0, math.inf), (0.0, math.inf)])
+@pytest.mark.parametrize("spec", [LN, LT4], ids=lambda s: s.label())
+def test_conditional_interval_matches_closed_oracles_in_the_tails(spec, lo, hi):
+    # the closed lognormal branch, a difference of normal CDFs near 1, was
+    # 1.3e-8 off at sigma2 = 0.3, t1 = 0.05 on (5, 9]
+    for th in (THETA, BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)):
+        for t1 in (0.05, 1.2, 40.0):
+            mine = dist.conditional_pdf_t1_given_t2_in_interval(th, spec, t1, (lo, hi))
+            assert mine == pytest.approx(
+                _closed_interval_reference(th, spec, t1, lo, hi), rel=1e-10, abs=0.0
+            )
+
+
+def _mp_t_cdf(x, nu):
+    if mp.isinf(x):
+        return mp.mpf(1) if x > 0 else mp.mpf(0)
+    tail = mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + x * x), regularized=True) / 2
+    return 1 - tail if x > 0 else tail
+
+
+@pytest.mark.parametrize("nu", [1e6, 1e8, 1e12])
+def test_conditional_interval_of_logt_with_large_nu_matches_mpmath(nu):
+    # the closed logt branch lost digits in lgamma((nu + 1)/2) - lgamma(nu/2):
+    # 5.5e-10 off at nu = 1e6, 1.9e-4 at nu = 1e12
+    spec = make_generator("logt", nu=nu)
+    with mp.workdps(30):
+        n = mp.mpf(nu)
+        rho, c = mp.mpf(THETA.rho), mp.sqrt(1 - mp.mpf(THETA.rho) ** 2)
+        for t1, (lo, hi) in ((1.2, (1.5, 3.0)), (0.05, (5.0, 9.0)), (40.0, (2.0, math.inf))):
+            z1 = (mp.log(t1) - mp.log(THETA.eta1)) / THETA.sigma1
+            a = (mp.log(lo) - mp.log(THETA.eta2)) / THETA.sigma2
+            b = (mp.log(hi) - mp.log(THETA.eta2)) / THETA.sigma2 if math.isfinite(hi) else mp.inf
+            s = mp.sqrt((n + 1) / (n + z1 * z1))
+            pdf = mp.exp(
+                mp.loggamma((n + 1) / 2) - mp.loggamma(n / 2) - (n + 1) / 2 * mp.log1p(z1 * z1 / n)
+            ) / mp.sqrt(n * mp.pi)
+            num = pdf * (_mp_t_cdf(s * (b - rho * z1) / c, n + 1) - _mp_t_cdf(s * (a - rho * z1) / c, n + 1))
+            want = num / (THETA.sigma1 * t1 * (_mp_t_cdf(b, n) - _mp_t_cdf(a, n)))
+            mine = dist.conditional_pdf_t1_given_t2_in_interval(THETA, spec, t1, (lo, hi))
+            assert mine == pytest.approx(float(want), rel=1e-10, abs=0.0)
+
+
+def test_conditional_interval_of_loglaplace_at_the_singular_centre():
+    # at t1 = eta1 the line runs through the centre, where g = K0(sqrt(2x))
+    # is singular; quad over the whole w-range raised IntegrationError. The
+    # margin is Laplace with scale 1/sqrt(2) and Z = pi, so the reference is
+    # one mpmath integral of K0 over |w| on each side of 0
+    th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+    lo, hi = 1.0, 4.0
+    a, b = ((math.log(v) - math.log(th.eta2)) / th.sigma2 for v in (lo, hi))
+    c = math.sqrt(1.0 - th.rho**2)
+    with mp.workdps(30):
+        line = sum(
+            mp.quad(lambda w: mp.besselk(0, mp.sqrt(2) * w), [0, abs(e) / c]) for e in (a, b)
+        ) / mp.pi
+        laplace = stats.laplace(scale=1.0 / math.sqrt(2.0))
+        want = line / (th.sigma1 * th.eta1 * _prob(laplace, a, b))
+    got = dist.conditional_pdf_t1_given_t2_in_interval(th, make_generator("loglaplace"), th.eta1, (lo, hi))
+    assert got == pytest.approx(float(want), rel=1e-10, abs=0.0)
 
 
 def _direct_interval_reference(theta, spec, t1, lo, hi):

@@ -63,6 +63,20 @@ def test_seed_numpy_rejects_is_a_domain_error():
     assert np.array_equal(x, dist.sample(THETA, LN, 5, seed=7))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [make_generator("logslash", nu=1.5), make_generator("logt", nu=1.0),
+     make_generator("logt", nu=0.1), make_generator("loghyperbolic", nu=1e-150)],
+    ids=lambda s: s.label(),
+)
+def test_draw_of_t_beyond_double_range_is_domain_error(spec):
+    # the radial draws are doubles, but e^(sigma z) overflows to inf or
+    # underflows to 0 in these heavy tails at sigma = 0.5: logslash(1.5) gave
+    # 2305 inf and 2369 zeros here, with numpy's overflow warning
+    with pytest.raises(DomainError, match="beyond the double range"):
+        dist.sample(THETA, spec, 100_000, seed=2024)
+
+
 def test_lognormal_radial_ks():
     th = BLSParams(1.0, 2.0, 0.5, 0.7, 0.95)
     x = dist.sample(th, LN, 20000, seed=42)

@@ -124,6 +124,15 @@ def test_identical_across_worker_counts(small_report):
     assert run_study(cfg, workers=3) == small_report
 
 
+def test_a_sample_beyond_double_range_fails_its_replication():
+    # logt(0.1) at sigma = 0.5 draws T past the doubles in nearly every
+    # sample of 10; sample raised numpy's overflow warning out of the study
+    cfg = MCConfig(make_generator("logt", nu=0.1), THETA, (10,), (0.0,), 20, 7)
+    (cell,) = run_study(cfg).cells
+    assert cell.failed > 0 and cell.used + cell.failed == 20
+    assert cell.alarm
+
+
 def test_first_special_function_use_on_worker_threads():
     # scipy.special is imported by the first call that needs it; in a fresh
     # interpreter that is a loglaplace fit on run_study's worker threads,

@@ -98,40 +98,6 @@ def test_bessel_small_u_log_divergence():
         sf.bessel_k1(-1.0)
 
 
-def test_std_normal_cdf():
-    assert sf.std_normal_cdf(0.0) == 0.5
-    assert sf.std_normal_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-12)
-    assert sf.std_normal_cdf(-1.959963984540054) == pytest.approx(0.025, abs=1e-12)
-    x = np.linspace(-8, 8, 200)
-    ref = special.ndtr(x)
-    assert max(abs(sf.std_normal_cdf(v) - r) for v, r in zip(x, ref)) < 1e-14
-
-
-def test_student_t_cdf():
-    assert sf.student_t_cdf(0.0, 4.0) == 0.5
-    assert sf.student_t_cdf(1.0, 4.0) == pytest.approx(0.8130495168499705, abs=1e-12)
-    for nu in [0.5, 1.0, 4.0, 30.0]:
-        for x in [-3.0, -0.7, 0.3, 2.5]:
-            assert sf.student_t_cdf(x, nu) == pytest.approx(
-                float(special.stdtr(nu, x)), abs=1e-12
-            )
-    with pytest.raises(ValueError):
-        sf.student_t_cdf(1.0, 0.0)
-
-
-def test_f_cdf_closed_form_d1_2():
-    # F(2, nu): CDF(x) = 1 - (1 + 2x/nu)^(-nu/2)
-    for nu in [2.0, 4.0, 11.0]:
-        for x in [0.1, 1.0, 2.5, 10.0]:
-            closed = 1.0 - (1.0 + 2.0 * x / nu) ** (-nu / 2.0)
-            assert sf.f_cdf(x, 2.0, nu) == pytest.approx(closed, abs=1e-12)
-    assert sf.f_cdf(0.0, 3.0, 5.0) == 0.0
-    with pytest.raises(ValueError):
-        sf.f_cdf(-1.0, 2.0, 2.0)
-    with pytest.raises(ValueError):
-        sf.f_cdf(1.0, 0.0, 2.0)
-
-
 def test_ln_gamma():
     assert sf.ln_gamma(1.0) == 0.0
     assert sf.ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
