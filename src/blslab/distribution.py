@@ -13,9 +13,11 @@ zti = (log ti - log etai) / sigmai, and Z the family partition constant.
 The squared Mahalanobis radius xq follows the radial law with density
 pi g(x) / Z. Its closed survival function S (``generators.radial_sf``) and
 inverse carry the radial CDF and quantile, ``generators.radial_draw`` the
-sampler; the joint and marginal CDFs are one angle integral of S over the
-rays, with no truncation, and the marginal and conditional densities one
-line integral of g.
+sampler; the joint and marginal CDFs and the probability of a strip
+lo < Z2 <= hi are one angle integral of S over the rays, with no
+truncation, and the marginal and conditional densities one line integral of
+g. The special functions are the ``generators`` kernels' own, each held
+to its own accuracy contract there.
 """
 
 from __future__ import annotations
@@ -242,22 +244,29 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)  # nodes per angle panel
 _TAIL_LEVELS = 0.5 ** np.arange(1, 41)  # radial tail probabilities 2^-1 ... 2^-40
 
 
-def _wedge_prob(spec: GeneratorSpec, normals, d) -> float:
-    """P(n_i . z <= d_i for each unit row n_i of normals), z spherical.
+def _tail_radii(spec: GeneratorSpec) -> np.ndarray:
+    """The radii sqrt(isf(2^-k)), k = 1 ... 40, of the angle rule's tail
+    breaks, as far as they stay below sqrt(1e300)."""
+    q = _TAIL_LEVELS[_TAIL_LEVELS > gen.radial_sf(spec, 1e300)]  # finite radii only
+    return np.sqrt(gen.radial_isf(spec, q))
+
+
+def _wedge_prob(spec: GeneratorSpec, radii: np.ndarray, normals, d) -> float:
+    """P(n_i . z <= d_i for each unit row n_i of normals), z spherical, with
+    radii = _tail_radii(spec).
 
     The ray at angle phi carries S(r_lo^2) - S(r_hi^2), or 0 if r_hi <= r_lo:
     with s_i = n_i . (cos phi, sin phi), r_hi is the least d_i / s_i over
     s_i > 0 and r_lo the largest of 0 and d_i / s_i over s_i < 0. The panels
     of the 16-point Gauss-Legendre angle rule break at the apex of the wedge
-    and its antipode (r_lo or r_hi switches rows); about each angle where
-    s_i = 0, at offsets |d_i| 4^k / 64 from where S < 2^-40 (or 2^-50) up to
-    pi, for the |s|^nu edge of a power tail; and where d_i / s_i crosses a
-    tail radius sqrt(isf(2^-k)), so that a steep radial tail (logpexp as
-    xi -> -1) is cut into short panels.
+    and its antipode (r_lo or r_hi switches rows), unless the two normals
+    are parallel (a strip has no apex); about each angle where s_i = 0, at
+    offsets |d_i| 4^k / 64 from where S < 2^-40 (or 2^-50) up to pi, for the
+    |s|^nu edge of a power tail; and where d_i / s_i crosses a tail radius
+    sqrt(isf(2^-k)), so that a steep radial tail (logpexp as xi -> -1) is
+    cut into short panels.
     """
     normals, d = np.asarray(normals, dtype=float), np.asarray(d, dtype=float)
-    q = _TAIL_LEVELS[_TAIL_LEVELS > gen.radial_sf(spec, 1e300)]  # finite radii only
-    radii = np.sqrt(gen.radial_isf(spec, q))
     r_max = radii[-1] if len(radii) else math.inf
     breaks = []
     for (nx, ny), di in zip(normals, d):
@@ -273,7 +282,7 @@ def _wedge_prob(spec: GeneratorSpec, normals, d) -> float:
             breaks += [*(alpha + c), *(alpha - c)]
         for phi0 in (alpha + 0.5 * math.pi, alpha - 0.5 * math.pi):
             breaks += [phi0, *(phi0 - off), *(phi0 + off)]
-    if len(d) == 2 and np.all(np.isfinite(d)):
+    if len(d) == 2 and np.all(np.isfinite(d)) and np.linalg.det(normals) != 0.0:
         apex = np.linalg.solve(normals, d)
         phi = math.atan2(apex[1], apex[0])
         breaks += [phi, phi + math.pi]
@@ -311,7 +320,8 @@ def joint_cdf(theta: BLSParams, spec: GeneratorSpec, t1: float, t2: float) -> fl
         raise DomainError("joint_cdf requires t1 > 0 and t2 > 0")
     a, b = standardize(theta, t1, t2)
     rho = theta.rho
-    return _wedge_prob(spec, [[1.0, 0.0], [rho, math.sqrt(1.0 - rho * rho)]], [a, b])
+    normals = [[1.0, 0.0], [rho, math.sqrt(1.0 - rho * rho)]]
+    return _wedge_prob(spec, _tail_radii(spec), normals, [a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +380,7 @@ def marginal_cdf_z(spec: GeneratorSpec, zv: float) -> float:
     zv = float(zv)
     if not math.isfinite(zv * zv):
         raise DomainError(f"marginal_cdf_z: z^2 is beyond the double range at z={zv}")
-    return _wedge_prob(spec, [[1.0, 0.0]], [zv])
+    return _wedge_prob(spec, _tail_radii(spec), [[1.0, 0.0]], [zv])
 
 
 def marginal_quantile(
@@ -396,8 +406,12 @@ def marginal_quantile(
             raise DomainError(f"{spec.label()}: quantile at p={p} is beyond the double range")
         return t
 
-    def f(zv):  # P(Z <= -zv) - tail, decreasing in zv
-        return marginal_cdf_z(spec, -zv) - tail
+    radii = _tail_radii(spec)
+
+    def f(zv):  # P(Z <= -zv) - tail, decreasing in zv; as marginal_cdf_z, zv^2 a double
+        if not math.isfinite(zv * zv):
+            raise DomainError(f"marginal_quantile: z^2 is beyond the double range at z={-zv}")
+        return _wedge_prob(spec, radii, [[1.0, 0.0]], [-zv]) - tail
 
     hi = 1.0
     while f(hi) > 0.0:
@@ -410,17 +424,32 @@ def marginal_quantile(
 # conditional laws
 
 
+def _exp_density(spec: GeneratorSpec, log_f: float) -> float:
+    # e^log_f; DomainError where a finite conditional density exceeds the doubles
+    if gen._LOG_X_HI < log_f < math.inf:
+        raise DomainError(f"{spec.label()}: the conditional density exceeds the double range")
+    return math.exp(log_f)
+
+
 def conditional_pdf_t2_given_t1(
     theta: BLSParams, spec: GeneratorSpec, t1: float, t2: float
 ) -> float:
-    """Density of T2 given T1 = t1: joint density over the T1 marginal."""
+    """Density of T2 given T1 = t1: joint density over the T1 marginal.
+
+    Formed in logs and without the factor 1/(sigma1 t1) that both share, so
+    that a subnormal t1 is no 0/0. +inf at the loglaplace centre, as
+    joint_pdf; ZeroProbabilityError where the T1 marginal density is 0;
+    DomainError where a finite density exceeds the doubles.
+    """
     if not (t1 > 0.0 and t2 > 0.0):
         raise DomainError("conditional density requires t1 > 0 and t2 > 0")
-    zt1, _ = standardize(theta, t1, float(t2))
-    marg_t1 = marginal_pdf_z(spec, zt1) / (theta.sigma1 * t1)
-    if marg_t1 <= 0.0:
+    t1, t2 = float(t1), float(t2)
+    zt1, _ = standardize(theta, t1, t2)
+    marg_z = marginal_pdf_z(spec, zt1)
+    if marg_z <= 0.0:
         raise ZeroProbabilityError(f"T1 marginal density vanishes at t1={t1}")
-    return joint_pdf(theta, spec, float(t1), float(t2)) / marg_t1
+    log_joint = joint_log_pdf(theta, spec, t1, t2) + math.log(theta.sigma1) + math.log(t1)
+    return _exp_density(spec, log_joint - math.log(marg_z))
 
 
 def conditional_pdf_t1_given_t2_in_interval(
@@ -434,9 +463,11 @@ def conditional_pdf_t1_given_t2_in_interval(
     With z1 the standardized t1 and w = (z2 - rho z1) / sqrt(1 - rho^2), the
     numerator is the line mass of g over the w-range of the interval at
     z1 (quadrature, about 1e-10 relative) and the denominator
-    P(lo < T2 <= hi) is the joint_cdf angle rule, the same route for every
-    family. ZeroProbabilityError where that probability is below 1e-12;
-    IntegrationError where the quadrature fails.
+    P(lo < T2 <= hi) is one angle rule over the strip lo < T2 <= hi, the
+    same route for every family. The quotient is formed in logs, so that a
+    subnormal t1 is no 0/0. ZeroProbabilityError where that probability is
+    below 1e-12; IntegrationError where the quadrature fails; DomainError
+    where the density exceeds the doubles.
     """
     if not t1 > 0.0:
         raise DomainError("conditional density requires t1 > 0")
@@ -455,14 +486,16 @@ def conditional_pdf_t1_given_t2_in_interval(
         return (math.log(v) - math.log(theta.eta2)) / theta.sigma2
 
     b_lo, b_hi = btilde(lo), btilde(hi)
-    # P(b_lo < Z2 <= b_hi); the angle rule takes b = -inf or +inf as it is
-    lo_p, hi_p = (_wedge_prob(spec, [[1.0, 0.0]], [b]) for b in (b_lo, b_hi))
-    denom = hi_p - lo_p
+    # P(b_lo < Z2 <= b_hi) as one strip; the angle rule takes an infinite end as it is
+    denom = _wedge_prob(spec, _tail_radii(spec), [[1.0, 0.0], [-1.0, 0.0]], [b_hi, -b_lo])
     if denom < 1e-12:
         raise ZeroProbabilityError("conditioning interval has zero probability")
     w_lo = (b_lo - rho * zt1) / c if np.isfinite(b_lo) else -math.inf
     w_hi = (b_hi - rho * zt1) / c if np.isfinite(b_hi) else math.inf
-    return _line_mass(spec, zt1, w_lo, w_hi) / (t1 * theta.sigma1 * denom)
+    mass = _line_mass(spec, zt1, w_lo, w_hi)
+    if mass == 0.0:
+        return 0.0
+    return _exp_density(spec, math.log(mass / denom) - math.log(theta.sigma1) - math.log(t1))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,14 @@ loglaplace and logslash it takes safeguarded Halley steps on log S, and S is
 e^(log S) of the same tail evaluation. Those three families and logpexp draw
 the radial law from an exact product of standard draws instead of the inverse.
 
+The special functions are scipy.special's, called from the kernels:
+loglaplace's K0 and K1 as the scaled k0e and k1e, logslash's lower
+incomplete gamma as gammainc * gamma, and logpexp's radial law through
+gammainc, gammaincc and their inverses. The accuracy contracts are the
+kernels' own: for x in [1e-8, 1e3], g of loglaplace and logslash is within
+1e-12 relative of 40-digit mpmath and log g within 1e-12 absolute, and
+radial_sf and radial_isf state theirs.
+
 The enum values double as the CLI family names.
 """
 
@@ -226,6 +234,11 @@ def _slash_g_series(s: float, y):
     return 2.0**-s * (1.0 / s - y / (s + 1.0) + y * y / (2.0 * (s + 2.0)))
 
 
+def _lower_gamma(s: float, y):
+    # the lower incomplete gamma function gamma(s, y) = int_0^y t^(s-1) e^-t dt
+    return special.gammainc(s, y) * special.gamma(s)
+
+
 def _slash_branches(x, switch: float):
     # the series and the closed form each see only arguments on their own
     # side of the switch, so neither takes log(0), 0 * inf or inf - inf
@@ -261,7 +274,7 @@ def log_g(spec: GeneratorSpec, x):
         out = np.where(
             x < _SLASH_SERIES_X,
             np.log(_slash_g_series(s, 0.5 * xs)),
-            np.log(specfun.lower_incomplete_gamma(s, 0.5 * xc)) - s * np.log(xc),
+            np.log(_lower_gamma(s, 0.5 * xc)) - s * np.log(xc),
         )
     elif gid is GeneratorId.POWER_EXP:
         with np.errstate(over="ignore"):  # x^(1/(1+xi)) overflows for xi < 0
@@ -405,7 +418,7 @@ def _slash_score_parts(p: GeneratorParams, x):
     xs, xc = _slash_branches(x, switch)
     y, yc = 0.5 * xs, 0.5 * xc
     P = special.hyp1f1(1.0, s + 2.0, y) / (s + 1.0)
-    S = s * specfun.lower_incomplete_gamma(s, yc) * np.power(yc, -s)
+    S = s * _lower_gamma(s, yc) * np.power(yc, -s)
     e = np.exp(-yc)
     return s, switch, xc, y, P, 1.0 + y * P, (s / xc) * e / np.where(e > 0.0, S, 1.0)
 
@@ -432,7 +445,7 @@ def partition_closed(spec: GeneratorSpec) -> float:
         return (
             2.0 ** (p.xi + 1.0)
             * (1.0 + p.xi)
-            * math.exp(specfun.ln_gamma(1.0 + p.xi))
+            * math.exp(math.lgamma(1.0 + p.xi))
             * math.pi
         )
     if gid is GeneratorId.LOGISTIC:
@@ -611,7 +624,7 @@ def _slash_log_t(s: float, x: np.ndarray) -> np.ndarray:
     return np.where(
         x < _SLASH_SERIES_X,
         np.log(_slash_g_series(s, 0.5 * xs)) + np.log(x) + (s - 1.0) * _LOG2,
-        np.log(specfun.lower_incomplete_gamma(s, 0.5 * xc)) + (1.0 - s) * np.log(0.5 * xc),
+        np.log(_lower_gamma(s, 0.5 * xc)) + (1.0 - s) * np.log(0.5 * xc),
     )
 
 
@@ -631,7 +644,7 @@ def _radial_log_tails(spec: GeneratorSpec, x: np.ndarray):
         return log_sf, np.log(-np.expm1(log_sf)), log_xf, 1.0 - 0.5 * nu * (x / w)
     if spec.id is GeneratorId.LAPLACE:
         v = _SQRT2 * np.sqrt(x)  # 2x may overflow
-        vk1, k0 = v * specfun.bessel_k1e(v), specfun.bessel_k0e(v)
+        vk1, k0 = v * special.k1e(v), special.k0e(v)
         log_sf = np.log(vk1) - v
         cdf = -np.expm1(log_sf)
         xh = x[v < 0.5, None]

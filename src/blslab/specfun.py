@@ -1,23 +1,14 @@
-"""Special functions used by the generators and the radial laws.
+"""The input check and the lazy module loader shared by blslab's modules.
 
-Thin validated wrappers over ``scipy.special`` and ``math.lgamma``: log-gamma,
-the lower incomplete gamma function, and modified Bessel functions K0/K1
-(plain and exponentially scaled). Each function raises ``ValueError``
-outside its domain (NaN included), accepts +inf, and returns a ``float``
-for scalar input. ``checked`` is that input check, shared with
-``generators`` and ``distribution``: a 0-d input stays a float, with one
-comparison.
+``checked`` is the input check of the functions of a point. ``LazyModule``
+imports a module on first use. The special functions themselves are
+``scipy.special``'s, called straight from the ``generators`` kernels, which
+state and test their own accuracy contracts. This stays a module of its own
+because the benchmark's tracer (``bench/spans.py``) names it.
 
-Accuracy contracts, enforced by tests/test_specfun.py
------------------------------------------------------
-* ``lower_incomplete_gamma``: relative error <= 1e-12 on s in (0, 50],
-  x in [0, 200].
-* ``bessel_k0``/``bessel_k1`` and the scaled forms: relative error <= 1e-10
-  for u in (0, 700].
-
-No blslab module imports scipy when it loads. ``scipy.special`` (here and in
-``generators``), ``scipy.integrate`` and ``scipy.optimize`` are each reached
-through a ``LazyModule`` and imported by the first call that needs them, so
+No blslab module imports scipy when it loads. ``scipy.special``,
+``scipy.integrate`` and ``scipy.optimize`` are each reached through a
+``LazyModule`` and imported by the first call that needs them, so
 densities, joint CDFs, radial quantiles, sampling and fits of the families
 whose generators are elementary (lognormal, logt, logpvii, loghyperbolic)
 import no scipy.
@@ -26,18 +17,10 @@ import no scipy.
 from __future__ import annotations
 
 import importlib
-import math
 
 import numpy as np
 
-__all__ = [
-    "ln_gamma",
-    "lower_incomplete_gamma",
-    "bessel_k0",
-    "bessel_k1",
-    "bessel_k0e",
-    "bessel_k1e",
-]
+__all__ = ["checked", "LazyModule"]
 
 
 class LazyModule:
@@ -60,10 +43,7 @@ class LazyModule:
         return value
 
 
-special = LazyModule("scipy.special")
-
-
-def checked(x, msg: str, error=ValueError, strict: bool = False):
+def checked(x, msg: str, error: type[Exception], strict: bool = False):
     """x as a float when it is 0-d, else as a float array; raises
     ``error(msg)`` unless x >= 0 (x > 0 if ``strict``) everywhere, so NaN
     fails too. The input check of the blslab functions of a point."""
@@ -76,51 +56,3 @@ def checked(x, msg: str, error=ValueError, strict: bool = False):
     if not ok:
         raise error(msg)
     return x
-
-
-def _like(x, out):
-    # float for a float argument, array otherwise
-    return float(out) if isinstance(x, float) else out
-
-
-def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def lower_incomplete_gamma(s: float, x):
-    """Unregularized lower incomplete gamma gamma(s, x) = int_0^x t^(s-1) e^-t dt.
-
-    ``s`` is a positive scalar; ``x`` may be a nonnegative scalar or array.
-    """
-    if not s > 0.0:
-        raise ValueError(f"lower_incomplete_gamma requires s > 0, got {s}")
-    x = checked(x, "lower_incomplete_gamma requires x >= 0")
-    return _like(x, special.gammainc(s, x) * special.gamma(s))
-
-
-def _bessel(fn, u):
-    u = checked(u, "bessel_k requires u > 0", strict=True)
-    return _like(u, fn(u))
-
-
-def bessel_k0(u):
-    """Modified Bessel function of the second kind K0(u), u > 0."""
-    return _bessel(special.k0, u)
-
-
-def bessel_k1(u):
-    """Modified Bessel function of the second kind K1(u), u > 0."""
-    return _bessel(special.k1, u)
-
-
-def bessel_k0e(u):
-    """Exponentially scaled K0: exp(u) * K0(u).  Stable for large u."""
-    return _bessel(special.k0e, u)
-
-
-def bessel_k1e(u):
-    """Exponentially scaled K1: exp(u) * K1(u)."""
-    return _bessel(special.k1e, u)

@@ -13,12 +13,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from blslab import distribution as dist
 from blslab import generators as gen
 from blslab.distribution import BLSParams
-from blslab.errors import DomainError, IntegrationError, ZeroProbabilityError
+from blslab.errors import BlsError, DomainError, IntegrationError, ZeroProbabilityError
 from blslab.generators import make_generator
 
 LN = make_generator("lognormal")
@@ -134,6 +136,15 @@ def test_marginal_quantile_beyond_double_range_is_domain_error(nu, p):
     th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
     with pytest.raises(DomainError, match="beyond the double range"):
         dist.marginal_quantile(th, make_generator("logt", nu=nu), 1, p)
+
+
+def test_marginal_quantile_bracket_stops_where_z_squared_overflows():
+    # logt(1e-10)'s z quantile at p = 0.9 lies far beyond the doubles, while
+    # at sigma1 = 1e-200 the bracket's e^(sigma z) stays near 1: the search
+    # must stop where z^2 leaves the doubles, not bracket the root with z = inf
+    th = BLSParams(1.0, 2.0, 1e-200, 0.3, 0.4)
+    with pytest.raises(DomainError, match="z\\^2 is beyond the double range"):
+        dist.marginal_quantile(th, make_generator("logt", nu=1e-10), 1, 0.9)
 
 
 def _t4_ppf(p):
@@ -336,26 +347,45 @@ def _mp_t_cdf(x, nu):
     return 1 - tail if x > 0 else tail
 
 
+def _mp_logt_interval(theta, nu, t1, lo, hi):
+    """The logt(nu) interval conditional in mpmath at the working precision:
+    the Student-t(nu) margin of z1 times P(w in the interval's w-range | z1),
+    over P(lo < T2 <= hi); lo > 0."""
+    n = mp.mpf(nu)
+    rho, c = mp.mpf(theta.rho), mp.sqrt(1 - mp.mpf(theta.rho) ** 2)
+    z1 = (mp.log(t1) - mp.log(theta.eta1)) / theta.sigma1
+    a = (mp.log(lo) - mp.log(theta.eta2)) / theta.sigma2
+    b = (mp.log(hi) - mp.log(theta.eta2)) / theta.sigma2 if math.isfinite(hi) else mp.inf
+    s = mp.sqrt((n + 1) / (n + z1 * z1))
+    pdf = mp.exp(
+        mp.loggamma((n + 1) / 2) - mp.loggamma(n / 2) - (n + 1) / 2 * mp.log1p(z1 * z1 / n)
+    ) / mp.sqrt(n * mp.pi)
+    num = pdf * (_mp_t_cdf(s * (b - rho * z1) / c, n + 1) - _mp_t_cdf(s * (a - rho * z1) / c, n + 1))
+    return num / (theta.sigma1 * t1 * (_mp_t_cdf(b, n) - _mp_t_cdf(a, n)))
+
+
 @pytest.mark.parametrize("nu", [1e6, 1e8, 1e12])
 def test_conditional_interval_of_logt_with_large_nu_matches_mpmath(nu):
     # the closed logt branch lost digits in lgamma((nu + 1)/2) - lgamma(nu/2):
     # 5.5e-10 off at nu = 1e6, 1.9e-4 at nu = 1e12
     spec = make_generator("logt", nu=nu)
     with mp.workdps(30):
-        n = mp.mpf(nu)
-        rho, c = mp.mpf(THETA.rho), mp.sqrt(1 - mp.mpf(THETA.rho) ** 2)
         for t1, (lo, hi) in ((1.2, (1.5, 3.0)), (0.05, (5.0, 9.0)), (40.0, (2.0, math.inf))):
-            z1 = (mp.log(t1) - mp.log(THETA.eta1)) / THETA.sigma1
-            a = (mp.log(lo) - mp.log(THETA.eta2)) / THETA.sigma2
-            b = (mp.log(hi) - mp.log(THETA.eta2)) / THETA.sigma2 if math.isfinite(hi) else mp.inf
-            s = mp.sqrt((n + 1) / (n + z1 * z1))
-            pdf = mp.exp(
-                mp.loggamma((n + 1) / 2) - mp.loggamma(n / 2) - (n + 1) / 2 * mp.log1p(z1 * z1 / n)
-            ) / mp.sqrt(n * mp.pi)
-            num = pdf * (_mp_t_cdf(s * (b - rho * z1) / c, n + 1) - _mp_t_cdf(s * (a - rho * z1) / c, n + 1))
-            want = num / (THETA.sigma1 * t1 * (_mp_t_cdf(b, n) - _mp_t_cdf(a, n)))
+            want = _mp_logt_interval(THETA, nu, t1, lo, hi)
             mine = dist.conditional_pdf_t1_given_t2_in_interval(THETA, spec, t1, (lo, hi))
             assert mine == pytest.approx(float(want), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("nu, tol", [(1e-9, 5e-8), (1e-11, 1e-6)])
+def test_conditional_interval_denominator_is_one_strip(nu, tol):
+    # P(5 < T2 <= 9) is ~1e-9 of mass here. As the difference of two CDFs
+    # near 1/2, each ~1e-14 off, the conditional was 1.1e-6 (nu = 1e-9) and
+    # 9.4e-5 (nu = 1e-11) off; the strip's own angle rule keeps it
+    th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+    with mp.workdps(40):
+        want = _mp_logt_interval(th, nu, 1.2, 5.0, 9.0)
+    mine = dist.conditional_pdf_t1_given_t2_in_interval(th, make_generator("logt", nu=nu), 1.2, (5.0, 9.0))
+    assert mine == pytest.approx(float(want), rel=tol, abs=0.0)
 
 
 def test_conditional_interval_of_loglaplace_at_the_singular_centre():
@@ -437,3 +467,36 @@ def test_conditional_interval_zero_probability():
     tiny = BLSParams(1.0, 1.0, 0.1, 0.1, 0.0)
     with pytest.raises(ZeroProbabilityError):
         dist.conditional_pdf_t1_given_t2_in_interval(tiny, LN, 1.0, (1e6, 2e6))
+
+
+# t > 0 from the smallest subnormal to 1e308: the ends at every example, and
+# log-uniform values between
+_POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1e308]),
+    st.floats(math.log(5e-324), math.log(1e308)).map(math.exp),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    st.sampled_from(
+        [LN, make_generator("logt", nu=0.05), LT4, make_generator("loglaplace"), SL4,
+         make_generator("logpexp", xi=-0.5)]
+    ),
+    _POSITIVE, _POSITIVE, _POSITIVE, _POSITIVE,
+)
+def test_conditionals_are_finite_or_a_bls_error(spec, t1, t2, lo, hi):
+    # t1 sigma1 underflows to 0 at a subnormal t1, where both conditionals
+    # raised a bare ZeroDivisionError; each value is now a finite density or
+    # a BlsError (ZeroProbabilityError where the margin vanishes, DomainError
+    # where the density leaves the doubles)
+    th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+    for call in (
+        lambda: dist.conditional_pdf_t2_given_t1(th, spec, t1, t2),
+        lambda: dist.conditional_pdf_t1_given_t2_in_interval(th, spec, t1, (min(lo, hi), max(lo, hi))),
+    ):
+        try:
+            val = call()
+        except BlsError:
+            continue
+        assert 0.0 <= val < math.inf, (spec.label(), t1, t2, lo, hi, val)

@@ -112,6 +112,32 @@ def test_slash_series_region_accuracy():
         assert gen.g(spec, x) == pytest.approx(g_exact, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [make_generator("loglaplace")]
+    + [make_generator("logslash", nu=nu) for nu in (1.0 + 1e-9, 1.5, 4.0, 90.0)],
+    ids=lambda s: s.label(),
+)
+def test_special_function_generators_match_mpmath(spec):
+    # g = K0(sqrt(2x)) and g = x^-s gamma(s, x/2), s = (nu + 1)/2, from
+    # scipy.special's k0e and gammainc * gamma, against 40-digit mpmath; the
+    # grid straddles logslash's series switch at x = 1e-5
+    import mpmath as mp
+
+    x = np.concatenate([np.geomspace(1e-8, 1e3, 120), [np.nextafter(1e-5, 0.0), 1e-5]])
+    with mp.workdps(40):
+        if spec.id is GeneratorId.LAPLACE:
+            want = [mp.besselk(0, mp.sqrt(2 * mp.mpf(v))) for v in x]
+        else:
+            s = mp.mpf(0.5 * (spec.params.nu + 1.0))
+            want = [mp.mpf(v) ** -s * mp.gammainc(s, 0, mp.mpf(v) / 2) for v in x]
+        log_want = [float(mp.log(w)) for w in want]
+        want = [float(w) for w in want]
+    np.testing.assert_allclose(gen.g(spec, x), want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(gen.log_g(spec, x), log_want, rtol=0.0, atol=1e-12)
+    assert [gen.g(spec, float(v)) for v in x] == list(gen.g(spec, x))
+
+
 def test_singular_score_ratios_raise_at_zero():
     for spec in [
         make_generator("loglaplace"),
