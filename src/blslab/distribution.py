@@ -268,11 +268,12 @@ def _wedge_prob(spec: GeneratorSpec, radii: np.ndarray, normals, d) -> float:
     """
     normals, d = np.asarray(normals, dtype=float), np.asarray(d, dtype=float)
     r_max = radii[-1] if len(radii) else math.inf
-    breaks = []
+    breaks, band = [], 0.0
     for (nx, ny), di in zip(normals, d):
         alpha, ad = math.atan2(ny, nx), abs(float(di))
         off = np.empty(0)
         if 0.0 < ad < math.inf:  # offsets ad * 4^k / 64 from the floor up to pi
+            band += 4.0 * math.asin(min(1.0, ad / math.sqrt(gen._X_MAX))) / (2.0 * math.pi)
             k0, k1 = (
                 math.ceil((math.log(x) - math.log(ad)) / math.log(4.0)) + 3
                 for x in (max(2.0**-50, ad / r_max), math.pi)
@@ -286,6 +287,10 @@ def _wedge_prob(spec: GeneratorSpec, radii: np.ndarray, normals, d) -> float:
         apex = np.linalg.solve(normals, d)
         phi = math.atan2(apex[1], apex[0])
         breaks += [phi, phi + math.pi]
+    # within asin(|d_i| / sqrt(X_MAX)) of an angle where s_i = 0, (d_i / s_i)^2
+    # leaves the doubles and S reads 0 there, losing up to S(X_MAX) of the mass
+    if band > 1e-14 and band * gen.radial_sf(spec, gen._X_MAX) > 1e-14:
+        raise DomainError(f"{spec.label()}: the angle rule needs radial mass beyond the double range")
     edges = np.unique(np.mod(breaks, 2.0 * math.pi))
     edges = np.append(edges, edges[0] + 2.0 * math.pi)
     half = 0.5 * np.diff(edges)[:, None]
@@ -314,7 +319,8 @@ def joint_cdf(theta: BLSParams, spec: GeneratorSpec, t1: float, t2: float) -> fl
 
     by a fixed Gauss-Legendre rule on panels cut where the integrand is not
     smooth or changes fast. No truncation radius, so every radial tail is
-    covered. Absolute error about 1e-14 or less for all eight families.
+    covered. Absolute error about 1e-14 or less for all eight families;
+    DomainError where the radial mass beyond the doubles may exceed that.
     """
     if not (t1 > 0.0 and t2 > 0.0):
         raise DomainError("joint_cdf requires t1 > 0 and t2 > 0")
@@ -375,7 +381,8 @@ def marginal_cdf_z(spec: GeneratorSpec, zv: float) -> float:
 
     with F = 1 - S the radial CDF, and P(Z1 <= -zv) = 1 - P(Z1 <= zv). No
     truncation; absolute error about 1e-14 or less. DomainError where zv^2
-    is not finite.
+    is not finite, or where the radial mass beyond the doubles exceeds that
+    budget (logt with nu <~ 0.09 at |zv| >~ 2e140).
     """
     zv = float(zv)
     if not math.isfinite(zv * zv):

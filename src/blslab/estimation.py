@@ -3,8 +3,10 @@
 The likelihood is maximized in the unconstrained parametrization
 phi = (log eta1, log eta2, log sigma1, log sigma2, atanh rho) by a damped
 Newton iteration (_newton) on the analytic log-likelihood, score and Hessian
-(_ll_score_hess; the Hessian uses the closed-form generators.dr = r');
-estimates are reported in the original coordinates.
+(_ll_score_hess; the Hessian uses the closed-form generators.dr = r'). A
+trial step is judged on the log-likelihood alone, so the score and Hessian
+are computed only at accepted points; estimates are reported in the
+original coordinates.
 Where the score ratio r is singular at 0 the likelihood is not smooth at the
 data pairs: the Bessel-K0 family's is unbounded (a logarithmic spike sits at
 every data pair), and the power-exponential family with xi > 0 has a cusp
@@ -63,8 +65,16 @@ def as_sample_matrix(data) -> np.ndarray:
     return x
 
 
-def _ll_score_hess(phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: float):
-    """Log-likelihood, score and Hessian in phi, optionally winsorized.
+def _log_sample(spec: GeneratorSpec, x: np.ndarray):
+    # log x, sum log x and log Z: what _ll_score_hess needs of the sample and family
+    logs = np.log(x)
+    return logs, float(np.sum(logs)), math.log(gen.partition_closed(spec))
+
+
+def _ll_score_hess(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float, cap: float = math.inf):
+    """Log-likelihood, score and Hessian in phi, optionally winsorized, with
+    lx = _log_sample(spec, x); where -ll > cap, r and r' are not computed and
+    the score and Hessian are None.
 
     phi = (log eta1, log eta2, log sigma1, log sigma2, atanh rho). With
     floor > 0 the kernel gets a C^1 linear extension below the floor:
@@ -82,24 +92,28 @@ def _ll_score_hess(phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: f
     n sech^2 c e5 e5^T; the first sum needs only six r-weighted moments of
     z1 and z2.
     """
-    n = x.shape[0]
+    logs, sum_logs, log_z = lx
+    n = logs.shape[0]
     s1, s2 = math.exp(phi[2]), math.exp(phi[3])
     ch, sh = math.cosh(phi[4]), math.sinh(phi[4])
-    logs = np.log(x)
     z1 = (logs[:, 0] - phi[0]) / s1
     z2 = (logs[:, 1] - phi[1]) / s2
     u = ch * z1 - sh * z2
     q = u * u + z2 * z2
     q_eff = np.maximum(q, floor)
-    G = gen.r(spec, q_eff)
-    dG = gen.dr(spec, q_eff)
-    base = gen.log_g(spec, q_eff)
-    if floor > 0.0:
-        # linear extension term; identically zero for unclipped radii
+    base, G = gen.log_g(spec, q_eff), None
+    if floor > 0.0 and np.any(q < floor):
+        # linear extension term; +0 for unclipped radii, where r is finite
+        G = gen.r(spec, q_eff)
         base = base + G * (q - q_eff)
+    const = log_z + phi[2] + phi[3] - math.log(ch)
+    ll = float(np.sum(base) - n * const - sum_logs)
+    if -ll > cap:
+        return ll, None, None
+    G = gen.r(spec, q_eff) if G is None else G
+    dG = gen.dr(spec, q_eff)
+    if floor > 0.0:
         dG = np.where(q < floor, 0.0, dG)
-    const = math.log(gen.partition_closed(spec)) + phi[2] + phi[3] - math.log(ch)
-    ll = float(np.sum(base) - n * const - np.sum(logs))
     # dq/dz1, dq/dz2 and dq/dc; dz_k/da_k = -1/sigma_k and dz_k/db_k = -z_k
     q1 = 2.0 * ch * u
     q2 = 2.0 * (z2 - sh * u)
@@ -143,7 +157,7 @@ def score(theta: BLSParams, spec: GeneratorSpec, data) -> np.ndarray:
     at (eta1, eta2) raises a domain error.
     """
     x = as_sample_matrix(data)
-    return _ll_score_hess(_theta_to_phi(theta), spec, x, 0.0)[1] / _dtheta_dphi(theta)
+    return _ll_score_hess(_theta_to_phi(theta), spec, _log_sample(spec, x), 0.0)[1] / _dtheta_dphi(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +202,18 @@ def _dtheta_dphi(theta: BLSParams) -> np.ndarray:
 def default_starts(data) -> list[BLSParams]:
     """The two shipped initializations: robust moments, and a 20% perturbation."""
     x = as_sample_matrix(data)
-    logs = np.log(x)
-    eta = np.median(x, axis=0)
-    mad = np.median(np.abs(logs - np.median(logs, axis=0)), axis=0)
+    return _starts(x, np.log(x))
+
+
+def _median(a: np.ndarray) -> np.ndarray:
+    # np.median(a, axis=0) of finite data, from one sort
+    m, a = a.shape[0] // 2, np.sort(a, axis=0)
+    return a[m] if a.shape[0] % 2 else 0.5 * (a[m - 1] + a[m])
+
+
+def _starts(x: np.ndarray, logs: np.ndarray) -> list[BLSParams]:
+    eta = _median(x)
+    mad = _median(np.abs(logs - _median(logs)))
     sigma = np.maximum(1.4826 * mad, 1e-3)
     corr = float(np.corrcoef(logs[:, 0], logs[:, 1])[0, 1])
     if not np.isfinite(corr):
@@ -228,8 +251,9 @@ def _xq_floor(spec: GeneratorSpec, n: int) -> float:
     return _SPIKE_COEF / n if singular else 0.0
 
 
-def _objective(phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: float):
-    """Negative log-likelihood, its gradient and Hessian in phi, guarded."""
+def _objective(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float, cap: float = math.inf):
+    """Negative log-likelihood, its gradient and Hessian in phi, guarded; the
+    guard's values also where nll > cap."""
     bad = (_BAD_NLL, np.zeros(5), np.zeros((5, 5)))
     # the 60-box keeps exp() in range; no interior optimum lives anywhere near it
     if not np.all(np.isfinite(phi)) or float(np.max(np.abs(phi))) > 60.0:
@@ -237,15 +261,15 @@ def _objective(phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: float
     if not abs(math.tanh(phi[4])) < 1.0:  # rho must not round to +-1
         return bad
     try:
-        ll, s, h = _ll_score_hess(phi, spec, x, floor)
+        ll, s, h = _ll_score_hess(phi, spec, lx, floor, cap)
     except (DomainError, OverflowError):
         return bad
-    if not (math.isfinite(ll) and np.isfinite(s).all() and np.isfinite(h).all()):
+    if not (math.isfinite(ll) and -ll <= cap and np.isfinite(s).all() and np.isfinite(h).all()):
         return bad
     return -ll, -s, -h
 
 
-def _newton(phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: float):
+def _newton(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float):
     """Levenberg-Marquardt-damped Newton on _objective from phi.
 
     Each trial step solves (|H| + lam I) step = -grad in the eigenbasis of
@@ -256,20 +280,25 @@ def _newton(phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: float):
     following it to the nearest data pair. A step is accepted when nll falls
     by the Armijo fraction of the predicted decrease, up to rounding in nll;
     lam grows tenfold on a rejected step and shrinks tenfold on an accepted
-    one. Stops at a scaled gradient <= 1e-10, or when no step lowers nll.
+    one. A trial is judged on nll alone: the gradient, the Hessian and its
+    eigenbasis come only at accepted points, and serve every trial from there.
+    Stops at a scaled gradient <= 1e-10, or when no step lowers nll.
     """
-    nll, grad, H = _objective(phi, spec, x, floor)
-    lam, steps = 0.0, 0
+    nll, grad, H = _objective(phi, spec, lx, floor)
+    lam, steps, new = 0.0, 0, True
     for _ in range(_MAX_TRIALS):
         if nll >= 0.5 * _BAD_NLL or np.max(np.abs(grad)) <= 1e-10 * max(1.0, abs(nll)):
             break
-        w, V = np.linalg.eigh(H)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        step = -V @ ((V.T @ grad) / (np.maximum(np.abs(w), 1e-8 * scale) + lam))
+        if new:  # one eigendecomposition serves every trial from this point
+            w, V = np.linalg.eigh(H)
+            scale = max(1.0, float(np.max(np.abs(w))))
+            Vg, aw = V.T @ grad, np.maximum(np.abs(w), 1e-8 * scale)
+        step = -V @ (Vg / (aw + lam))
         cand = phi + step
-        nll_c, grad_c, H_c = _objective(cand, spec, x, floor)
-        slack = 4.0 * np.finfo(float).eps * max(1.0, abs(nll))
-        if nll_c <= nll + _ARMIJO * float(grad @ step) + slack:
+        cap = nll + _ARMIJO * float(grad @ step) + 4.0 * np.finfo(float).eps * max(1.0, abs(nll))
+        nll_c, grad_c, H_c = _objective(cand, spec, lx, floor, cap)
+        new = nll_c <= cap
+        if new:
             phi, nll, grad, H = cand, nll_c, grad_c, H_c
             steps += 1
             lam *= 0.1
@@ -280,7 +309,7 @@ def _newton(phi: np.ndarray, spec: GeneratorSpec, x: np.ndarray, floor: float):
     return phi, nll, grad, steps
 
 
-def _minimize_from(phi0: np.ndarray, spec: GeneratorSpec, x: np.ndarray):
+def _minimize_from(phi0: np.ndarray, spec: GeneratorSpec, x: np.ndarray, lx):
     floor = _xq_floor(spec, x.shape[0])
     # homotopy: a coarse winsorization first (very smooth surface), then the
     # target floor starting from the coarse optimum; smooth families run a
@@ -289,13 +318,13 @@ def _minimize_from(phi0: np.ndarray, spec: GeneratorSpec, x: np.ndarray):
     phi = np.asarray(phi0, dtype=float)
     steps = 0
     for f in stages:
-        phi, nll, ngrad, k = _newton(phi, spec, x, f)
+        phi, nll, ngrad, k = _newton(phi, spec, lx, f)
         steps += k
     if floor > 0.0 and nll < 0.5 * _BAD_NLL:
         # convergence is judged on the winsorized estimating equation, but
         # the reported log-likelihood is the exact one (the quantity AIC and
         # BIC compare across families)
-        ll_exact = log_likelihood(_phi_to_theta(phi), spec, x)
+        ll_exact = float(np.sum(joint_log_pdf(_phi_to_theta(phi), spec, x[:, 0], x[:, 1])))
         if math.isfinite(ll_exact):
             nll = -ll_exact
     return phi, nll, ngrad, steps
@@ -317,11 +346,12 @@ def fit_mle(
     """
     x = as_sample_matrix(data)
     n = x.shape[0]
-    starts = [init] if init is not None else default_starts(x)
+    lx = _log_sample(spec, x)
+    starts = [init] if init is not None else _starts(x, lx[0])
 
     best = None
     for s0 in starts:
-        phi, nll, ngrad, iterations = _minimize_from(_theta_to_phi(s0), spec, x)
+        phi, nll, ngrad, iterations = _minimize_from(_theta_to_phi(s0), spec, x, lx)
         grad_norm = float(np.max(np.abs(ngrad))) / max(1.0, abs(nll))
         converged = grad_norm <= _GRAD_TOL and nll < 0.5 * _BAD_NLL
         if best is None or nll < best[1]:
@@ -396,7 +426,7 @@ def standard_errors(fit: FitResult, data) -> np.ndarray:
     x = as_sample_matrix(data)
     floor = _xq_floor(fit.spec, x.shape[0])
     th = fit.theta_hat
-    _, s, h = _ll_score_hess(_theta_to_phi(th), fit.spec, x, floor)
+    _, s, h = _ll_score_hess(_theta_to_phi(th), fit.spec, _log_sample(fit.spec, x), floor)
     # H_phi = J H_theta J + diag(s_theta * d2theta/dphi2), with J = dtheta/dphi
     # and s_theta * d2theta/dphi2 = s_phi * (1, 1, 1, 1, -2 rho)
     h = h - np.diag(s * np.array([1.0, 1.0, 1.0, 1.0, -2.0 * th.rho]))

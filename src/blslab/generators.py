@@ -327,8 +327,8 @@ def r(spec: GeneratorSpec, x):
     elif gid is GeneratorId.LAPLACE:
         out = _laplace_r(x)
     elif gid is GeneratorId.SLASH:
-        s, switch, xc, _, P, M, h = _slash_score_parts(p, x)
-        out = np.where(x < switch, -0.5 * s * P / M, h - s / xc)
+        s, lo, xc, _, P, M, h = _slash_score_parts(p, x)
+        out = _by_side(lo, -0.5 * s * P / M, h - s / xc)
     elif gid is GeneratorId.POWER_EXP:
         with np.errstate(over="ignore"):  # x^(-xi/(1+xi)) overflows for xi < 0
             out = -np.power(x, -p.xi / (1.0 + p.xi)) / (2.0 * (1.0 + p.xi))
@@ -365,11 +365,11 @@ def dr(spec: GeneratorSpec, x):
             out = (0.5 - rx) / x - rx * rx
         out = np.where(np.isnan(out), np.inf, out)
     elif gid is GeneratorId.SLASH:
-        s, switch, xc, y, P, M, h = _slash_score_parts(p, x)
+        s, lo, xc, y, P, M, h = _slash_score_parts(p, x)
         dP = special.hyp1f1(2.0, s + 3.0, y) / ((s + 1.0) * (s + 2.0))
         # h' = -h (1/2 + h + (1 - s)/x)
-        out = np.where(
-            x < switch,
+        out = _by_side(
+            lo,
             -0.25 * s * (dP - P * P) / (M * M),
             s / xc / xc - h * (0.5 + h + (1.0 - s) / xc),
         )
@@ -401,8 +401,8 @@ def _laplace_r(x):
 
 def _slash_score_parts(p: GeneratorParams, x):
     """The parts of logslash's r and r' on each side of the switch at x =
-    max(1, s/2), each side seeing only its own arguments: s, the switch, x
-    above it, y = x/2 below it with P and M there, and h above it.
+    max(1, s/2), each evaluated only on its own side: s, the mask of x below
+    the switch, x above it, y = x/2 below it with P and M there, and h above it.
 
     Below the switch r = -(s/2) P/M and r' = -(s/4)(P' - P^2)/M^2, free of
     the closed form's 0/0 cancellation: M(y) = sum_k y^k / (s+1)_k is
@@ -414,13 +414,21 @@ def _slash_score_parts(p: GeneratorParams, x):
     x ~ 1e123 (s = 2.5).
     """
     s = 0.5 * (p.nu + 1.0)
-    switch = max(1.0, 0.5 * s)
-    xs, xc = _slash_branches(x, switch)
-    y, yc = 0.5 * xs, 0.5 * xc
+    x = np.asarray(x)
+    lo = x < max(1.0, 0.5 * s)
+    y, xc = 0.5 * x[lo], x[~lo]
+    yc = 0.5 * xc
     P = special.hyp1f1(1.0, s + 2.0, y) / (s + 1.0)
     S = s * _lower_gamma(s, yc) * np.power(yc, -s)
     e = np.exp(-yc)
-    return s, switch, xc, y, P, 1.0 + y * P, (s / xc) * e / np.where(e > 0.0, S, 1.0)
+    return s, lo, xc, y, P, 1.0 + y * P, (s / xc) * e / np.where(e > 0.0, S, 1.0)
+
+
+def _by_side(lo, below, above):
+    # one array from its values where lo holds and where it does not
+    out = np.empty(lo.shape)
+    out[lo], out[~lo] = below, above
+    return out
 
 
 # ---------------------------------------------------------------------------

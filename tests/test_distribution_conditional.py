@@ -26,6 +26,10 @@ from blslab.generators import make_generator
 LN = make_generator("lognormal")
 LT4 = make_generator("logt", nu=4.0)
 SL4 = make_generator("logslash", nu=4.0)
+LAP = make_generator("loglaplace")
+# the loglaplace margin is Laplace(0, 1/sqrt 2). Its known misses, left out
+# below: |z| in [1e-10, 3e-7] (1.4e-8 off at z = 1e-8) and p <~ 1e-14
+LAPLACE = stats.laplace(scale=1.0 / math.sqrt(2.0))
 
 THETA = BLSParams(1.0, 2.0, 0.5, 0.7, 0.5)
 
@@ -63,12 +67,16 @@ def _hyperbolic2_pdf(z):
     return 2.0 * a * special.k1(2.0 * a) / gen.partition_closed(make_generator("loghyperbolic", nu=2.0))
 
 
-@pytest.mark.parametrize("z", [0.0, 1e-8, 8.0, 30.0])
 @pytest.mark.parametrize(
-    "spec, closed",
-    [(LN, stats.norm.pdf), (LT4, lambda z: stats.t.pdf(z, 4)),
-     (make_generator("loghyperbolic", nu=2.0), _hyperbolic2_pdf)],
-    ids=["lognormal", "logt4", "loghyperbolic2"],
+    "spec, closed, z",
+    [pytest.param(spec, closed, z, id=f"{name}-{z}")
+     for name, spec, closed, zs in [
+         ("lognormal", LN, stats.norm.pdf, [0.0, 1e-8, 8.0, 30.0]),
+         ("logt4", LT4, lambda z: stats.t.pdf(z, 4), [0.0, 1e-8, 8.0, 30.0]),
+         ("loghyperbolic2", make_generator("loghyperbolic", nu=2.0), _hyperbolic2_pdf,
+          [0.0, 1e-8, 8.0, 30.0]),
+         ("loglaplace", LAP, LAPLACE.pdf, [0.0, 0.7, -0.7, 8.0, 30.0]),
+     ] for z in zs],
 )
 def test_marginal_pdf_is_relatively_accurate_in_the_tails(spec, closed, z):
     # quad at epsabs=0: lognormal was 1.1e-6 off at z = 8 and loghyperbolic(2)
@@ -139,12 +147,13 @@ def test_marginal_quantile_beyond_double_range_is_domain_error(nu, p):
 
 
 def test_marginal_quantile_bracket_stops_where_z_squared_overflows():
-    # logt(1e-10)'s z quantile at p = 0.9 lies far beyond the doubles, while
-    # at sigma1 = 1e-200 the bracket's e^(sigma z) stays near 1: the search
-    # must stop where z^2 leaves the doubles, not bracket the root with z = inf
+    # logt(0.1)'s z quantile at p = 1e-16 lies beyond the doubles, while at
+    # sigma1 = 1e-200 the bracket's e^(sigma z) stays near 1: the search must
+    # stop where z^2 leaves the doubles, not bracket the root with z = inf.
+    # (logt(1e-10) at p = 0.9 stops before, at the angle rule's own check)
     th = BLSParams(1.0, 2.0, 1e-200, 0.3, 0.4)
     with pytest.raises(DomainError, match="z\\^2 is beyond the double range"):
-        dist.marginal_quantile(th, make_generator("logt", nu=1e-10), 1, 0.9)
+        dist.marginal_quantile(th, make_generator("logt", nu=0.1), 1, 1e-16)
 
 
 def _t4_ppf(p):
@@ -155,7 +164,9 @@ def _t4_ppf(p):
     return math.copysign(2.0 * math.sqrt(c - 1.0), p - 0.5)
 
 
-@pytest.mark.parametrize("p", [1e-16, 1e-12, 1e-8, 0.01, 0.3, 0.7, 0.99, 1 - 1e-8, 1 - 1e-12])
+@pytest.mark.parametrize(
+    "p", [1e-16, 1e-12, 1e-8, 0.01, 0.3, 0.7, 0.9, 0.99, 1 - 1e-6, 1 - 1e-8, 1 - 1e-12]
+)
 def test_marginal_quantile_tails_match_closed_quantiles(p):
     # the lower tail is solved as P(Z <= -z) = min(p, 1 - p) itself, which
     # p - 1/2 rounded away (lognormal was 0.063 off at p = 1e-16)
@@ -168,6 +179,8 @@ def test_marginal_quantile_tails_match_closed_quantiles(p):
     if p > 1e-16:  # logt(4) leaves the doubles there (the test above)
         want = 2.0 * math.exp(0.3 * _t4_ppf(p))
         assert dist.marginal_quantile(th, LT4, 2, p) == pytest.approx(want, rel=1e-10)
+        z = LAPLACE.ppf(p) if p < 0.5 else -LAPLACE.ppf(1.0 - p)
+        assert dist.marginal_quantile(th, LAP, 2, p) == pytest.approx(2.0 * math.exp(0.3 * z), rel=1e-10)
 
 
 SMALL_Z = [1e-7, -1e-7, 1e-4, -1e-4, 0.01, -0.01]
@@ -210,6 +223,11 @@ def test_marginal_cdf_of_heavy_logt_is_student_t(nu):
         assert abs(dist.marginal_cdf_z(spec, z) - stats.t.cdf(z, nu)) <= 1e-12
 
 
+@pytest.mark.parametrize("z", [-30.0, -8.0, -0.7, 0.7, 8.0])
+def test_marginal_cdf_of_loglaplace_is_laplace(z):
+    assert dist.marginal_cdf_z(LAP, z) == pytest.approx(LAPLACE.cdf(z), rel=1e-10, abs=0.0)
+
+
 @pytest.mark.parametrize("xi", [-0.5, -0.9, -0.99, -0.999])
 def test_marginal_cdf_of_steep_logpexp_matches_direct_quadrature(xi):
     # as xi -> -1 the radial law tends to the uniform disc and its survival
@@ -228,6 +246,31 @@ def test_marginal_cdf_rejects_a_square_beyond_double_range():
     for z in (1e200, -1e200, math.nan):
         with pytest.raises(DomainError):
             dist.marginal_cdf_z(LN, z)
+
+
+def _t_cdf(nu, t):  # the Student-t CDF at t < 0, to 40 digits
+    with mp.workdps(40):
+        nu, t = mp.mpf(nu), mp.mpf(t)
+        return float(mp.betainc(nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True) / 2)
+
+
+def test_angle_rule_raises_where_the_radial_mass_beyond_the_doubles_counts():
+    # logt(0.01) keeps S(X_MAX) = 0.028 beyond the doubles, where the rule
+    # reads S(r^2) = 0. Near the angle where s = 0 that band was 4.4e-5 of
+    # the CDF at z = 1e150 and 46% at 1e154
+    heavy = make_generator("logt", nu=0.01)
+    assert dist.marginal_cdf_z(heavy, -1e140) == pytest.approx(_t_cdf(0.01, -1e140), rel=1e-14)
+    for z in (1e150, 1e154):
+        with pytest.raises(DomainError, match="beyond the double range"):
+            dist.marginal_cdf_z(heavy, -z)
+    with pytest.raises(DomainError, match="beyond the double range"):  # it returned 0.9999995
+        dist.marginal_quantile(BLSParams(1.0, 2.0, 1e-160, 0.3, 0.4), heavy, 1, 0.01)
+    with pytest.raises(DomainError, match="the angle rule needs radial mass"):
+        dist.marginal_quantile(BLSParams(1.0, 2.0, 1e-200, 0.3, 0.4), make_generator("logt", nu=1e-10), 1, 0.9)
+    # S(X_MAX) <= 7e-78: the same band holds no mass that counts
+    for spec, nu in ((LN, math.inf), (LT4, 4.0), (make_generator("logt", nu=0.5), 0.5)):
+        want = 0.0 if nu == math.inf else _t_cdf(nu, -1e154)
+        assert dist.marginal_cdf_z(spec, -1e154) == pytest.approx(want, abs=1e-14)
 
 
 @pytest.mark.parametrize("spec", [LN, SL4], ids=lambda s: s.label())

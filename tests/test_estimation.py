@@ -164,11 +164,12 @@ def _differenced_score_hessian(phi, spec, x, floor):
     """Central-difference Jacobian of the analytic score in phi."""
     h = 1e-5 * np.maximum(1.0, np.abs(phi))
     H = np.empty((5, 5))
+    lx = est._log_sample(spec, x)
     for j in range(5):
         ej = np.zeros(5)
         ej[j] = h[j]
-        sp = est._ll_score_hess(phi + ej, spec, x, floor)[1]
-        sm = est._ll_score_hess(phi - ej, spec, x, floor)[1]
+        sp = est._ll_score_hess(phi + ej, spec, lx, floor)[1]
+        sm = est._ll_score_hess(phi - ej, spec, lx, floor)[1]
         H[:, j] = (sp - sm) / (2.0 * h[j])
     return 0.5 * (H + H.T)
 
@@ -195,7 +196,7 @@ def test_analytic_hessian_matches_differenced_score(spec, floor):
         q = dist.mahalanobis_sq(th, x[:, 0], x[:, 1])
         assert np.sum(q < floor) >= 2
         assert np.min(np.abs(q / floor - 1.0)) > 1e-2  # no radius on the kink
-    _, s, H = est._ll_score_hess(phi, spec, x, floor)
+    _, s, H = est._ll_score_hess(phi, spec, est._log_sample(spec, x), floor)
     ref = _differenced_score_hessian(phi, spec, x, floor)
     np.testing.assert_allclose(H, ref, rtol=1e-6, atol=1e-6 * np.max(np.abs(H)))
 
@@ -239,6 +240,28 @@ def test_fit_result_information_criteria():
     assert fit.n_obs == 80
     assert fit.iterations >= 1
     assert fit.grad_norm <= 1e-6
+
+
+def test_newton_takes_derivatives_only_at_accepted_points(monkeypatch):
+    # a trial is judged on log g alone: r' runs at each homotopy stage's
+    # start and at each accepted step, and the eigendecomposition at most as
+    # often; on this sample Armijo rejects trials, which cost log g only
+    calls = {"log_g": 0, "dr": 0, "eigh": 0}
+
+    def counted(name, f):
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return f(*a, **k)
+        return wrapper
+
+    x = dist.sample(BLSParams(1.0, 1.0, 0.5, 0.5, 0.5), LAP, 100, seed=1)
+    for mod, name in ((gen, "log_g"), (gen, "dr"), (np.linalg, "eigh")):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    fit = est.fit_mle(x, LAP, compute_se=False)
+    assert fit.converged
+    assert calls["dr"] == fit.iterations + 2  # two stages: floors 1e-2 and 0.05/n
+    assert calls["eigh"] <= calls["dr"]
+    assert calls["log_g"] > calls["dr"]
 
 
 def test_fit_scale_equivariance():
