@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -39,8 +40,8 @@ from .distribution import (
     sample,
 )
 from .errors import BlsError, RootFindingError
-from .estimation import as_sample_matrix, fit_mle, profile_fit
-from .generators import FAMILY_NAMES, GeneratorParams, make_generator
+from .estimation import profile_fit
+from .generators import FAMILY_NAMES, GeneratorParams, GeneratorSpec
 from .montecarlo import MCConfig, run_study
 
 __all__ = ["RunManifest", "dispatch", "main"]
@@ -66,6 +67,13 @@ def _family_arg(text: str):
             f"unknown model {text!r}; choose from {', '.join(sorted(FAMILY_NAMES))}"
         )
     return FAMILY_NAMES[name]
+
+
+def _families_arg(text: str):
+    families = tuple(_family_arg(f) for f in text.split(","))
+    if len(set(families)) != len(families):
+        raise argparse.ArgumentTypeError(f"repeated family in {text!r}")
+    return families
 
 
 def _theta_arg(text: str) -> BLSParams:
@@ -205,12 +213,29 @@ def _emit(text: str, out, ns, argv, t0) -> None:
 
 # ------------------------------------------------------------ subcommands
 
-def _make_spec(ns):
+def _make_spec(ns, params=None):
+    # params default to the fixed extra-parameter flags
     try:
-        return make_generator(ns.model, nu=ns.nu, xi=ns.xi, theta=ns.theta_gen)
+        return GeneratorSpec(ns.model, params or GeneratorParams(ns.nu, ns.xi, ns.theta_gen))
     except BlsError as e:
         # wrong/missing extra parameters are flag mistakes, not numerics
         raise _UsageError(f"{ns.subcommand}: {e}") from None
+
+
+def _fit_data(ns):
+    """Load --data and profile over the product of the (nu, xi, theta) axes: a
+    --*-grid flag gives an axis's values, a fixed flag or none is one point, and
+    the family's default grid applies only when no extra-parameter flag is given."""
+    axes = [getattr(ns, f"{a}_grid") or (getattr(ns, a),) for a in ("nu", "xi", "theta_gen")]
+    grid = [GeneratorParams(*p) for p in itertools.product(*axes)]
+    if grid == [GeneratorParams()]:
+        grid = default_grid(ns.model) or grid
+    grid = [_make_spec(ns, p).params for p in grid]  # every point checked before any fit
+    ds = load_csv(ns.data)
+    fit = profile_fit(ds.pairs, ns.model, grid)[1]
+    if not fit.converged:
+        raise RootFindingError(f"fit did not converge (scaled gradient norm {fit.grad_norm:.3g})")
+    return ds, fit
 
 
 def _fmt(v: float) -> str:
@@ -255,38 +280,8 @@ def _cmd_sample(ns, argv, t0):
     _write_manifest(ns.out, ns, argv, t0)
 
 
-def _resolve_fit(ns, x):
-    """Shared by fit/diagnose: explicit grids > fixed extras > family default."""
-    grids = (ns.nu_grid, ns.xi_grid, ns.theta_gen_grid)
-    if any(g is not None for g in grids):
-
-        def axis(fixed, grid):
-            if grid is not None:
-                return list(grid)
-            return [fixed]  # may be None: axis absent for this family
-
-        combos = [
-            GeneratorParams(nu=a, xi=b, theta=c)
-            for a in axis(ns.nu, ns.nu_grid)
-            for b in axis(ns.xi, ns.xi_grid)
-            for c in axis(ns.theta_gen, ns.theta_gen_grid)
-        ]
-        return profile_fit(x, ns.model, combos)[1]
-    if ns.nu is not None or ns.xi is not None or ns.theta_gen is not None:
-        return fit_mle(x, _make_spec(ns))
-    grid = default_grid(ns.model)
-    if grid is not None:
-        return profile_fit(x, ns.model, grid)[1]
-    return fit_mle(x, _make_spec(ns))
-
-
 def _cmd_fit(ns, argv, t0):
-    ds = load_csv(ns.data)
-    fit = _resolve_fit(ns, as_sample_matrix(ds.pairs))
-    if not fit.converged:
-        raise RootFindingError(
-            f"fit did not converge (scaled gradient norm {fit.grad_norm:.3g})"
-        )
+    fit = _fit_data(ns)[1]
     _emit(fit.to_json(indent=2) + "\n", ns.out, ns, argv, t0)
 
 
@@ -305,13 +300,7 @@ def _cmd_simulate(ns, argv, t0):
 
 
 def _cmd_diagnose(ns, argv, t0):
-    ds = load_csv(ns.data)
-    fit = _resolve_fit(ns, as_sample_matrix(ds.pairs))
-    if not fit.converged:
-        raise RootFindingError(
-            f"fit did not converge (scaled gradient norm {fit.grad_norm:.3g})"
-        )
-    qq = qq_mahalanobis(ds, fit)
+    qq = qq_mahalanobis(*_fit_data(ns))
     _emit(qq.to_tsv(), ns.out, ns, argv, t0)
 
 
@@ -322,13 +311,7 @@ def _cmd_summary(ns, argv, t0):
 
 def _cmd_compare(ns, argv, t0):
     ds = load_csv(ns.data)
-    families = list(ns.families) if ns.families else None
-    if families is not None:
-        try:
-            families = [_family_arg(f) for f in families]
-        except argparse.ArgumentTypeError as e:
-            raise _UsageError(f"compare: {e}") from None
-    cmp = compare_models(ds, families=families)
+    cmp = compare_models(ds, families=ns.families)
     as_json = ns.out is not None and str(ns.out).endswith(".json")
     text = cmp.to_json(indent=2) + "\n" if as_json else cmp.to_tsv()
     _emit(text, ns.out, ns, argv, t0)
@@ -354,14 +337,13 @@ def _add_model_flags(p, require_model=True):
 
 
 def _add_grid_flags(p):
-    p.add_argument("--nu-grid", type=_grid_arg, dest="nu_grid", help="profile grid for nu, lo:hi[:step]")
-    p.add_argument("--xi-grid", type=_grid_arg, dest="xi_grid", help="profile grid for xi, lo:hi[:step]")
-    p.add_argument(
-        "--theta-gen-grid",
-        type=_grid_arg,
-        dest="theta_gen_grid",
-        help="profile grid for the generator theta, lo:hi[:step]",
-    )
+    for flag, what in (("nu", "nu"), ("xi", "xi"), ("theta-gen", "the generator theta")):
+        p.add_argument(
+            f"--{flag}-grid",
+            type=_grid_arg,
+            help=f"profile grid for {what}, lo:hi[:step]; the fit profiles over the product "
+            "of the extra-parameter axes, where a fixed flag is a one-point axis",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="two-column positive CSV")
     p.add_argument(
         "--families",
-        type=lambda s: tuple(s.split(",")),
-        help="comma-separated family names (default: all eight)",
+        type=_families_arg,
+        help="comma-separated distinct family names (default: all eight)",
     )
     p.add_argument(
         "--out",

@@ -91,7 +91,10 @@ def load_csv(path) -> Dataset:
     Error messages carry 1-based data-row numbers (the header is row 0).
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        try:  # read whole, so non-UTF-8 bytes or an oversized field fail here
+            reader = iter(list(csv.reader(fh)))
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise ParseError(f"{path}: unreadable CSV: {e}") from None
         try:
             header = next(reader)
         except StopIteration:

@@ -734,20 +734,18 @@ def _halley(spec: GeneratorSpec, q, t, x, idx):
     raise RootFindingError(f"{spec.label()}: radial quantile did not converge")
 
 
-def partition_numeric(spec: GeneratorSpec, epsrel: float = 1e-10) -> float:
-    """Z by adaptive quadrature of pi * int_0^inf g(u) du."""
+def partition_numeric(spec: GeneratorSpec) -> float:
+    """Z by adaptive quadrature of pi * int_0^inf g(u) du, to relative 1e-10."""
 
     def integrand(u):
         return g(spec, u)
 
     # split at 1 so endpoint singularities (loglaplace log divergence) and the
     # infinite tail are handled in separate panels
-    v1, e1 = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=epsrel, limit=200)
-    v2, e2 = integrate.quad(
-        integrand, 1.0, np.inf, epsabs=1e-14, epsrel=epsrel, limit=200
-    )
+    v1, e1 = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
+    v2, e2 = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200)
     total = v1 + v2
-    if not np.isfinite(total) or (e1 + e2) > max(1e-12, 100 * epsrel * abs(total)):
+    if not np.isfinite(total) or (e1 + e2) > max(1e-12, 1e-8 * abs(total)):
         raise IntegrationError(
             f"partition quadrature failed for {spec.label()}: "
             f"value {total}, error estimate {e1 + e2}"

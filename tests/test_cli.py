@@ -12,9 +12,11 @@ import blslab
 from blslab.cli import RunManifest, build_parser, dispatch
 from blslab.datakit import COMPARISON_COLUMNS, Dataset, load_csv, save_csv
 from blslab.distribution import BLSParams, joint_cdf, sample
-from blslab.generators import GeneratorId, make_generator
+from blslab.estimation import fit_mle, profile_fit
+from blslab.generators import GeneratorId, GeneratorParams, make_generator
 
 LN = make_generator(GeneratorId.LOGNORMAL)
+FIXTURE_CSV = str(Path(blslab.__file__).parent / "data" / "synthetic_lognormal_n15.csv")
 
 
 @pytest.fixture()
@@ -93,6 +95,12 @@ def test_eval_cdf_of_a_law_whose_quantiles_leave_the_double_range(capsys):
         ["frobnicate"],
         [],
         ["eval", "--model", "logt", "--nu", "inf", "--theta", "1,1,1,1,0", "--pdf", "1,1"],
+        # extra-parameter flags and grids the family does not take
+        ["fit", "--model", "lognormal", "--nu", "3", "--data", FIXTURE_CSV],
+        ["diagnose", "--model", "lognormal", "--nu-grid", "2:4", "--data", FIXTURE_CSV],
+        ["fit", "--model", "logt", "--xi-grid", "2:4", "--data", FIXTURE_CSV],
+        ["fit", "--model", "logt", "--nu-grid", "0:3", "--data", FIXTURE_CSV],
+        ["compare", "--data", FIXTURE_CSV, "--families", "logt,logt"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
@@ -180,6 +188,20 @@ def test_fit_profiles_over_nu_grid(data_csv, capsys):
     assert doc["converged"] is True
     assert "nu=" in doc["spec"]
     assert len(doc["std_errors"]) == 5
+
+
+def test_fit_crosses_a_grid_with_a_fixed_extra(data_csv, capsys):
+    argv = ["fit", "--model", "logpvii", "--xi-grid", "2:4", "--theta-gen", "3", "--data", data_csv]
+    assert dispatch(argv) == 0
+    grid = [GeneratorParams(xi=v, theta=3.0) for v in (2.0, 3.0, 4.0)]
+    expected = profile_fit(load_csv(data_csv).pairs, "logpvii", grid)[1]
+    assert capsys.readouterr().out == expected.to_json(indent=2) + "\n"
+
+
+def test_fit_with_fixed_extras_is_one_fit(data_csv, capsys):
+    assert dispatch(["fit", "--model", "logt", "--nu", "3", "--data", data_csv]) == 0
+    expected = fit_mle(load_csv(data_csv).pairs, make_generator("logt", nu=3.0))
+    assert capsys.readouterr().out == expected.to_json(indent=2) + "\n"
 
 
 def test_fit_out_file_matches_stdout(data_csv, tmp_path, capsys):
@@ -283,11 +305,12 @@ def test_compare_tsv_and_json_outputs(data_csv, tmp_path, capsys):
     assert len(lines) == 4
     out = tmp_path / "cmp.json"
     rc = dispatch(["compare", "--data", data_csv,
-                   "--families", "lognormal,loglogistic", "--out", str(out)])
+                   "--families", "LogNormal,loglogistic", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert {r["family"] for r in doc["rows"]} == {"lognormal", "loglogistic"}
-    assert (tmp_path / "cmp.json.manifest.json").exists()
+    man = json.loads((tmp_path / "cmp.json.manifest.json").read_text())
+    assert man["flags"]["families"] == ["lognormal", "loglogistic"]
 
 
 def test_compare_unknown_family_is_usage_error(data_csv, capsys):

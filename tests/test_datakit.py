@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blslab.datakit as dk
 import blslab.estimation as est
@@ -22,6 +24,7 @@ from blslab.datakit import (
 )
 from blslab.distribution import BLSParams, mahalanobis_quantile, mahalanobis_sq, sample
 from blslab.errors import (
+    BlsError,
     DomainError,
     ParseError,
     PositivityError,
@@ -93,7 +96,10 @@ def test_save_csv_is_exact_for_awkward_floats(tmp_path):
 
 def _write(tmp_path, text):
     p = tmp_path / "in.csv"
-    p.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text, encoding="utf-8")
     return p
 
 
@@ -126,11 +132,37 @@ def test_load_csv_single_row(tmp_path):
         ("t1,t2\n1.0,-3\n", PositivityError, "positive"),
         ("t1,t2\ninf,1\n", PositivityError, "row 1"),
         ("t1,t2\n1.0,2.0\n1.0,0.0\n", PositivityError, "row 2"),
+        pytest.param(b"t1,t2\n1.0,\xff\xfe\n", ParseError, "unreadable CSV", id="non-utf8"),
+        pytest.param(b"t1,t2\n1.0," + b"1" * 140_000 + b"\n", ParseError, "unreadable CSV",
+                     id="oversized-field"),
     ],
 )
 def test_load_csv_rejects(tmp_path, text, exc, fragment):
-    with pytest.raises(exc, match=fragment):
-        load_csv(_write(tmp_path, text))
+    p = _write(tmp_path, text)
+    with pytest.raises(exc, match=fragment) as info:
+        load_csv(p)
+    assert str(p) in str(info.value)
+
+
+_CSV_FRAGMENTS = st.sampled_from([
+    b"t1,t2\n", b"t1", b",", b"\n", b"\r\n", b"\r", b'"', b" ", b"1.5", b"2", b"0", b"-1",
+    b"nan", b"inf", b"1e400", b"1e-320", b"abc", b"\xff", b"\x00", b"1" * 140_000,
+])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.lists(_CSV_FRAGMENTS, max_size=16).map(b"".join),
+))
+def test_load_csv_returns_a_dataset_or_raises_a_bls_error(tmp_path_factory, content):
+    p = tmp_path_factory.getbasetemp() / "hostile.csv"
+    p.write_bytes(content)
+    try:
+        ds = load_csv(p)
+    except BlsError:
+        return
+    assert ds.n >= 1 and np.all(np.isfinite(ds.pairs)) and np.all(ds.pairs > 0.0)
 
 
 # ---------------------------------------------------------------- summarize
