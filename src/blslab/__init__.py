@@ -33,7 +33,6 @@ from blslab.generators import (
 )
 from blslab.distribution import (
     BLSParams,
-    CorrelationResult,
     conditional_pdf_t1_given_t2_in_interval,
     conditional_pdf_t2_given_t1,
     correlation,
@@ -110,7 +109,6 @@ __all__ = [
     "partition_numeric",
     # distribution
     "BLSParams",
-    "CorrelationResult",
     "conditional_pdf_t1_given_t2_in_interval",
     "conditional_pdf_t2_given_t1",
     "correlation",

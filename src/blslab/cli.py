@@ -113,6 +113,9 @@ def _floats_arg(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+_GRID_MAX = 10_000  # points a --*-grid may have; default_grid's largest has 151
+
+
 def _grid_arg(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) not in (2, 3):
@@ -124,7 +127,10 @@ def _grid_arg(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"grid must be numeric lo:hi[:step], got {text!r}") from None
     if step <= 0.0 or hi < lo:
         raise argparse.ArgumentTypeError(f"grid needs hi >= lo and step > 0, got {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step  # counted before the grid is built; an infinite span fails here
+    if not span < _GRID_MAX:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has more than {_GRID_MAX} points")
+    count = int(math.floor(span + 1e-9)) + 1
     return tuple(round(lo + i * step, 10) for i in range(count))
 
 

@@ -16,8 +16,10 @@ inverse carry the radial CDF and quantile, ``generators.radial_draw`` the
 sampler; the joint and marginal CDFs and the probability of a strip
 lo < Z2 <= hi are one angle integral of S over the rays, with no
 truncation, and the marginal and conditional densities one line integral of
-g. The special functions are the ``generators`` kernels' own, each held
-to its own accuracy contract there.
+g. Moments and the correlation are exact for every family, from the
+moment generating function ``generators._log_mgf``. The special functions
+are the ``generators`` kernels' own, each held to its own accuracy contract
+there.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +37,13 @@ from .errors import (
     IntegrationError,
     ZeroProbabilityError,
 )
-from .generators import GeneratorId, GeneratorSpec
+from .generators import GeneratorSpec
 
 integrate = specfun.LazyModule("scipy.integrate")
 optimize = specfun.LazyModule("scipy.optimize")
 
 __all__ = [
     "BLSParams",
-    "CorrelationResult",
     "standardize",
     "mahalanobis_sq",
     "joint_pdf",
@@ -94,11 +94,6 @@ class BLSParams:
         if a.shape != (5,):
             raise DomainError(f"parameter array must have shape (5,), got {a.shape}")
         return cls(*a.tolist())
-
-
-class CorrelationResult(NamedTuple):
-    value: float
-    mc_se: float | None  # None for the closed-form path
 
 
 def _positive(t, name: str):
@@ -240,7 +235,6 @@ def sample(theta: BLSParams, spec: GeneratorSpec, n: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # joint and marginal CDF: one angle rule over the closed radial law
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)  # nodes per angle panel
 _TAIL_LEVELS = 0.5 ** np.arange(1, 41)  # radial tail probabilities 2^-1 ... 2^-40
 
 
@@ -294,7 +288,7 @@ def _wedge_prob(spec: GeneratorSpec, radii: np.ndarray, normals, d) -> float:
     edges = np.unique(np.mod(breaks, 2.0 * math.pi))
     edges = np.append(edges, edges[0] + 2.0 * math.pi)
     half = 0.5 * np.diff(edges)[:, None]
-    phi = (edges[:-1, None] + half + half * _GL_X).ravel()
+    phi = (edges[:-1, None] + half + half * gen._GL_X).ravel()
     s = normals @ np.array([np.cos(phi), np.sin(phi)])
     with np.errstate(all="ignore"):  # d_i / s_i and its square may be inf
         r = d[:, None] / s
@@ -303,7 +297,7 @@ def _wedge_prob(spec: GeneratorSpec, radii: np.ndarray, normals, d) -> float:
         live = r_hi > r_lo
         x = np.stack([r_lo[live], r_hi[live]]) ** 2
     sf = gen.radial_sf(spec, x)
-    val = (half * _GL_W).ravel()[live] @ (sf[0] - sf[1]) / (2.0 * math.pi)
+    val = (half * gen._GL_W).ravel()[live] @ (sf[0] - sf[1]) / (2.0 * math.pi)
     return min(max(float(val), 0.0), 1.0)
 
 
@@ -512,20 +506,21 @@ def conditional_pdf_t1_given_t2_in_interval(
 def moment(
     theta: BLSParams, spec: GeneratorSpec, component: int, order: float
 ) -> float | None:
-    """E[T_component^order] = eta^order * vartheta(sigma^2 order^2).
+    """E[T_component^order] = eta^order * vartheta(sigma^2 order^2), exact
+    for every family (generators._log_mgf).
 
-    Returns None when the family has no closed-form moment generator
-    (all but lognormal). The product is formed in logs, so a factor outside
-    the double range is fine where the moment is not; DomainError where the
-    moment itself exceeds it.
+    None where it is infinite: for the power tails (logt, logpvii, logslash),
+    and where sigma * order reaches the family's tail rate. The product is
+    formed in logs, so a factor outside the double range is fine where the
+    moment is not; DomainError where the moment itself exceeds it.
     """
     if component not in (1, 2):
         raise DomainError(f"component must be 1 or 2, got {component}")
-    if not order > 0:
-        raise DomainError(f"order must be > 0, got {order}")
+    if not 0.0 < order < math.inf:
+        raise DomainError(f"order must be finite and > 0, got {order}")
     eta = theta.eta1 if component == 1 else theta.eta2
     sigma = theta.sigma1 if component == 1 else theta.sigma2
-    lv = gen._log_characteristic_generator(spec, sigma * sigma * order * order)
+    lv = gen._log_mgf(spec, max(sigma * order, math.ulp(0.0)))  # > 0 where the product underflows
     if lv is None:
         return None
     log_m = order * math.log(eta) + lv
@@ -534,53 +529,29 @@ def moment(
     return math.exp(log_m)
 
 
-def _second_moment_tail_rate(spec: GeneratorSpec) -> float:
-    """Exponential tail rate of the standardized log-scale marginal.
+def correlation(theta: BLSParams, spec: GeneratorSpec) -> float | None:
+    """Pearson correlation of (T1, T2), exact for every family.
 
-    E[T^2] = E[exp(2 sigma Z)] exists iff 2 max(sigma) is below this rate.
-    Power-tailed families return 0.0 (no exponential moment exists).
+    With L(s) = log E[e^(s Z1)] (generators._log_mgf), E[T_i^k] = eta_i^k
+    e^L(k sigma_i) and E[T1 T2] = eta1 eta2 e^L(s12), as log(T1 T2 / (eta1
+    eta2)) has the law of s12 Z1, s12^2 = sigma1^2 + 2 rho sigma1 sigma2 +
+    sigma2^2. So with c = L(s12) - L(sigma1) - L(sigma2) and b_i = L(2
+    sigma_i) - 2 L(sigma_i) it is expm1(c) / sqrt(expm1(b1) expm1(b2)),
+    formed in logs so that nothing overflows. None where a second moment is
+    infinite (the power tails, or 2 max(sigma_i) at the tail rate);
+    DomainError where a b_i is not a normal double (sigma_i^2 underflows).
     """
-    gid = spec.id
-    if gid in (GeneratorId.STUDENT_T, GeneratorId.PEARSON_VII, GeneratorId.SLASH):
-        return 0.0
-    if gid is GeneratorId.LAPLACE:
-        return math.sqrt(2.0)
-    if gid is GeneratorId.HYPERBOLIC:
-        return spec.params.nu
-    if gid is GeneratorId.POWER_EXP and spec.params.xi == 1.0:
-        return 0.5
-    return math.inf  # lognormal, loglogistic, logpexp with xi < 1
-
-
-def correlation(
-    theta: BLSParams,
-    spec: GeneratorSpec,
-    mc_draws: int = 200_000,
-    seed: int = 0,
-) -> CorrelationResult | None:
-    """Pearson correlation of (T1, T2).
-
-    Lognormal uses the closed form; power-tailed families (logt, logpvii,
-    logslash) and parameter settings without a finite second moment return
-    None; the remaining families are evaluated by Monte Carlo with a batch
-    standard error.
-    """
-    if spec.id is GeneratorId.LOGNORMAL:
-        s1, s2, rho = theta.sigma1, theta.sigma2, theta.rho
-        num = math.expm1(s1 * s2 * rho)
-        den = math.sqrt(math.expm1(s1 * s1) * math.expm1(s2 * s2))
-        return CorrelationResult(num / den, None)
-    rate = _second_moment_tail_rate(spec)
-    if 2.0 * max(theta.sigma1, theta.sigma2) >= rate:
+    s1, s2 = theta.sigma1, theta.sigma2
+    s12 = math.hypot(s1 - s2, math.sqrt(2.0 * (1.0 + theta.rho)) * math.sqrt(s1) * math.sqrt(s2))
+    lm = gen._log_mgf(spec, np.array([s1, s2, 2.0 * s1, 2.0 * s2, s12]))
+    if lm is None:
         return None
-    draws = sample(theta, spec, mc_draws, seed)
-    value = float(np.corrcoef(draws[:, 0], draws[:, 1])[0, 1])
-    nb = 10
-    cut = (mc_draws // nb) * nb
-    batches = draws[:cut].reshape(nb, -1, 2)
-    bc = np.array([np.corrcoef(b[:, 0], b[:, 1])[0, 1] for b in batches])
-    mc_se = float(np.std(bc, ddof=1) / math.sqrt(nb))
-    return CorrelationResult(value, mc_se)
+    x = np.r_[lm[4] - lm[0] - lm[1], lm[2:4] - 2.0 * lm[:2]]  # c, b1, b2
+    if not np.all((gen._TINY <= x[1:]) & (x[1:] < math.inf)):
+        raise DomainError(f"{spec.label()}: a variance of T leaves the doubles at sigma ({s1:g}, {s2:g})")
+    with np.errstate(divide="ignore"):  # log |expm1(x)|, -inf at c = 0
+        lx = np.maximum(x, 0.0) + np.log(-np.expm1(-np.abs(x)))
+    return math.copysign(min(math.exp(lx[0] - 0.5 * (lx[1] + lx[2])), 1.0), x[0])
 
 
 def transform_scale(theta: BLSParams, c1: float, c2: float) -> BLSParams:

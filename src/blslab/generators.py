@@ -26,10 +26,14 @@ loglaplace and logslash it takes safeguarded Halley steps on log S, and S is
 e^(log S) of the same tail evaluation. Those three families and logpexp draw
 the radial law from an exact product of standard draws instead of the inverse.
 
+The moment generating function of the standardized margin, which gives
+every moment and the correlation, is one radial integral of I0 (_log_mgf),
+and partition_numeric checks Z on the same fixed panels.
+
 The special functions are scipy.special's, called from the kernels:
 loglaplace's K0 and K1 as the scaled k0e and k1e, logslash's lower
-incomplete gamma as gammainc * gamma, and logpexp's radial law through
-gammainc, gammaincc and their inverses. The accuracy contracts are the
+incomplete gamma as gammainc * gamma, logpexp's radial law through
+gammainc, gammaincc and their inverses, and I0 as i0e. The accuracy contracts are the
 kernels' own: for x in [1e-8, 1e3], g of loglaplace and logslash is within
 1e-12 relative of 40-digit mpmath and log g within 1e-12 absolute, and
 radial_sf and radial_isf state theirs.
@@ -66,7 +70,6 @@ __all__ = [
     "FAMILY_NAMES",
 ]
 
-integrate = specfun.LazyModule("scipy.integrate")
 special = specfun.LazyModule("scipy.special")
 
 _SLASH_SERIES_X = 1e-5  # below this, slash g and log_g switch to their series forms
@@ -156,11 +159,6 @@ class GeneratorSpec:
     def __post_init__(self):
         object.__setattr__(self, "id", _family_id(self.id))
         _validate_params(self.id, self.params)
-
-    @property
-    def has_characteristic_generator(self) -> bool:
-        # closed-form moment generator vartheta(x) is only available here
-        return self.id is GeneratorId.LOGNORMAL
 
     def key(self) -> tuple:
         return (self.id.value, self.params.nu, self.params.xi, self.params.theta)
@@ -735,39 +733,119 @@ def _halley(spec: GeneratorSpec, q, t, x, idx):
 
 
 def partition_numeric(spec: GeneratorSpec) -> float:
-    """Z by adaptive quadrature of pi * int_0^inf g(u) du, to relative 1e-10."""
-
-    def integrand(u):
-        return g(spec, u)
-
-    # split at 1 so endpoint singularities (loglaplace log divergence) and the
-    # infinite tail are handled in separate panels
-    v1, e1 = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
-    v2, e2 = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200)
-    total = v1 + v2
-    if not np.isfinite(total) or (e1 + e2) > max(1e-12, 1e-8 * abs(total)):
-        raise IntegrationError(
-            f"partition quadrature failed for {spec.label()}: "
-            f"value {total}, error estimate {e1 + e2}"
-        )
-    return math.pi * total
+    """Z = 2 pi int_0^inf g(v^2) v dv by _log_integral's fixed panels, a check
+    on partition_closed that shares nothing with it: within ~1e-13 relative,
+    and DomainError for a power tail heavier than ~v^-0.12 (logt, nu < 0.12)."""
+    return 2.0 * math.pi * math.exp(
+        _log_integral(lambda t: log_g(spec, np.exp(2.0 * t)) + 2.0 * t, f"{spec.label()}: Z")
+    )
 
 
-def _log_characteristic_generator(spec: GeneratorSpec, x: float) -> float | None:
-    # log vartheta(x), or None for the families without a closed form
-    if not spec.has_characteristic_generator:
+# ---------------------------------------------------------------------------
+# the moment generating function of the standardized margin
+
+
+def _tail_rate(spec: GeneratorSpec) -> float:
+    # the exponential tail rate of the standardized margin: E[e^(s Z1)] is
+    # finite iff s < rate; 0 for the power tails
+    gid = spec.id
+    if gid in _PEARSON_VII or gid is GeneratorId.SLASH:
+        return 0.0
+    if gid is GeneratorId.LAPLACE:
+        return _SQRT2
+    if gid is GeneratorId.HYPERBOLIC:
+        return spec.params.nu
+    return 0.5 if gid is GeneratorId.POWER_EXP and spec.params.xi == 1.0 else math.inf
+
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)  # nodes and weights of one panel
+_MGF_T = np.arange(-160, 1980) * (0.25 * _LOG2)  # t = log v on v = 2^(k/4), 2^-40 ... 1e149
+_I0_SERIES = 1.0 / np.cumprod(np.arange(1.0, 11.0))[::-1] ** 2  # 1/((k+1)!)^2, k = 9 ... 0
+
+
+def _log_i0m1_s2(log_s: float, t):
+    # log((I0(x) - 1) / s^2) at x = s e^t: 2 (t - log 2) + log of the series
+    # in x^2/4 below x = 1, so that no log s enters where s may be tiny, and
+    # x + log(i0e(x) - e^-x) - 2 log s above, with x held finite
+    x = np.minimum(np.exp(log_s + t), _X_MAX)
+    head, out = x < 1.0, np.empty_like(x)
+    out[head] = 2.0 * (t[head] - _LOG2) + np.log(np.polyval(_I0_SERIES, 0.25 * x[head] ** 2))
+    out[~head] = x[~head] + np.log(special.i0e(x[~head]) - np.exp(-x[~head])) - 2.0 * log_s
+    return out
+
+
+def _log_mgf(spec: GeneratorSpec, s) -> np.ndarray | None:
+    """L(s) = log E[e^(s Z1)] of the standardized margin at each s >= 0 of an
+    array; None if any s > 0 is at or above _tail_rate(spec).
+
+    s^2/2 for lognormal. Otherwise, (Z1, Z2) being spherical, E[e^(s Z1)] =
+    E[I0(s R)] (Fang, Kotz & Ng 1990, ch. 2), so L = log1p(s^2 J) with J =
+    (2 pi / (Z s^2)) int_0^inf (I0(s v) - 1) g(v^2) v dv, by _log_integral.
+    s^2 J < 1 is formed as a product, so that L keeps its bits as s -> 0.
+    """
+    s = np.asarray(s, dtype=float)
+    if np.any((s > 0.0) & (s >= _tail_rate(spec))):
         return None
-    if not x >= 0.0:
-        raise DomainError(f"characteristic generator requires x >= 0, got {x}")
-    return 0.5 * x
+    if spec.id is GeneratorId.LOGNORMAL:
+        return 0.5 * s * s
+    log_c, out = math.log(2.0 * math.pi / partition_closed(spec)), np.zeros_like(s)
+    for i in np.flatnonzero(s):
+        si = float(s.flat[i])
+        log_s = math.log(si)
+
+        def log_f(t):
+            return _log_i0m1_s2(log_s, t) + log_g(spec, np.exp(2.0 * t)) + 2.0 * t + log_c
+
+        log_j = _log_integral(log_f, f"{spec.label()}: E[exp({si:g} Z1)]")
+        if log_j < -2.0 * log_s:
+            out.flat[i] = math.log1p(si * (si * math.exp(log_j)))
+        else:
+            out.flat[i] = np.logaddexp(0.0, log_j + 2.0 * log_s)
+    return out
+
+
+def _log_integral(log_f, what: str) -> float:
+    """log int e^log_f(t) dt over the line, t = log v, for a log_f that
+    peaks once and decays on both sides.
+
+    A scan on v = 2^(k/4), 2^-40 ... 1e149, finds the steps within e^-40 of
+    the peak. A step there across which log_f changes by more than 8 is
+    halved, with its neighbours, until none is: a narrow peak (large s) or a
+    steep edge (logpexp as xi -> -1). Each step then takes the 16-point
+    Gauss-Legendre rule on two panels. DomainError where log_f has not
+    decayed by v = 1e149; IntegrationError where rounding noise in log_f
+    (s v past ~1e13) keeps the steps from resolving.
+    """
+    t, f = _MGF_T, log_f(_MGF_T)
+    with np.errstate(invalid="ignore"):  # differences of -inf are NaN, and compare False
+        for _ in range(64):
+            keep = np.maximum(f[:-1], f[1:]) >= f.max() - 40.0
+            if keep[-1]:
+                raise DomainError(f"{what} needs v beyond 1e149")
+            jump = keep & ~(np.abs(np.diff(f)) <= 8.0)
+            split = keep & (np.convolve(jump, [1, 1, 1], "same") > 0)
+            if not split.any() or t.size > 2 * _MGF_T.size:
+                break
+            mid, at = 0.5 * (t[:-1] + t[1:])[split], np.flatnonzero(split) + 1
+            t, f = np.insert(t, at, mid), np.insert(f, at, log_f(mid))
+    if split.any():
+        raise IntegrationError(f"{what} did not resolve")
+    lo, q = t[:-1][keep, None], 0.25 * np.diff(t)[keep, None]  # two panels of half-width q
+    fn = log_f((lo + q * np.r_[1.0 + _GL_X, 3.0 + _GL_X]).ravel())
+    top = fn.max()
+    return top + math.log((q * np.r_[_GL_W, _GL_W]).ravel() @ np.exp(fn - top))
 
 
 def characteristic_generator(spec: GeneratorSpec, x: float) -> float | None:
-    """Moment generator vartheta(x) with E[T^r] = eta^r vartheta(sigma^2 r^2).
+    """Moment generator vartheta(x) = E[e^(sqrt(x) Z1)] = exp L(sqrt x) of
+    _log_mgf, so that E[T^r] = eta^r vartheta(sigma^2 r^2).
 
-    Returns None for families without a closed form (all but lognormal).
+    None where it is infinite: at x > 0 for the power tails (logt, logpvii,
+    logslash), and where sqrt(x) reaches the tail rate.
     """
-    lv = _log_characteristic_generator(spec, x)
+    if not x >= 0.0:
+        raise DomainError(f"characteristic generator requires x >= 0, got {x}")
+    lv = _log_mgf(spec, math.sqrt(x))
     if lv is None:
         return None
     if not lv <= _LOG_X_HI:

@@ -101,6 +101,10 @@ def test_eval_cdf_of_a_law_whose_quantiles_leave_the_double_range(capsys):
         ["fit", "--model", "logt", "--xi-grid", "2:4", "--data", FIXTURE_CSV],
         ["fit", "--model", "logt", "--nu-grid", "0:3", "--data", FIXTURE_CSV],
         ["compare", "--data", FIXTURE_CSV, "--families", "logt,logt"],
+        # grids are counted before they are built: at most 10,000 points
+        ["fit", "--model", "logt", "--nu-grid", "2:3:1e-6", "--data", FIXTURE_CSV],
+        ["fit", "--model", "logt", "--nu-grid", "2:3:1e-12", "--data", FIXTURE_CSV],
+        ["fit", "--model", "logt", "--nu-grid", "2:inf", "--data", FIXTURE_CSV],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):

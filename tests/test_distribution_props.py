@@ -23,6 +23,7 @@ LT4 = make_generator("logt", nu=4.0)
 SL4 = make_generator("logslash", nu=4.0)
 LOGIS = make_generator("loglogistic")
 HYP2 = make_generator("loghyperbolic", nu=2.0)
+LAP = make_generator("loglaplace")
 
 THETA = BLSParams(1.0, 2.0, 0.5, 0.7, 0.5)
 POINTS = [(0.6, 1.1), (1.3, 2.6), (2.4, 0.9)]
@@ -239,13 +240,26 @@ def test_moment_formed_in_logs():
         dist.moment(BLSParams(10.0, 1.0, 0.5, 0.5, 0.0), LN, 1, 76)
 
 
+def test_moment_exact_for_loglaplace():
+    # the loglaplace margin is Laplace(0, 1/sqrt 2): E[T^r] = eta^r / (1 - sigma^2 r^2 / 2)
+    for order in (0.5, 1.0, 2.0, 2.8):
+        want = 2.0**order / (1.0 - 0.5 * (0.5 * order) ** 2)
+        assert dist.moment(BLSParams(2.0, 1.0, 0.5, 0.7, 0.5), LAP, 1, order) == pytest.approx(want, rel=1e-12)
+    assert dist.moment(BLSParams(2.0, 1.0, 0.5, 0.7, 0.5), LAP, 1, 2.9) is None  # 1.45 > sqrt 2
+
+
 def test_correlation_lognormal_closed():
     th = BLSParams(1.0, 1.0, 0.5, 0.5, 0.5)
-    res = dist.correlation(th, LN)
-    assert res.mc_se is None
-    assert res.value == pytest.approx(
+    assert dist.correlation(th, LN) == pytest.approx(
         math.expm1(0.125) / math.expm1(0.25), rel=1e-14
     )
+
+
+def test_correlation_loglaplace_exact():
+    # M(s) = 1 / (1 - s^2/2): with sigma = 0.5 and rho = 0.5 the correlation is
+    # (1.6 - 64/49) / (2 - 64/49) = 36/85
+    th = BLSParams(1.0, 3.0, 0.5, 0.5, 0.5)
+    assert dist.correlation(th, LAP) == pytest.approx(36.0 / 85.0, rel=1e-12)
 
 
 def test_correlation_none_for_power_tails():
@@ -259,11 +273,39 @@ def test_correlation_none_when_tail_rate_too_small():
 
 
 def test_correlation_monte_carlo_logistic():
+    # the exact value lies within 3 batch standard errors of the correlation
+    # of 10^6 draws (10 batches), and a repeat call gives the same bits
     th = BLSParams(1.0, 1.0, 0.4, 0.4, 0.6)
-    res = dist.correlation(th, LOGIS, mc_draws=100_000, seed=3)
-    assert res.mc_se is not None and 0.0 < res.mc_se < 0.02
-    again = dist.correlation(th, LOGIS, mc_draws=100_000, seed=3)
-    assert res.value == again.value
-    # the log-scale correlation bounds the raw-scale one from above here;
-    # basic sanity that the estimate sits in a plausible band
-    assert 0.35 < res.value < 0.75
+    exact = dist.correlation(th, LOGIS)
+    assert dist.correlation(th, LOGIS) == exact
+    assert 0.35 < exact < 0.75
+    draws = dist.sample(th, LOGIS, 10**6, seed=3)
+    batches = [np.corrcoef(b[:, 0], b[:, 1])[0, 1] for b in draws.reshape(10, -1, 2)]
+    se = np.std(batches, ddof=1) / math.sqrt(10)
+    assert abs(np.corrcoef(draws[:, 0], draws[:, 1])[0, 1] - exact) <= 3.0 * se
+
+
+def _lognormal_correlation(s1, s2, rho):
+    # expm1(rho s1 s2) / sqrt(expm1(s1^2) expm1(s2^2)) in 40 digits
+    import mpmath as mp
+
+    with mp.workdps(40):
+        s1, s2 = mp.mpf(s1), mp.mpf(s2)
+        return float(mp.expm1(rho * s1 * s2) / mp.sqrt(mp.expm1(s1 * s1) * mp.expm1(s2 * s2)))
+
+
+@pytest.mark.parametrize(
+    "s1,s2,rho",
+    [(27.0, 27.0, 0.5), (30.0, 0.1, 0.5), (1e-100, 1e-100, 0.5), (20.0, 20.0, 0.9), (20.0, 20.0, -0.9)],
+)
+def test_correlation_far_from_unit_scales(s1, s2, rho):
+    # past the doubles for expm1(sigma^2), and below them for its product
+    got = dist.correlation(BLSParams(1.0, 1.0, s1, s2, rho), LN)
+    assert got == pytest.approx(_lognormal_correlation(s1, s2, rho), rel=1e-12)
+
+
+def test_correlation_where_sigma_squared_underflows_is_a_domain_error():
+    with pytest.raises(DomainError, match="variance of T"):
+        dist.correlation(BLSParams(1.0, 1.0, 1e-170, 1.0, 0.5), LN)
+    with pytest.raises(DomainError, match="variance of T"):
+        dist.correlation(BLSParams(1.0, 1.0, 1e-200, 1e-200, 0.5), LAP)

@@ -13,7 +13,7 @@ from blslab import generators as gen
 from blslab.cli import dispatch
 from blslab.datakit import compare_models, default_grid, synthetic_fixture
 from blslab.distribution import BLSParams
-from blslab.errors import DomainError
+from blslab.errors import BlsError, DomainError
 from blslab.estimation import profile_fit
 from blslab.generators import GeneratorId, GeneratorParams, GeneratorSpec, make_generator
 
@@ -33,11 +33,27 @@ SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+_PARTITION_EDGES = [
+    make_generator("logt", nu=0.5),
+    make_generator("loghyperbolic", nu=1e-3),
+    make_generator("loghyperbolic", nu=700.0),
+    make_generator("logslash", nu=90.0),
+    make_generator("logpexp", xi=-0.999),
+    make_generator("logpexp", xi=1.0),
+]
+
+
+@pytest.mark.parametrize("spec", SPECS + _PARTITION_EDGES, ids=lambda s: s.label())
 def test_partition_closed_vs_numeric(spec):
     zc = gen.partition_closed(spec)
     zn = gen.partition_numeric(spec)
-    assert zn == pytest.approx(zc, rel=1e-8)
+    assert zn == pytest.approx(zc, rel=1e-13)
+
+
+def test_partition_numeric_refuses_a_tail_it_cannot_reach():
+    # g(v^2) v^2 ~ v^-0.02 has not decayed by v = 1e149
+    with pytest.raises(DomainError, match="beyond 1e149"):
+        gen.partition_numeric(make_generator("logpvii", xi=1.01, theta=1e-50))
 
 
 def test_partition_known_values():
@@ -216,13 +232,71 @@ def test_score_ratio_derivative_matches_central_differences(spec):
         assert abs(gen.dr(spec, x) - fd) <= tol, x
 
 
-def test_characteristic_generator():
-    ln = make_generator("lognormal")
-    assert ln.has_characteristic_generator
-    assert gen.characteristic_generator(ln, 1.0) == pytest.approx(math.exp(0.5))
-    for spec in SPECS[1:]:
-        assert not spec.has_characteristic_generator
-        assert gen.characteristic_generator(spec, 1.0) is None
+def _k32(z):
+    # K_{3/2}(z) = sqrt(pi / 2z) e^-z (1 + 1/z)
+    return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * (1.0 + 1.0 / z)
+
+
+def _pexp_mgf(xi, s):
+    # sum_k (s^2/4)^k E[X^k] / k!^2 with E[X^k] = 2^(ak) Gamma(a(k+1)) / Gamma(a),
+    # a = 1 + xi, summed in 30 digits
+    import mpmath as mp
+
+    with mp.workdps(30):
+        a, y = mp.mpf(1.0 + xi), mp.mpf(s) ** 2 / 4
+        total, k, term = mp.mpf(0), 0, mp.mpf(1)
+        while k < 10 or term > total * mp.mpf(10) ** -32:
+            term = mp.exp(k * mp.log(y * 2**a) + mp.loggamma(a * (k + 1)) - 2 * mp.loggamma(k + 1))
+            total, k = total + term, k + 1
+        return float(total / mp.gamma(a))
+
+
+def _logistic_mgf(s):
+    # (2 pi / Z) int_0^inf I0(s v) g(v^2) v dv with Z = pi / 2, in 30 digits
+    import mpmath as mp
+
+    with mp.workdps(30):
+        f = lambda v: mp.besseli(0, s * v) * mp.exp(-v * v) / (1 + mp.exp(-v * v)) ** 2 * v
+        return float(4 * mp.quad(f, [0, 1, 3, 6, mp.inf]))
+
+
+# (spec, its tail rate, vartheta(s^2) = E[e^(s Z1)] in closed form or 30 digits)
+_MGF_ORACLES = [
+    (make_generator("lognormal"), math.inf, lambda s: math.exp(0.5 * s * s)),
+    (make_generator("loglaplace"), math.sqrt(2.0), lambda s: 1.0 / (1.0 - 0.5 * s * s)),
+    (
+        make_generator("loghyperbolic", nu=2.0),
+        2.0,
+        lambda s: (4.0 / (4.0 - s * s)) ** 0.75 * _k32(math.sqrt(4.0 - s * s)) / _k32(2.0),
+    ),
+    (make_generator("logpexp", xi=-0.5), math.inf, lambda s: _pexp_mgf(-0.5, s)),
+    (make_generator("logpexp", xi=0.5), math.inf, lambda s: _pexp_mgf(0.5, s)),
+    (make_generator("loglogistic"), math.inf, _logistic_mgf),
+]
+
+
+@pytest.mark.parametrize("spec,rate,mgf", _MGF_ORACLES, ids=[o[0].label() for o in _MGF_ORACLES])
+def test_characteristic_generator(spec, rate, mgf):
+    # vartheta(x) = E[e^(sqrt(x) Z1)] within 1e-12 relative of its oracle up
+    # to 0.99 of the tail rate, and within 1e-10 closer to it
+    scale = min(rate, 3.0)
+    for frac in (1e-6, 0.1, 0.5, 0.9, 0.99, 0.999, 0.99999):
+        s = frac * scale
+        got, want = gen.characteristic_generator(spec, s * s), mgf(s)
+        tol = 1e-12 if frac <= 0.99 or rate == math.inf else 1e-10
+        assert got == pytest.approx(want, rel=tol), (s, got, want)
+    assert gen.characteristic_generator(spec, 0.0) == 1.0
+    if rate < math.inf:  # None exactly where sqrt(x) reaches the rate
+        for x in (rate * rate, float(np.nextafter(rate * rate, math.inf)), 4.0 * rate * rate):
+            got = gen.characteristic_generator(spec, x)
+            assert got is None if math.sqrt(x) >= rate else 1.0 < got < math.inf
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if gen._tail_rate(s) == 0.0], ids=lambda s: s.label())
+def test_characteristic_generator_is_none_for_power_tails(spec):
+    assert gen.characteristic_generator(spec, 0.0) == 1.0
+    for x in (5e-324, 1e-300, 1e-6, 1.0, 1e300):
+        assert gen.characteristic_generator(spec, x) is None
 
 
 def test_parameter_validation():
@@ -577,6 +651,55 @@ def test_every_kernel_is_finite_or_its_limit_across_the_accepted_ranges(spec, xs
             pass  # the quantile is past the doubles
         else:
             assert 0.0 <= root < math.inf
+
+
+_SCALE = st.floats(math.log(5e-324), math.log(1e3)).map(lambda t: min(math.exp(t), 1e3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    ACCEPTED_SPECS,
+    _SCALE,
+    _SCALE,
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    _SCALE,
+)
+def test_moments_are_finite_or_none_where_the_tail_rate_forbids_them(spec, s1, s2, rho, order):
+    # moment, vartheta and the correlation give a finite positive value
+    # (|value| <= 1 for the correlation), None exactly where the tail rate
+    # forbids the moment, or a BlsError
+    rate, theta, x = gen._tail_rate(spec), BLSParams(1.0, 1.0, s1, s2, rho), (s1 * order) ** 2
+    calls = [
+        (lambda: dist.moment(theta, spec, 1, order), rate == 0.0 or s1 * order >= rate),
+        (lambda: dist.moment(theta, spec, 2, order), rate == 0.0 or s2 * order >= rate),
+        (lambda: gen.characteristic_generator(spec, 0.0), False),
+        (lambda: gen.characteristic_generator(spec, x), x > 0.0 and math.sqrt(x) >= rate),
+        (lambda: dist.correlation(theta, spec), 2.0 * max(s1, s2) >= rate),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for i, (call, forbidden) in enumerate(calls):
+            try:
+                got = call()
+            except BlsError:
+                assert not forbidden, i
+                continue
+            if forbidden:
+                assert got is None, i
+            elif i == 4:
+                assert -1.0 <= got <= 1.0, got
+            else:
+                assert 0.0 < got < math.inf, (i, got)
+
+
+def test_log_mgf_quadrature_is_the_normal_law_at_every_scale():
+    # logpexp(xi = 0) has lognormal's generator but takes the quadrature:
+    # L(s) = s^2 / 2 from s = 1e-150, where s^2 nears the bottom of the
+    # doubles, to 1e6, where the integrand's peak is a millionth as wide as
+    # its distance from 0
+    spec = make_generator("logpexp", xi=0.0)
+    s = 10.0 ** np.arange(-150.0, 6.5, 0.5)
+    assert np.allclose(gen._log_mgf(spec, s), 0.5 * s * s, rtol=1e-14, atol=0.0)
 
 
 _TINY = float(np.finfo(float).tiny)
