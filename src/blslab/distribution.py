@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,15 @@ class BLSParams:
                 raise DomainError(f"{name} must be finite and > 0, got {v}")
         if not (np.isfinite(self.rho) and -1.0 < self.rho < 1.0):
             raise DomainError(f"rho must lie in (-1, 1), got {self.rho}")
+        for f in fields(self):  # Python floats, also from numpy scalars
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+
+    @cached_property
+    def logs(self) -> tuple[float, float, float, float, float]:
+        """(log eta1, log eta2, log sigma1, log sigma2, log sqrt(1 - rho^2)),
+        taken once per theta."""
+        scales = (self.eta1, self.eta2, self.sigma1, self.sigma2)
+        return (*map(math.log, scales), 0.5 * (math.log1p(-self.rho) + math.log1p(self.rho)))
 
     def as_array(self) -> np.ndarray:
         return np.array(
@@ -112,8 +122,8 @@ def standardize(theta: BLSParams, t1, t2):
     Floats for two 0-d inputs, else two arrays.
     """
     t1, t2 = _positive(t1, "t1"), _positive(t2, "t2")
-    zt1 = (np.log(t1) - math.log(theta.eta1)) / theta.sigma1
-    zt2 = (np.log(t2) - math.log(theta.eta2)) / theta.sigma2
+    zt1 = (np.log(t1) - theta.logs[0]) / theta.sigma1
+    zt2 = (np.log(t2) - theta.logs[1]) / theta.sigma2
     if isinstance(t1, float) and isinstance(t2, float):
         return float(zt1), float(zt2)
     return np.atleast_1d(zt1), np.atleast_1d(zt2)
@@ -121,13 +131,23 @@ def standardize(theta: BLSParams, t1, t2):
 
 def _quad_form(zt1, zt2, rho):
     # (zt1^2 - 2 rho zt1 zt2 + zt2^2)/(1-rho^2) as a sum of squares, so the
-    # result stays >= 0 under roundoff
-    w = (zt1 - rho * zt2) / math.sqrt(1.0 - rho * rho)
-    return w * w + zt2 * zt2
+    # result stays >= 0 under roundoff. It is NaN (0 * inf, inf - inf) only
+    # where a component is infinite, and the form is +inf there
+    if isinstance(zt1, float) and isinstance(zt2, float):
+        w = (zt1 - rho * zt2) / math.sqrt(1.0 - rho * rho)
+        xq = w * w + zt2 * zt2
+        return xq if xq == xq else math.inf
+    with np.errstate(invalid="ignore"):
+        w = (zt1 - rho * zt2) / math.sqrt(1.0 - rho * rho)
+        xq = w * w + zt2 * zt2
+    if math.isnan(xq.max(initial=0.0)):  # one pass and no temporary if none is NaN
+        xq[np.isnan(xq)] = math.inf
+    return xq
 
 
 def mahalanobis_sq(theta: BLSParams, t1, t2):
-    """Squared Mahalanobis radius of (t1, t2) on the standardized log scale."""
+    """Squared Mahalanobis radius of (t1, t2) on the standardized log scale;
+    +inf where t1 or t2 is +inf."""
     zt1, zt2 = standardize(theta, t1, t2)
     return _quad_form(zt1, zt2, theta.rho)
 
@@ -135,29 +155,27 @@ def mahalanobis_sq(theta: BLSParams, t1, t2):
 def joint_log_pdf(theta: BLSParams, spec: GeneratorSpec, t1, t2):
     """log of the joint density, computed without forming the density itself.
 
-    Two 0-d inputs give a float, otherwise the inputs broadcast to an
-    array. DomainError unless t1, t2 > 0 (NaN included).
+    Two 0-d inputs give a float, with the bits of the 1-element array's
+    result, otherwise the inputs broadcast to an array. -inf where t1 or t2
+    is +inf. DomainError unless t1, t2 > 0 (NaN included).
     """
     t1, t2 = _positive(t1, "t1"), _positive(t2, "t2")
     log_t1, log_t2 = np.log(t1), np.log(t2)
-    zt1 = (log_t1 - math.log(theta.eta1)) / theta.sigma1
-    zt2 = (log_t2 - math.log(theta.eta2)) / theta.sigma2
+    if isinstance(t1, float) and isinstance(t2, float):
+        log_t1, log_t2 = float(log_t1), float(log_t2)
+    log_eta1, log_eta2, log_s1, log_s2, log_c = theta.logs
+    zt1 = (log_t1 - log_eta1) / theta.sigma1
+    zt2 = (log_t2 - log_eta2) / theta.sigma2
     xq = _quad_form(zt1, zt2, theta.rho)
-    const = (
-        -math.log(gen.partition_closed(spec))
-        - math.log(theta.sigma1)
-        - math.log(theta.sigma2)
-        - 0.5 * (math.log1p(-theta.rho) + math.log1p(theta.rho))
-    )
-    out = gen.log_g(spec, xq) + const - log_t1 - log_t2
-    return out if isinstance(out, np.ndarray) else float(out)
+    const = -spec.log_z - log_s1 - log_s2 - log_c
+    return gen.log_g(spec, xq) + const - log_t1 - log_t2
 
 
 def joint_pdf(theta: BLSParams, spec: GeneratorSpec, t1, t2):
     """Joint density f(t1, t2); a float for two 0-d inputs, as joint_log_pdf.
 
-    +inf where the density is infinite (the loglaplace centre); DomainError
-    where a finite density exceeds the double range.
+    +inf where the density is infinite (the loglaplace centre), 0 where t1
+    or t2 is +inf; DomainError where a finite density exceeds the double range.
     """
     log_f = joint_log_pdf(theta, spec, t1, t2)
     # the largest finite log density, in Python floats for a scalar call
@@ -449,7 +467,7 @@ def conditional_pdf_t2_given_t1(
     marg_z = marginal_pdf_z(spec, zt1)
     if marg_z <= 0.0:
         raise ZeroProbabilityError(f"T1 marginal density vanishes at t1={t1}")
-    log_joint = joint_log_pdf(theta, spec, t1, t2) + math.log(theta.sigma1) + math.log(t1)
+    log_joint = joint_log_pdf(theta, spec, t1, t2) + theta.logs[2] + math.log(t1)
     return _exp_density(spec, log_joint - math.log(marg_z))
 
 
@@ -477,14 +495,14 @@ def conditional_pdf_t1_given_t2_in_interval(
         raise DomainError(f"interval must satisfy 0 <= lo < hi, got ({lo}, {hi})")
     rho = theta.rho
     c = math.sqrt(1.0 - rho * rho)
-    zt1 = (math.log(t1) - math.log(theta.eta1)) / theta.sigma1
+    zt1 = (math.log(t1) - theta.logs[0]) / theta.sigma1
 
     def btilde(v):
         if v <= 0.0:
             return -math.inf
         if math.isinf(v):
             return math.inf
-        return (math.log(v) - math.log(theta.eta2)) / theta.sigma2
+        return (math.log(v) - theta.logs[1]) / theta.sigma2
 
     b_lo, b_hi = btilde(lo), btilde(hi)
     # P(b_lo < Z2 <= b_hi) as one strip; the angle rule takes an infinite end as it is
@@ -496,7 +514,7 @@ def conditional_pdf_t1_given_t2_in_interval(
     mass = _line_mass(spec, zt1, w_lo, w_hi)
     if mass == 0.0:
         return 0.0
-    return _exp_density(spec, math.log(mass / denom) - math.log(theta.sigma1) - math.log(t1))
+    return _exp_density(spec, math.log(mass / denom) - theta.logs[2] - math.log(t1))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def as_sample_matrix(data) -> np.ndarray:
 def _log_sample(spec: GeneratorSpec, x: np.ndarray):
     # log x, sum log x and log Z: what _ll_score_hess needs of the sample and family
     logs = np.log(x)
-    return logs, float(np.sum(logs)), math.log(gen.partition_closed(spec))
+    return logs, float(np.sum(logs)), spec.log_z
 
 
 def _ll_score_hess(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float, cap: float = math.inf):
@@ -165,15 +165,7 @@ def score(theta: BLSParams, spec: GeneratorSpec, data) -> np.ndarray:
 
 
 def _theta_to_phi(theta: BLSParams) -> np.ndarray:
-    return np.array(
-        [
-            math.log(theta.eta1),
-            math.log(theta.eta2),
-            math.log(theta.sigma1),
-            math.log(theta.sigma2),
-            math.atanh(theta.rho),
-        ]
-    )
+    return np.array([*theta.logs[:4], math.atanh(theta.rho)])
 
 
 def _phi_to_theta(phi: np.ndarray) -> BLSParams:

@@ -38,6 +38,14 @@ kernels' own: for x in [1e-8, 1e3], g of loglaplace and logslash is within
 1e-12 relative of 40-digit mpmath and log g within 1e-12 absolute, and
 radial_sf and radial_isf state theirs.
 
+log_g and g give a 0-d argument the bits of the 1-element array's result.
+One expression serves both where it needs neither np.where nor
+np.errstate; logslash's series switch, loglaplace's k0e(inf) = 0 and the
+overflow of x/theta in logt and logpvii with theta < 1 take a branch of
+Python float arithmetic and comparisons around the same numpy and scipy
+ufuncs, in the same order. Those stay ufuncs, since math.log, exp and pow
+differ from numpy's SIMD loops in the last bit at a few percent of points.
+
 The enum values double as the CLI family names.
 """
 
@@ -46,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -160,6 +169,11 @@ class GeneratorSpec:
         object.__setattr__(self, "id", _family_id(self.id))
         _validate_params(self.id, self.params)
 
+    @cached_property
+    def log_z(self) -> float:
+        """log of the partition constant Z, taken once per spec."""
+        return math.log(partition_closed(self))
+
     def key(self) -> tuple:
         return (self.id.value, self.params.nu, self.params.xi, self.params.theta)
 
@@ -210,6 +224,9 @@ def _log1p_ratio(x, theta: float):
     # where the 1 is negligible and it is log(x) - log(theta)
     if theta >= 1.0:
         return np.log1p(x / theta)
+    if isinstance(x, float):  # a Python float overflows quietly
+        u = x / theta
+        return np.log1p(u) if u < math.inf else np.log(max(x, 1.0)) - math.log(theta)
     with np.errstate(over="ignore"):
         u = np.log1p(x / theta)
     big = np.isinf(u)  # where x = inf, log(x) - log(theta) is inf as well
@@ -246,13 +263,14 @@ def _slash_branches(x, switch: float):
 def log_g(spec: GeneratorSpec, x):
     """log g(x); stable for large x (no under/overflow for any family).
 
-    A float (or any 0-d input) gives a float, an array gives an array.
-    log g(inf) = -inf for every family, and so is a log g that falls below
-    the double range (logpexp with xi < 0 at x ~ 1e300). loglaplace has
-    log g(0) = +inf. DomainError for x < 0 or NaN.
+    A float (or any 0-d input) gives a float with the bits of the 1-element
+    array's result, an array gives an array. log g(inf) = -inf for every
+    family, and so is a log g that falls below the double range (logpexp
+    with xi < 0 at x ~ 1e300). loglaplace has log g(0) = +inf. DomainError
+    for x < 0 or NaN.
     """
-    x = _arg(x)
-    gid, p = spec.id, spec.params
+    x, gid, p = _arg(x), spec.id, spec.params
+    one = isinstance(x, float)  # the float path; see the module docstring
     if gid is GeneratorId.LOGNORMAL:
         out = -0.5 * x
     elif gid in _PEARSON_VII:
@@ -262,36 +280,52 @@ def log_g(spec: GeneratorSpec, x):
         out = -p.nu * np.sqrt(1.0 + x)
     elif gid is GeneratorId.LAPLACE:
         # K0 has an integrable log singularity at 0: k0e(0) = inf gives
-        # log g(0) = +inf, so that g == exp(log_g) holds on all of [0, inf)
-        u = np.sqrt(2.0 * x)
-        with np.errstate(divide="ignore"):  # k0e(inf) = 0: log g(inf) = -inf
-            out = np.log(special.k0e(u)) - u
+        # log g(0) = +inf, so that g == exp(log_g) holds on all of [0, inf);
+        # k0e(inf) = 0 gives log g = -inf, also where 2x overflows
+        if one:
+            u = math.sqrt(2.0 * x)
+            k = special.k0e(u)
+            out = np.log(k) - u if k > 0.0 else -math.inf
+        else:
+            with np.errstate(divide="ignore", over="ignore"):
+                u = np.sqrt(2.0 * x)
+                out = np.log(special.k0e(u)) - u
     elif gid is GeneratorId.SLASH:
         s = 0.5 * (p.nu + 1.0)
-        xs, xc = _slash_branches(x, _SLASH_SERIES_X)
-        out = np.where(
-            x < _SLASH_SERIES_X,
-            np.log(_slash_g_series(s, 0.5 * xs)),
-            np.log(_lower_gamma(s, 0.5 * xc)) - s * np.log(xc),
-        )
+        if one and x < _SLASH_SERIES_X:
+            out = np.log(_slash_g_series(s, 0.5 * x))
+        elif one:
+            out = np.log(_lower_gamma(s, 0.5 * x)) - s * np.log(x)
+        else:
+            xs, xc = _slash_branches(x, _SLASH_SERIES_X)
+            out = np.where(
+                x < _SLASH_SERIES_X,
+                np.log(_slash_g_series(s, 0.5 * xs)),
+                np.log(_lower_gamma(s, 0.5 * xc)) - s * np.log(xc),
+            )
     elif gid is GeneratorId.POWER_EXP:
-        with np.errstate(over="ignore"):  # x^(1/(1+xi)) overflows for xi < 0
-            out = -0.5 * np.power(x, 1.0 / (1.0 + p.xi))
+        a = 1.0 / (1.0 + p.xi)
+        if p.xi >= 0.0:  # a <= 1: x^a stays finite
+            out = -0.5 * np.power(x, a)
+        else:
+            with np.errstate(over="ignore"):  # x^a overflows
+                out = -0.5 * np.power(x, a)
     elif gid is GeneratorId.LOGISTIC:
         out = -x - 2.0 * np.log1p(np.exp(-x))
     else:  # pragma: no cover
         raise DomainError(f"unknown generator {gid}")
-    return _ret(out, x)
+    return float(out) if one else out
 
 
 def g(spec: GeneratorSpec, x):
     """Density generator g(x) = exp(log g(x)) >= 0 evaluated elementwise.
 
-    A float (or any 0-d input) gives a float, an array gives an array;
-    g(inf) = 0, loglaplace has g(0) = +inf. DomainError for x < 0 or NaN.
+    A float (or any 0-d input) gives a float, an array gives an array, bit
+    for bit alike; g(inf) = 0, loglaplace has g(0) = +inf. DomainError for
+    x < 0 or NaN.
     """
     val = log_g(spec, x)
-    return _ret(np.exp(val), val)
+    return float(np.exp(val)) if isinstance(val, float) else np.exp(val)
 
 
 def _score_arg(spec: GeneratorSpec, x):

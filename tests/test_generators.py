@@ -420,6 +420,7 @@ def test_logpexp_reaches_minus_inf_without_overflow_warning():
 
 
 _SWITCH = gen._SLASH_SERIES_X
+_X_MAX = float(np.finfo(float).max)
 _EDGE_POINTS = [
     0.0,
     5e-324,
@@ -427,7 +428,17 @@ _EDGE_POINTS = [
     _SWITCH,
     np.nextafter(_SWITCH, 1.0),
     1e300,
+    1e308,
+    _X_MAX,
     math.inf,
+]
+# the float branches of log_g besides logslash's switch: x/theta overflows
+# for logt and logpvii with theta < 1 near the top of the doubles, and
+# x^(1/(1+xi)) for logpexp with xi < 0 from x ~ 1e31 (xi = -0.9)
+_BRANCH_SPECS = [
+    make_generator("logt", nu=0.5),
+    make_generator("logpvii", xi=2.0, theta=1e-3),
+    make_generator("logpexp", xi=-0.9),
 ]
 _THETA = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
 
@@ -437,10 +448,32 @@ def _same(a, b) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-def _check_paths_agree(spec, x, z):
+def _accepted(lo, hi):
+    """Values a parameter rule lo < v <= hi accepts: its two ends (the double
+    just inside an open lower end) and values between, log-uniform where
+    the range spans many decades."""
+    ends = st.sampled_from([float(np.nextafter(lo, math.inf)), hi])
+    if lo > 0.0 and hi > 1e6 * lo:
+        inner = st.floats(math.log(lo), math.log(hi)).map(lambda t: min(math.exp(t), hi))
+    else:
+        inner = st.floats(lo, hi, exclude_min=True, allow_subnormal=False)
+    return st.one_of(ends, inner.filter(lambda v: lo < v <= hi))
+
+
+ACCEPTED_SPECS = st.one_of(
+    [
+        st.fixed_dictionaries({n: _accepted(lo, hi) for n, (lo, hi) in rules.items()}).map(
+            lambda kw, gid=gid: make_generator(gid, **kw)
+        )
+        for gid, rules in gen._PARAM_RULES.items()
+    ]
+)
+
+
+def _check_paths_agree(spec, x, t1, t2):
     # a 0-d input gives a float bitwise equal to the 1-element array result,
-    # for every input type, without a RuntimeWarning
-    t1, t2 = math.exp(z), 2.0 * math.exp(-0.5 * z)
+    # or the DomainError that the array raises, for every input type,
+    # without a RuntimeWarning
     cases = [
         (gen.log_g, (spec,), (x,)),
         (gen.g, (spec,), (x,)),
@@ -451,11 +484,17 @@ def _check_paths_agree(spec, x, z):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for fn, head, pts in cases:
-            ref = fn(*head, *(np.array([p]) for p in pts))
-            assert isinstance(ref, np.ndarray) and ref.shape == (1,)
             kinds = [float, np.float64, np.array]
             if all(float(p).is_integer() for p in pts):
                 kinds.append(int)
+            try:
+                ref = fn(*head, *(np.array([p]) for p in pts))
+            except DomainError:
+                for kind in kinds:
+                    with pytest.raises(DomainError):
+                        fn(*head, *(kind(p) for p in pts))
+                continue
+            assert isinstance(ref, np.ndarray) and ref.shape == (1,)
             for kind in kinds:
                 got = fn(*head, *(kind(p) for p in pts))
                 assert type(got) is float, (fn.__name__, kind)
@@ -463,16 +502,26 @@ def _check_paths_agree(spec, x, z):
 
 
 @pytest.mark.parametrize("x", _EDGE_POINTS)
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", SPECS + _BRANCH_SPECS, ids=lambda s: s.label())
 def test_scalar_and_array_paths_agree_at_edges(spec, x):
-    # z = 0 puts (t1, t2) at the integers (1, 2); x = 0 and 1e300 are integral
-    _check_paths_agree(spec, x, 0.0)
+    # (1, 2) is the centre of _THETA, and t1 = 5e-324 puts a heavy tail's
+    # density beyond the doubles
+    _check_paths_agree(spec, x, 1.0, 2.0)
+    _check_paths_agree(spec, x, 5e-324, 1.0)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+def test_joint_pdf_beyond_the_doubles_raises_on_both_paths():
+    spec = make_generator("logslash", nu=4.0)
+    for t1 in (5e-324, np.float64(5e-324), np.array(5e-324), np.array([5e-324, 1.0])):
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            dist.joint_pdf(_THETA, spec, t1, 1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(
-    st.sampled_from(SPECS),
+    ACCEPTED_SPECS,
     st.one_of(
+        st.sampled_from(_EDGE_POINTS),
         st.floats(min_value=0.0, max_value=1e300),
         st.floats(min_value=-8.0, max_value=3.0).map(lambda e: 10.0**e),
         st.integers(min_value=0, max_value=10**6).map(float),
@@ -480,7 +529,8 @@ def test_scalar_and_array_paths_agree_at_edges(spec, x):
     st.floats(min_value=-6.0, max_value=6.0),
 )
 def test_scalar_and_array_paths_agree(spec, x, z):
-    _check_paths_agree(spec, x, z)
+    # every family, with its extra parameters drawn from _PARAM_RULES
+    _check_paths_agree(spec, x, math.exp(z), 2.0 * math.exp(-0.5 * z))
 
 
 # r and r' at x = 0 (None where the ratio is singular there) and at x = inf
@@ -528,9 +578,10 @@ _GRID = [5e-324, 1e-300, 1e-8, 1e-5, 0.3, 1.0, 1.25, 1.5, 7.75, 30.0, 1e3, 1e6, 
     "spec", SPECS + [make_generator("logpexp", xi=-0.9)], ids=lambda s: s.label()
 )
 def test_float_and_array_calls_agree(spec, fn):
-    # one expression serves a float and an array: a float, a 0-d array and a
-    # 1-element array give the bits of that point's element of a vector,
-    # without a RuntimeWarning (an error under the suite's filter)
+    # a float, a 0-d array and a 1-element array give the bits of that
+    # point's element of a vector, whether one expression serves both (r, r',
+    # radial_sf) or g takes its float path, without a RuntimeWarning (an
+    # error under the suite's filter)
     regular = fn not in (gen.r, gen.dr) or _SCORE_EDGES.get(spec.label(), (0,))[0] is not None
     xs = np.array(([0.0] if regular else []) + _GRID)
     ref = fn(spec, xs)
@@ -586,26 +637,6 @@ def test_logt_score_where_theta_plus_x_overflows():
     assert gen.r(spec, math.inf) == 0.0 and gen.dr(spec, math.inf) == 0.0
 
 
-def _accepted(lo, hi):
-    """Values a parameter rule lo < v <= hi accepts: its two ends (the double
-    just inside an open lower end) and values between, log-uniform where
-    the range spans many decades."""
-    ends = st.sampled_from([float(np.nextafter(lo, math.inf)), hi])
-    if lo > 0.0 and hi > 1e6 * lo:
-        inner = st.floats(math.log(lo), math.log(hi)).map(lambda t: min(math.exp(t), hi))
-    else:
-        inner = st.floats(lo, hi, exclude_min=True, allow_subnormal=False)
-    return st.one_of(ends, inner.filter(lambda v: lo < v <= hi))
-
-
-ACCEPTED_SPECS = st.one_of(
-    [
-        st.fixed_dictionaries({n: _accepted(lo, hi) for n, (lo, hi) in rules.items()}).map(
-            lambda kw, gid=gid: make_generator(gid, **kw)
-        )
-        for gid, rules in gen._PARAM_RULES.items()
-    ]
-)
 # x: the ends of [0, inf] and the subnormals at every example, and drawn
 # log-uniform values up to 1e300
 _EDGE_X = [0.0, 5e-324, 1e-310, 1e-300, 1e300, math.inf]
