@@ -106,10 +106,19 @@ class BLSParams:
         return cls(*a.tolist())
 
 
-def _positive(t, name: str):
-    # a float for 0-d input, else a float array; t > 0 everywhere, not NaN
-    msg = f"{name} must be strictly positive"
-    return specfun.checked(t, msg, DomainError, strict=True)
+def _standardized(theta: BLSParams, t1, t2):
+    # (log t1, log t2, zt1, zt2): floats for two 0-d inputs, and a z beyond the
+    # doubles (sigma ~ 1e-310) is +-inf, quietly. DomainError unless t1, t2 > 0
+    t1 = specfun.checked(t1, "t1 must be strictly positive", DomainError, strict=True)
+    t2 = specfun.checked(t2, "t2 must be strictly positive", DomainError, strict=True)
+    if isinstance(t1, float) and isinstance(t2, float):  # Python floats overflow quietly
+        return _z(theta, float(np.log(t1)), float(np.log(t2)))
+    with np.errstate(over="ignore"):
+        return _z(theta, np.log(t1), np.log(t2))
+
+
+def _z(theta: BLSParams, log_t1, log_t2):
+    return log_t1, log_t2, (log_t1 - theta.logs[0]) / theta.sigma1, (log_t2 - theta.logs[1]) / theta.sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +128,12 @@ def _positive(t, name: str):
 def standardize(theta: BLSParams, t1, t2):
     """Map observations to standardized log scale: zti = (log ti - log etai)/sigmai.
 
-    Floats for two 0-d inputs, else two arrays.
+    Floats for two 0-d inputs, else two arrays; +-inf where zti leaves the
+    double range.
     """
-    t1, t2 = _positive(t1, "t1"), _positive(t2, "t2")
-    zt1 = (np.log(t1) - theta.logs[0]) / theta.sigma1
-    zt2 = (np.log(t2) - theta.logs[1]) / theta.sigma2
-    if isinstance(t1, float) and isinstance(t2, float):
-        return float(zt1), float(zt2)
+    _, _, zt1, zt2 = _standardized(theta, t1, t2)
+    if isinstance(zt1, float) and isinstance(zt2, float):
+        return zt1, zt2
     return np.atleast_1d(zt1), np.atleast_1d(zt2)
 
 
@@ -159,14 +167,9 @@ def joint_log_pdf(theta: BLSParams, spec: GeneratorSpec, t1, t2):
     result, otherwise the inputs broadcast to an array. -inf where t1 or t2
     is +inf. DomainError unless t1, t2 > 0 (NaN included).
     """
-    t1, t2 = _positive(t1, "t1"), _positive(t2, "t2")
-    log_t1, log_t2 = np.log(t1), np.log(t2)
-    if isinstance(t1, float) and isinstance(t2, float):
-        log_t1, log_t2 = float(log_t1), float(log_t2)
-    log_eta1, log_eta2, log_s1, log_s2, log_c = theta.logs
-    zt1 = (log_t1 - log_eta1) / theta.sigma1
-    zt2 = (log_t2 - log_eta2) / theta.sigma2
+    log_t1, log_t2, zt1, zt2 = _standardized(theta, t1, t2)
     xq = _quad_form(zt1, zt2, theta.rho)
+    _, _, log_s1, log_s2, log_c = theta.logs
     const = -spec.log_z - log_s1 - log_s2 - log_c
     return gen.log_g(spec, xq) + const - log_t1 - log_t2
 

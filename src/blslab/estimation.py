@@ -40,6 +40,9 @@ _MAX_TRIALS = 200  # Newton trial steps per homotopy stage
 _ARMIJO = 1e-4
 _RHO_CAP = 0.985  # initialization clip, not an optimization constraint
 _UPPER = np.triu_indices(5)
+_SYM = np.zeros((5, 5), dtype=int)  # where (i, j) and (j, i) sit in the upper triangle, row by row
+_SYM[_UPPER] = _SYM.T[_UPPER] = np.arange(15)
+_ROUNDING = 4.0 * 2.0**-52  # four ulps of 1: the slack of the Armijo test
 
 __all__ = [
     "FitResult",
@@ -66,12 +69,12 @@ def as_sample_matrix(data) -> np.ndarray:
 
 
 def _log_sample(spec: GeneratorSpec, x: np.ndarray):
-    # log x, sum log x and log Z: what _ll_score_hess needs of the sample and family
+    # log x as (2, n) rows, sum log x and log Z: what _ll_score_hess needs
     logs = np.log(x)
-    return logs, float(np.sum(logs)), spec.log_z
+    return np.ascontiguousarray(logs.T), float(np.sum(logs)), spec.log_z
 
 
-def _ll_score_hess(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float, cap: float = math.inf):
+def _ll_score_hess(phi: np.ndarray | list, spec: GeneratorSpec, lx, floor: float, cap: float = math.inf):
     """Log-likelihood, score and Hessian in phi, optionally winsorized, with
     lx = _log_sample(spec, x); where -ll > cap, r and r' are not computed and
     the score and Hessian are None.
@@ -93,44 +96,48 @@ def _ll_score_hess(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float, cap: 
     z1 and z2.
     """
     logs, sum_logs, log_z = lx
-    n = logs.shape[0]
-    s1, s2 = math.exp(phi[2]), math.exp(phi[3])
-    ch, sh = math.cosh(phi[4]), math.sinh(phi[4])
-    z1 = (logs[:, 0] - phi[0]) / s1
-    z2 = (logs[:, 1] - phi[1]) / s2
+    n = logs.shape[1]
+    a1, a2, b1, b2, c = phi
+    s1, s2 = math.exp(b1), math.exp(b2)
+    ch, sh = math.cosh(c), math.sinh(c)
+    Z = (logs - ((a1,), (a2,))) / ((s1,), (s2,))
+    z1, z2 = Z
     u = ch * z1 - sh * z2
     q = u * u + z2 * z2
-    q_eff = np.maximum(q, floor)
+    low = q < floor if floor > 0.0 else None  # the clipped radii, if any
+    if low is not None and not low.any():
+        low = None
+    q_eff = q if low is None else np.maximum(q, floor)
     base, G = gen.log_g(spec, q_eff), None
-    if floor > 0.0 and np.any(q < floor):
+    if low is not None:
         # linear extension term; +0 for unclipped radii, where r is finite
         G = gen.r(spec, q_eff)
         base = base + G * (q - q_eff)
-    const = log_z + phi[2] + phi[3] - math.log(ch)
-    ll = float(np.sum(base) - n * const - sum_logs)
+    const = log_z + b1 + b2 - math.log(ch)
+    ll = float(base.sum() - n * const - sum_logs)
     if -ll > cap:
         return ll, None, None
     G = gen.r(spec, q_eff) if G is None else G
     dG = gen.dr(spec, q_eff)
-    if floor > 0.0:
-        dG = np.where(q < floor, 0.0, dG)
-    # dq/dz1, dq/dz2 and dq/dc; dz_k/da_k = -1/sigma_k and dz_k/db_k = -z_k
-    q1 = 2.0 * ch * u
-    q2 = 2.0 * (z2 - sh * u)
-    qc = 2.0 * u * (sh * z1 - ch * z2)
+    if low is not None:
+        dG[low] = 0.0
+    # grad q: -dq/dz_k times 1/sigma_k is dq/da_k, and times z_k is dq/db_k
     t1, t2 = 1.0 / s1, 1.0 / s2
-    Dq = np.array([-t1 * q1, -t2 * q2, -q1 * z1, -q2 * z2, qc])  # (5, n)
-    score = Dq @ G + n * np.array([0.0, 0.0, -1.0, -1.0, sh / ch])
+    Dq = np.empty((5, n))
+    np.multiply(-2.0 * ch, u, out=Dq[0])
+    np.multiply(-2.0, z2 - sh * u, out=Dq[1])
+    np.multiply(Dq[:2], Z, out=Dq[2:4])
+    Dq[:2] *= ((t1,), (t2,))
+    np.multiply(2.0 * u, sh * z1 - ch * z2, out=Dq[4])
+    score = Dq @ G + (0.0, 0.0, -n, -n, n * (sh / ch))
     # sum_i r_i grad^2 q_i from r-weighted moments of z1 and z2, with
     # d2q/dz^2 = [[A, -S], [-S, A]], A = 2 cosh^2 c, S = sinh 2c, C = cosh 2c
-    Z = np.array([z1, z2])
     ZG = Z * G
-    m0 = float(np.sum(G))
+    m0 = float(G.sum())
     m1, m2 = ZG.sum(axis=1).tolist()
     (m11, m12), (_, m22) = (ZG @ Z.T).tolist()
     A, S, C = 2.0 * ch * ch, 2.0 * sh * ch, ch * ch + sh * sh
-    hess = (Dq * dG) @ Dq.T
-    hess[_UPPER] += [  # the upper triangle, row by row
+    upper = ((Dq * dG) @ Dq.T)[_UPPER] + [  # the upper triangle, row by row
         A * m0 * t1 * t1, -S * m0 * t1 * t2,
         (2 * A * m1 - S * m2) * t1, -S * m2 * t1, 2 * (C * m2 - S * m1) * t1,
         A * m0 * t2 * t2, -S * m1 * t2,
@@ -139,8 +146,7 @@ def _ll_score_hess(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float, cap: 
         2 * A * m22 - S * m12, 2 * (C * m12 - S * m22),
         2 * C * (m11 + m22) - 4 * S * m12 + n / (ch * ch),
     ]
-    hess.T[_UPPER] = hess[_UPPER]
-    return ll, score, hess
+    return ll, score, upper[_SYM]
 
 
 def log_likelihood(theta: BLSParams, spec: GeneratorSpec, data) -> float:
@@ -194,23 +200,24 @@ def _dtheta_dphi(theta: BLSParams) -> np.ndarray:
 def default_starts(data) -> list[BLSParams]:
     """The two shipped initializations: robust moments, and a 20% perturbation."""
     x = as_sample_matrix(data)
-    return _starts(x, np.log(x))
+    return _starts(x, np.ascontiguousarray(np.log(x).T))
 
 
 def _median(a: np.ndarray) -> np.ndarray:
-    # np.median(a, axis=0) of finite data, from one sort
-    m, a = a.shape[0] // 2, np.sort(a, axis=0)
-    return a[m] if a.shape[0] % 2 else 0.5 * (a[m - 1] + a[m])
+    # np.median(a, axis=1) of finite (2, n) data, from one sort
+    m, a = a.shape[1] // 2, np.sort(a, axis=1)
+    return a[:, m] if a.shape[1] % 2 else 0.5 * (a[:, m - 1] + a[:, m])
 
 
 def _starts(x: np.ndarray, logs: np.ndarray) -> list[BLSParams]:
-    eta = _median(x)
-    mad = _median(np.abs(logs - _median(logs)))
-    sigma = np.maximum(1.4826 * mad, 1e-3)
-    corr = float(np.corrcoef(logs[:, 0], logs[:, 1])[0, 1])
-    if not np.isfinite(corr):
-        corr = 0.0
-    rho = float(np.clip(corr, -_RHO_CAP, _RHO_CAP))
+    eta = _median(x.T).tolist()
+    mad = _median(np.abs(logs - _median(logs)[:, None]))
+    sigma = np.maximum(1.4826 * mad, 1e-3).tolist()
+    # np.corrcoef(*logs)[0, 1] step by step, bar the clip the cap makes moot
+    d = logs - logs.mean(axis=1)[:, None]
+    (c00, c01), (_, c11) = (np.dot(d, d.T) * (1.0 / (x.shape[0] - 1))).tolist()
+    corr = c01 / math.sqrt(c00) / math.sqrt(c11) if c00 > 0.0 and c11 > 0.0 else 0.0
+    rho = min(max(corr, -_RHO_CAP), _RHO_CAP)
     first = BLSParams(eta[0], eta[1], sigma[0], sigma[1], rho)
     second = BLSParams(
         1.2 * eta[0], 0.8 * eta[1], 0.8 * sigma[0], 1.2 * sigma[1], 0.8 * rho
@@ -219,6 +226,8 @@ def _starts(x: np.ndarray, logs: np.ndarray) -> list[BLSParams]:
 
 
 _BAD_NLL = 1e30
+# the objective's values off its domain: read-only, shared by every fit and thread
+_GUARD = (_BAD_NLL, np.broadcast_to(0.0, 5), np.broadcast_to(0.0, (5, 5)))
 
 # The Bessel-K0 likelihood is unbounded: a logarithmic spike sits at every
 # data pair, and gradient methods, EM, and root finders all get captured by
@@ -246,18 +255,17 @@ def _xq_floor(spec: GeneratorSpec, n: int) -> float:
 def _objective(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float, cap: float = math.inf):
     """Negative log-likelihood, its gradient and Hessian in phi, guarded; the
     guard's values also where nll > cap."""
-    bad = (_BAD_NLL, np.zeros(5), np.zeros((5, 5)))
-    # the 60-box keeps exp() in range; no interior optimum lives anywhere near it
-    if not np.all(np.isfinite(phi)) or float(np.max(np.abs(phi))) > 60.0:
-        return bad
-    if not abs(math.tanh(phi[4])) < 1.0:  # rho must not round to +-1
-        return bad
+    # the 60-box (NaN fails it) keeps exp() in range; no interior optimum
+    # lives anywhere near it. rho must not round to +-1 either
+    p = phi.tolist()
+    if not (all(abs(v) <= 60.0 for v in p) and abs(math.tanh(p[4])) < 1.0):
+        return _GUARD
     try:
-        ll, s, h = _ll_score_hess(phi, spec, lx, floor, cap)
+        ll, s, h = _ll_score_hess(p, spec, lx, floor, cap)
     except (DomainError, OverflowError):
-        return bad
+        return _GUARD
     if not (math.isfinite(ll) and -ll <= cap and np.isfinite(s).all() and np.isfinite(h).all()):
-        return bad
+        return _GUARD
     return -ll, -s, -h
 
 
@@ -279,15 +287,15 @@ def _newton(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float):
     nll, grad, H = _objective(phi, spec, lx, floor)
     lam, steps, new = 0.0, 0, True
     for _ in range(_MAX_TRIALS):
-        if nll >= 0.5 * _BAD_NLL or np.max(np.abs(grad)) <= 1e-10 * max(1.0, abs(nll)):
-            break
-        if new:  # one eigendecomposition serves every trial from this point
+        if new:  # the stopping test, and one eigendecomposition for every trial from here
+            if nll >= 0.5 * _BAD_NLL or max(map(abs, grad.tolist())) <= 1e-10 * max(1.0, abs(nll)):
+                break
             w, V = np.linalg.eigh(H)
-            scale = max(1.0, float(np.max(np.abs(w))))
+            scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))  # w ascends
             Vg, aw = V.T @ grad, np.maximum(np.abs(w), 1e-8 * scale)
         step = -V @ (Vg / (aw + lam))
         cand = phi + step
-        cap = nll + _ARMIJO * float(grad @ step) + 4.0 * np.finfo(float).eps * max(1.0, abs(nll))
+        cap = nll + _ARMIJO * float(grad @ step) + _ROUNDING * max(1.0, abs(nll))
         nll_c, grad_c, H_c = _objective(cand, spec, lx, floor, cap)
         new = nll_c <= cap
         if new:

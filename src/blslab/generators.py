@@ -254,12 +254,6 @@ def _lower_gamma(s: float, y):
     return special.gammainc(s, y) * special.gamma(s)
 
 
-def _slash_branches(x, switch: float):
-    # the series and the closed form each see only arguments on their own
-    # side of the switch, so neither takes log(0), 0 * inf or inf - inf
-    return np.minimum(x, switch), np.maximum(x, switch)
-
-
 def log_g(spec: GeneratorSpec, x):
     """log g(x); stable for large x (no under/overflow for any family).
 
@@ -296,13 +290,12 @@ def log_g(spec: GeneratorSpec, x):
             out = np.log(_slash_g_series(s, 0.5 * x))
         elif one:
             out = np.log(_lower_gamma(s, 0.5 * x)) - s * np.log(x)
-        else:
-            xs, xc = _slash_branches(x, _SLASH_SERIES_X)
-            out = np.where(
-                x < _SLASH_SERIES_X,
-                np.log(_slash_g_series(s, 0.5 * xs)),
-                np.log(_lower_gamma(s, 0.5 * xc)) - s * np.log(xc),
-            )
+        else:  # the closed form at x >= the switch, then the series below it
+            xc = np.maximum(x, _SLASH_SERIES_X)
+            out = np.log(_lower_gamma(s, 0.5 * xc)) - s * np.log(xc)
+            lo = x < _SLASH_SERIES_X
+            if lo.any():
+                out[lo] = np.log(_slash_g_series(s, 0.5 * x[lo]))
     elif gid is GeneratorId.POWER_EXP:
         a = 1.0 / (1.0 + p.xi)
         if p.xi >= 0.0:  # a <= 1: x^a stays finite
@@ -333,7 +326,7 @@ def _score_arg(spec: GeneratorSpec, x):
     # logslash (a 0/0 form) and logpexp with xi > 0
     x, gid = _arg(x), spec.id
     if gid in _SINGULAR_AT_0 or (gid is GeneratorId.POWER_EXP and spec.params.xi > 0.0):
-        if np.any(x == 0.0):
+        if not (x if isinstance(x, float) else x.all()):  # a 0 anywhere
             raise DomainError(f"{spec.label()} score ratio is singular at x = 0")
     return x
 
@@ -359,8 +352,8 @@ def r(spec: GeneratorSpec, x):
     elif gid is GeneratorId.LAPLACE:
         out = _laplace_r(x)
     elif gid is GeneratorId.SLASH:
-        s, lo, xc, _, P, M, h = _slash_score_parts(p, x)
-        out = _by_side(lo, -0.5 * s * P / M, h - s / xc)
+        s, sides, xc, _, P, M, h = _slash_score_parts(p, x)
+        out = _by_side(sides, -0.5 * s * P / M, h - s / xc)
     elif gid is GeneratorId.POWER_EXP:
         with np.errstate(over="ignore"):  # x^(-xi/(1+xi)) overflows for xi < 0
             out = -np.power(x, -p.xi / (1.0 + p.xi)) / (2.0 * (1.0 + p.xi))
@@ -395,13 +388,13 @@ def dr(spec: GeneratorSpec, x):
         rx = _laplace_r(x)
         with np.errstate(over="ignore", invalid="ignore"):
             out = (0.5 - rx) / x - rx * rx
-        out = np.where(np.isnan(out), np.inf, out)
+        out = np.fmin(out, np.inf)  # inf - inf is NaN there
     elif gid is GeneratorId.SLASH:
-        s, lo, xc, y, P, M, h = _slash_score_parts(p, x)
+        s, sides, xc, y, P, M, h = _slash_score_parts(p, x)
         dP = special.hyp1f1(2.0, s + 3.0, y) / ((s + 1.0) * (s + 2.0))
         # h' = -h (1/2 + h + (1 - s)/x)
         out = _by_side(
-            lo,
+            sides,
             -0.25 * s * (dP - P * P) / (M * M),
             s / xc / xc - h * (0.5 + h + (1.0 - s) / xc),
         )
@@ -423,18 +416,18 @@ def dr(spec: GeneratorSpec, x):
 
 def _laplace_r(x):
     # r = -K1(u) / (u K0(u)), u = sqrt(2x), for x > 0. k0e and k1e both
-    # vanish at u = inf, where r ~ -1/u is -0; u is held finite there so
-    # that the discarded quotient is not 0/0. r ~ -1 / (2x log(1/x)) is -inf at 5e-324
+    # vanish at u = inf, where r ~ -1/u is -0: the quotient is NaN there and
+    # nowhere else, and fmin takes -0 for it. r ~ -1 / (2x log(1/x)) is -inf at 5e-324
     u = np.sqrt(2.0 * x)
-    uf = np.minimum(u, _X_MAX)
-    with np.errstate(over="ignore"):
-        return np.where(u < np.inf, -special.k1e(uf) / (uf * special.k0e(uf)), -0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fmin(-special.k1e(u) / (u * special.k0e(u)), -0.0)
 
 
 def _slash_score_parts(p: GeneratorParams, x):
     """The parts of logslash's r and r' on each side of the switch at x =
-    max(1, s/2), each evaluated only on its own side: s, the mask of x below
-    the switch, x above it, y = x/2 below it with P and M there, and h above it.
+    max(1, s/2), each evaluated only on its own side: s, the masks of x below
+    the switch and above it, x above it, y = x/2 below it with P and M there,
+    and h above it.
 
     Below the switch r = -(s/2) P/M and r' = -(s/4)(P' - P^2)/M^2, free of
     the closed form's 0/0 cancellation: M(y) = sum_k y^k / (s+1)_k is
@@ -443,23 +436,24 @@ def _slash_score_parts(p: GeneratorParams, x):
     series ratio y / (s + k) stays below 1/4. Above it r = h - s/x with
     h = (s/x) e^-y / S, S = s gamma(s, y) y^-s. Once e^-y underflows
     (x > 1490) h is 0 and r = -s/x exactly; S follows it to 0 beyond
-    x ~ 1e123 (s = 2.5).
+    x ~ 1e123 (s = 2.5). S falls with y, so while e^-y > 0 (y < 745.2) S >
+    S(745.2) > 1e-75 (nu <= 90), and max(S, tiny) is S; h = 0 where e^-y = 0.
     """
     s = 0.5 * (p.nu + 1.0)
     x = np.asarray(x)
-    lo = x < max(1.0, 0.5 * s)
-    y, xc = 0.5 * x[lo], x[~lo]
+    sides = lo, hi = x < max(1.0, 0.5 * s), x >= max(1.0, 0.5 * s)
+    y, xc = 0.5 * x[lo], x[hi]
     yc = 0.5 * xc
     P = special.hyp1f1(1.0, s + 2.0, y) / (s + 1.0)
     S = s * _lower_gamma(s, yc) * np.power(yc, -s)
-    e = np.exp(-yc)
-    return s, lo, xc, y, P, 1.0 + y * P, (s / xc) * e / np.where(e > 0.0, S, 1.0)
+    h = (s / xc) * np.exp(-yc) / np.maximum(S, _TINY)
+    return s, sides, xc, y, P, 1.0 + y * P, h
 
 
-def _by_side(lo, below, above):
-    # one array from its values where lo holds and where it does not
-    out = np.empty(lo.shape)
-    out[lo], out[~lo] = below, above
+def _by_side(sides, below, above):
+    # one array from its values on the two sides (lo, hi) of a switch
+    out = np.empty(sides[0].shape)
+    out[sides[0]], out[sides[1]] = below, above
     return out
 
 
@@ -659,8 +653,9 @@ _LAPLACE_HEAD_D = _PSI[:-1] + _PSI[1:]
 def _slash_log_t(s: float, x: np.ndarray) -> np.ndarray:
     """log T with T = y^(1-s) gamma(s, y) = 2^s y g(x), y = x/2, x > 0: the
     series of g near 0, above it gamma(s, y) and y^(1-s) apart, as log g +
-    log x would cancel (x ~ 1e60 at nu = 1.01 lost 4e-12 of x)."""
-    xs, xc = _slash_branches(x, _SLASH_SERIES_X)
+    log x would cancel (x ~ 1e60 at nu = 1.01 lost 4e-12 of x). Each form
+    sees only its own side of the switch: no log(0), 0 * inf or inf - inf."""
+    xs, xc = np.minimum(x, _SLASH_SERIES_X), np.maximum(x, _SLASH_SERIES_X)
     return np.where(
         x < _SLASH_SERIES_X,
         np.log(_slash_g_series(s, 0.5 * xs)) + np.log(x) + (s - 1.0) * _LOG2,

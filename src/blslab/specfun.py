@@ -48,11 +48,10 @@ def checked(x, msg: str, error: type[Exception], strict: bool = False):
     ``error(msg)`` unless x >= 0 (x > 0 if ``strict``) everywhere, so NaN
     fails too. The input check of the blslab functions of a point."""
     if isinstance(x, (float, int)) or np.ndim(x) == 0:
-        x = float(x)
-        ok = x > 0.0 if strict else x >= 0.0
+        x = lo = float(x)
     else:
         x = np.asarray(x, dtype=float)
-        ok = (x > 0.0 if strict else x >= 0.0).all()
-    if not ok:
+        lo = x.min(initial=np.inf)  # NaN propagates
+    if not (lo > 0.0 if strict else lo >= 0.0):
         raise error(msg)
     return x

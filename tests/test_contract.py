@@ -14,6 +14,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_generators import ACCEPTED_SPECS
@@ -92,3 +93,46 @@ def test_density_entry_points_give_an_in_range_value_or_a_bls_error(spec, a, b, 
             assert cond is None, (a, b)
         elif cond is not None:  # a ZeroProbabilityError where the T1 margin vanishes
             assert _in_range(cond, 0.0, centre) and (b < math.inf or cond == 0.0), (a, b, cond)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(ACCEPTED_SPECS, POINTS, POINTS, st.sampled_from([0.0, 0.4, -0.9]))
+# (log 2 - log 1) / 1e-310 overflowed numpy's scalar divide
+@example(make_generator("lognormal"), 2.0, 1.0, 0.4)
+@example(make_generator("logslash", nu=4.0), 0.5, 1.0, 0.4)
+def test_a_subnormal_sigma_sends_z_to_infinity_quietly(spec, a, b, rho):
+    # sigma1 = 1e-310 passes BLSParams; z1 = log(t1) / sigma1 is +-inf
+    # wherever it leaves the doubles, and the calls of a point stay in range
+    theta = BLSParams(1.0, 2.0, 1e-310, 0.3, rho)
+    valid_t = a > 0.0 and b > 0.0  # False at NaN
+    laplace = spec.id is GeneratorId.LAPLACE
+    for kind in (float, lambda v: np.array([v, 1.0])):
+        t1, t2 = kind(a), kind(b)
+        z = _outcome(lambda: np.array(dist.standardize(theta, t1, t2)))
+        assert (z is not None) == valid_t, (a, b)
+        if not valid_t:
+            continue
+        assert not np.isnan(z).any(), (a, b, z)
+        xq = _outcome(lambda: dist.mahalanobis_sq(theta, t1, t2))
+        assert _in_range(xq, 0.0, True), (a, b, xq)
+        log_f = _outcome(lambda: dist.joint_log_pdf(theta, spec, t1, t2))
+        assert _in_range(log_f, -math.inf, laplace & (xq == 0.0)), (a, b, log_f)
+        f = _outcome(lambda: dist.joint_pdf(theta, spec, t1, t2))
+        assert f is not None or np.any((gen._LOG_X_HI < log_f) & (log_f < math.inf)), (a, b)
+    if valid_t:
+        cdf = _outcome(lambda: dist.joint_cdf(theta, spec, a, b))
+        assert cdf is None or 0.0 <= cdf <= 1.0, (a, b, cdf)
+
+
+def test_a_subnormal_sigma_takes_the_margin_at_infinite_z():
+    # z1 = +inf leaves P(T2 <= t2), and z1 = -inf leaves 0
+    theta = BLSParams(1.0, 2.0, 1e-310, 0.3, 0.4)
+    lognormal = make_generator("lognormal")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert dist.standardize(theta, 2.0, 1.0)[0] == math.inf
+        assert dist.mahalanobis_sq(theta, 2.0, 1.0) == math.inf
+        assert dist.joint_log_pdf(theta, lognormal, np.array([2.0]), 1.0)[0] == -math.inf
+        top = dist.joint_cdf(theta, lognormal, 2.0, 1.0)
+        assert dist.joint_cdf(theta, lognormal, 0.5, 1.0) == 0.0
+    assert top == pytest.approx(0.5 * math.erfc(math.log(2.0) / 0.3 / math.sqrt(2.0)), abs=1e-14)

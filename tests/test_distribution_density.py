@@ -7,6 +7,7 @@ formulas (generator, partition constant, radial integrals) for the rest.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,36 @@ def test_params_validation():
     th = BLSParams.from_array([1.0, 2.0, 0.5, 0.7, 0.5])
     assert th == THETA
     assert np.allclose(th.as_array(), [1.0, 2.0, 0.5, 0.7, 0.5])
+
+
+def _accepted(make) -> bool:
+    try:
+        make()
+    except Exception:
+        return False
+    return True
+
+
+def _accepted_by_numpy_rule(v, rho: bool) -> bool:
+    # the rule as np.isfinite states it, with the float conversion after it
+    def make():
+        if not (np.isfinite(v) and (-1.0 < v < 1.0 if rho else v > 0.0)):
+            raise DomainError("out of range")
+        float(v)
+    return _accepted(make)
+
+
+@pytest.mark.parametrize("v", [
+    0.5, 1, True, False, 0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, -0.5,
+    np.float64(0.5), np.float64(math.nan), np.float32(0.5), np.float32(math.inf),
+    np.int64(1), np.uint8(1), np.bool_(True), np.float16(0.5), np.longdouble(0.5),
+    np.longdouble("1e-4000"), np.array(0.5), np.array([0.5]), np.array(math.nan),
+    2**64, 10**400, Fraction(1, 2), "0.5", None, [0.5], 0.5 + 0j,
+])
+def test_params_accept_what_the_numpy_rule_accepts(v):
+    assert _accepted(lambda: BLSParams(v, 1.0, 1.0, 1.0, 0.0)) == _accepted_by_numpy_rule(v, False)
+    assert _accepted(lambda: BLSParams(1.0, 1.0, 1.0, v, 0.0)) == _accepted_by_numpy_rule(v, False)
+    assert _accepted(lambda: BLSParams(1.0, 1.0, 1.0, 1.0, v)) == _accepted_by_numpy_rule(v, True)
 
 
 def test_joint_pdf_lognormal_unit_point():

@@ -264,6 +264,41 @@ def test_newton_takes_derivatives_only_at_accepted_points(monkeypatch):
     assert calls["log_g"] > calls["dr"]
 
 
+_OFF_DOMAIN = [math.nan, math.inf, -math.inf, 60.5, -60.5]
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("bad", _OFF_DOMAIN)
+def test_objective_guards_every_coordinate(k, bad, monkeypatch):
+    # NaN, an infinity or a step past the 60-box in any one coordinate gives
+    # the shared guard before the likelihood is evaluated; Python's max()
+    # would see a NaN only in first place
+    x = dist.sample(THETA, SL4, 30, seed=4)
+    lx = est._log_sample(SL4, x)
+    phi = est._theta_to_phi(THETA)
+    assert est._objective(phi, SL4, lx, 0.0)[0] < 0.5 * est._BAD_NLL
+    phi[k] = bad
+    monkeypatch.setattr(gen, "log_g", None)  # not to be called
+    assert est._objective(phi, SL4, lx, 0.0) is est._GUARD
+
+
+@pytest.mark.parametrize("c", [20.0, -20.0, 59.0])
+def test_objective_guards_a_rho_that_rounds_to_one(c, monkeypatch):
+    x = dist.sample(THETA, SL4, 30, seed=4)
+    phi = np.array([*THETA.logs[:4], c])
+    assert abs(math.tanh(c)) == 1.0
+    monkeypatch.setattr(gen, "log_g", None)
+    assert est._objective(phi, SL4, est._log_sample(SL4, x), 0.0) is est._GUARD
+
+
+def test_objective_guard_is_read_only():
+    nll, grad, hess = est._GUARD
+    assert nll == est._BAD_NLL and not grad.any() and not hess.any()
+    for a in (grad, hess):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
 def test_fit_scale_equivariance():
     x = dist.sample(THETA, SL4, 120, seed=5)
     f0 = est.fit_mle(x, SL4, compute_se=False)

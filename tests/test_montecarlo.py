@@ -124,6 +124,16 @@ def test_identical_across_worker_counts(small_report):
     assert run_study(cfg, workers=3) == small_report
 
 
+@pytest.mark.parametrize("spec", [make_generator("logslash", nu=4.0), make_generator("loglaplace")])
+def test_identical_across_worker_counts_for_the_paper_study(spec):
+    # the fits of the paper's study share the objective's read-only guard
+    # tuple across threads; loglaplace runs its two homotopy stages
+    cfg = MCConfig(spec, BLSParams(1.0, 1.0, 0.5, 0.5, 0.5), (100,), (0.5,), 6, 31)
+    serial = run_study(cfg, workers=1)
+    assert serial.cells[0].used > 0
+    assert run_study(cfg, workers=2) == serial
+
+
 def test_a_sample_beyond_double_range_fails_its_replication():
     # logt(0.1) at sigma = 0.5 draws T past the doubles in nearly every
     # sample of 10; sample raised numpy's overflow warning out of the study

@@ -3,9 +3,12 @@ generator kernels take from scipy.special, against quadrature oracles."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from blslab import generators as gen
@@ -73,6 +76,62 @@ def test_checked_domain():
     for bad in [-0.5, math.nan, np.array([1.0, -2.0]), np.array([1.0, np.nan])]:
         with pytest.raises(ValueError):
             sf.checked(bad, "x", ValueError)
+
+
+def _checked_elementwise(x, msg, error, strict=False):
+    # the elementwise rule that checked's one min() reduction stands for
+    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+        x = float(x)
+        ok = x > 0.0 if strict else x >= 0.0
+    else:
+        x = np.asarray(x, dtype=float)
+        ok = (x > 0.0 if strict else x >= 0.0).all()
+    if not ok:
+        raise error(msg)
+    return x
+
+
+def _check_outcome(x, strict):
+    # (type, identity with x, dtype, shape, bytes) of the result, or the error
+    for check in (sf.checked, _checked_elementwise):
+        try:
+            out = check(x, "x must be >= 0", ValueError, strict)
+        except ValueError as e:
+            yield type(e), str(e)
+        else:
+            a = np.asarray(out)
+            yield type(out), out is x, a.dtype, a.shape, a.tobytes()
+
+
+_VALUES = st.lists(
+    st.one_of(st.sampled_from([math.nan, -0.0, 0.0, -1.0, 5e-324, math.inf, -math.inf]),
+              st.floats(allow_nan=True, allow_infinity=True)),
+    max_size=6,
+)
+_FORMS = [
+    lambda v: np.array(v, dtype=float),
+    lambda v: np.array(v + v, dtype=float)[::2],  # a strided view
+    lambda v: np.array(v + v, dtype=float).reshape(2, -1),
+    lambda v: np.array(v, dtype=float)[:0],
+    lambda v: np.array([int(a) if math.isfinite(a) else 0 for a in v]),
+    lambda v: np.array(v, dtype=float) > 0.0,  # bool
+    lambda v: np.array(v, dtype=np.float32),
+    lambda v: list(v),
+    lambda v: np.array(v[0] if v else -1.0),  # 0-d
+    lambda v: np.float64(v[0] if v else 2.0),
+    lambda v: np.float32(v[0] if v else 2.0),
+    lambda v: np.int64(3 if not v or math.isfinite(v[0]) else -3),
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_VALUES, st.sampled_from(range(len(_FORMS))), st.booleans())
+def test_checked_min_is_the_elementwise_rule(values, form, strict):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # float32 of a huge float is inf
+        x = _FORMS[form](values)
+    got, want = _check_outcome(x, strict)
+    assert got == want, (x, strict)
 
 
 def test_array_scalar_round_trip():
