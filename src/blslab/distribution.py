@@ -16,10 +16,10 @@ inverse carry the radial CDF and quantile, ``generators.radial_draw`` the
 sampler; the joint and marginal CDFs and the probability of a strip
 lo < Z2 <= hi are one angle integral of S over the rays, with no
 truncation, and the marginal and conditional densities one line integral of
-g. Moments and the correlation are exact for every family, from the
-moment generating function ``generators._log_mgf``. The special functions
-are the ``generators`` kernels' own, each held to its own accuracy contract
-there.
+g on the log-space panels of ``generators._log_integral``. Moments and the
+correlation are exact for every family, from the moment generating function
+``generators._log_mgf``. The special functions are the ``generators``
+kernels' own, each held to its own accuracy contract there.
 """
 
 from __future__ import annotations
@@ -33,14 +33,10 @@ import numpy as np
 
 from . import generators as gen
 from . import specfun
-from .errors import (
-    DomainError,
-    IntegrationError,
-    ZeroProbabilityError,
-)
+from .errors import DomainError, ZeroProbabilityError
 from .generators import GeneratorSpec
 
-integrate = specfun.LazyModule("scipy.integrate")
+integrate = specfun.LazyModule("scipy.integrate")  # unused here; bench/spans.py wraps integrate.quad
 optimize = specfun.LazyModule("scipy.optimize")
 
 __all__ = [
@@ -350,30 +346,24 @@ def joint_cdf(theta: BLSParams, spec: GeneratorSpec, t1: float, t2: float) -> fl
 
 
 def _line_mass(spec: GeneratorSpec, z: float, lo: float, hi: float) -> float:
-    """int_lo^hi g(z^2 + w^2) dw / Z, to about 1e-10 relative to its own size.
+    """int_lo^hi g(z^2 + w^2) dw / Z, within ~1e-13 relative to its own size
+    (plus eps |log a| / log(b/a) from the logs of the ends of a narrow [a, b]).
 
     The marginal density of Z1 at z is the whole line; the conditional
-    densities are ratios with a segment of it. One quadrature over |w| on
-    each side of w = 0, where loglaplace's g is singular at z = 0, run once
-    for equal sides. IntegrationError where quad reports a failure or its
-    error estimate exceeds the budget.
-    """
-    zq = z * z
+    densities are ratios with a segment of it. One generators._log_integral
+    over t = log |w| on each side of w = 0, where loglaplace's g is singular
+    at z = 0, run once for equal sides; 0 where the mass underflows.
+    DomainError where it lies below the scan, |w| < min(2^-40, e^-40 b) on
+    [0, b] (logpvii with theta ~ 1e-50 at z = 0), or beyond 1e149 on an
+    unbounded side."""
+    zq, what = z * z, f"{spec.label()}: the line mass at z={z}"
+
+    def log_f(t):  # log of g(z^2 + w^2) w / Z at w = e^t
+        return gen.log_g(spec, zq + np.exp(2.0 * t)) + t - spec.log_z
+
     sides = Counter(ab for ab in ((max(lo, 0.0), hi), (max(-hi, 0.0), -lo)) if ab[0] < ab[1])
-    total = 0.0
-    for (a, b), k in sides.items():
-        # quad adds its message as a fourth item where it reports a failure
-        val, err, _, *fail = integrate.quad(
-            lambda w: gen.g(spec, zq + w * w), a, b,
-            epsabs=0.0, epsrel=1e-10, limit=200, full_output=1,
-        )
-        if fail or not np.isfinite(val) or err > max(1e-9, 1e-7 * abs(val)):
-            raise IntegrationError(
-                f"{spec.label()}: quadrature failed on [{a}, {b}] at z={z}: value {val}, "
-                f"error estimate {err}. {fail[0].splitlines()[0] if fail else ''}"
-            )
-        total += k * val
-    return total / gen.partition_closed(spec)
+    return math.fsum(k * math.exp(gen._log_integral(log_f, what, math.log(a) if a > 0.0 else -math.inf, math.log(b)))
+                     for (a, b), k in sides.items())
 
 
 def marginal_pdf_z(spec: GeneratorSpec, zv: float) -> float:
@@ -381,9 +371,9 @@ def marginal_pdf_z(spec: GeneratorSpec, zv: float) -> float:
 
         f(z) = int_-inf^inf g(z^2 + w^2) dw / Z,
 
-    by quadrature to about 1e-10 relative, in the tails as well.
-    IntegrationError where the quadrature fails: logt with nu <~ 1e-11 near
-    z = 0, and loghyperbolic with nu <~ 1e-6, whose g decays too slowly.
+    within ~1e-13 relative, in the tails as well, and 0 where it underflows.
+    DomainError where the mass lies below |w| = 2^-40 or beyond 1e149
+    (see _line_mass).
     """
     return _line_mass(spec, float(zv), -math.inf, math.inf)
 
@@ -484,12 +474,12 @@ def conditional_pdf_t1_given_t2_in_interval(
 
     With z1 the standardized t1 and w = (z2 - rho z1) / sqrt(1 - rho^2), the
     numerator is the line mass of g over the w-range of the interval at
-    z1 (quadrature, about 1e-10 relative) and the denominator
-    P(lo < T2 <= hi) is one angle rule over the strip lo < T2 <= hi, the
-    same route for every family. The quotient is formed in logs, so that a
-    subnormal t1 is no 0/0. ZeroProbabilityError where that probability is
-    below 1e-12; IntegrationError where the quadrature fails; DomainError
-    where the density exceeds the doubles.
+    z1 (_line_mass, ~1e-13 relative) and the denominator P(lo < T2 <= hi)
+    is one angle rule over the strip lo < T2 <= hi, the same route for
+    every family. The quotient is formed in logs, so that a subnormal t1 is
+    no 0/0. ZeroProbabilityError where that probability is below 1e-12;
+    DomainError where the line mass is out of the scan's reach (see
+    _line_mass) or the density exceeds the doubles.
     """
     if not t1 > 0.0:
         raise DomainError("conditional density requires t1 > 0")

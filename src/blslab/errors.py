@@ -27,7 +27,7 @@ class DomainError(BlsError, ValueError):
 
 
 class IntegrationError(BlsError, RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """The fixed-panel integration engine could not resolve its integrand."""
 
 
 class RootFindingError(BlsError, RuntimeError):

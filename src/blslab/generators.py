@@ -28,7 +28,8 @@ the radial law from an exact product of standard draws instead of the inverse.
 
 The moment generating function of the standardized margin, which gives
 every moment and the correlation, is one radial integral of I0 (_log_mgf),
-and partition_numeric checks Z on the same fixed panels.
+and partition_numeric checks Z and distribution the line mass of its
+densities on the same fixed panels (_log_integral).
 
 The special functions are scipy.special's, called from the kernels:
 loglaplace's K0 and K1 as the scaled k0e and k1e, logslash's lower
@@ -174,9 +175,6 @@ class GeneratorSpec:
         """log of the partition constant Z, taken once per spec."""
         return math.log(partition_closed(self))
 
-    def key(self) -> tuple:
-        return (self.id.value, self.params.nu, self.params.xi, self.params.theta)
-
     def param_text(self) -> str:
         """The extra parameters as "name=value,..."; "" for a family without any."""
         return ",".join(f"{n}={getattr(self.params, n):g}" for n in _PARAM_RULES[self.id])
@@ -275,14 +273,13 @@ def log_g(spec: GeneratorSpec, x):
     elif gid is GeneratorId.LAPLACE:
         # K0 has an integrable log singularity at 0: k0e(0) = inf gives
         # log g(0) = +inf, so that g == exp(log_g) holds on all of [0, inf);
-        # k0e(inf) = 0 gives log g = -inf, also where 2x overflows
+        # k0e(inf) = 0 gives log g(inf) = -inf
+        u = _laplace_u(x)
         if one:
-            u = math.sqrt(2.0 * x)
             k = special.k0e(u)
             out = np.log(k) - u if k > 0.0 else -math.inf
         else:
-            with np.errstate(divide="ignore", over="ignore"):
-                u = np.sqrt(2.0 * x)
+            with np.errstate(divide="ignore"):
                 out = np.log(special.k0e(u)) - u
     elif gid is GeneratorId.SLASH:
         s = 0.5 * (p.nu + 1.0)
@@ -414,11 +411,23 @@ def dr(spec: GeneratorSpec, x):
     return _ret(out, x)
 
 
+def _laplace_u(x):
+    # u = sqrt(2x) of loglaplace's g = K0(u); sqrt(2) sqrt(x) where 2x
+    # overflows (x > X_MAX/2), and only there, as it moves the last bit of u
+    if isinstance(x, float):
+        return math.sqrt(2.0 * x) if x <= 0.5 * _X_MAX else _SQRT2 * math.sqrt(x)
+    if x.max(initial=0.0) <= 0.5 * _X_MAX:
+        return np.sqrt(2.0 * x)
+    u, big = _SQRT2 * np.sqrt(x), x > 0.5 * _X_MAX
+    u[~big] = np.sqrt(2.0 * x[~big])
+    return u
+
+
 def _laplace_r(x):
     # r = -K1(u) / (u K0(u)), u = sqrt(2x), for x > 0. k0e and k1e both
     # vanish at u = inf, where r ~ -1/u is -0: the quotient is NaN there and
     # nowhere else, and fmin takes -0 for it. r ~ -1 / (2x log(1/x)) is -inf at 5e-324
-    u = np.sqrt(2.0 * x)
+    u = _laplace_u(x)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.fmin(-special.k1e(u) / (u * special.k0e(u)), -0.0)
 
@@ -655,12 +664,13 @@ def _slash_log_t(s: float, x: np.ndarray) -> np.ndarray:
     series of g near 0, above it gamma(s, y) and y^(1-s) apart, as log g +
     log x would cancel (x ~ 1e60 at nu = 1.01 lost 4e-12 of x). Each form
     sees only its own side of the switch: no log(0), 0 * inf or inf - inf."""
-    xs, xc = np.minimum(x, _SLASH_SERIES_X), np.maximum(x, _SLASH_SERIES_X)
-    return np.where(
-        x < _SLASH_SERIES_X,
-        np.log(_slash_g_series(s, 0.5 * xs)) + np.log(x) + (s - 1.0) * _LOG2,
-        np.log(_lower_gamma(s, 0.5 * xc)) + (1.0 - s) * np.log(0.5 * xc),
-    )
+    xc = np.maximum(x, _SLASH_SERIES_X)
+    out = np.log(_lower_gamma(s, 0.5 * xc)) + (1.0 - s) * np.log(0.5 * xc)
+    lo = x < _SLASH_SERIES_X
+    if lo.any():  # the series below the switch
+        xs = x[lo]
+        out[lo] = np.log(_slash_g_series(s, 0.5 * xs)) + np.log(xs) + (s - 1.0) * _LOG2
+    return out
 
 
 def _radial_log_tails(spec: GeneratorSpec, x: np.ndarray):
@@ -763,8 +773,8 @@ def _halley(spec: GeneratorSpec, q, t, x, idx):
 
 def partition_numeric(spec: GeneratorSpec) -> float:
     """Z = 2 pi int_0^inf g(v^2) v dv by _log_integral's fixed panels, a check
-    on partition_closed that shares nothing with it: within ~1e-13 relative,
-    and DomainError for a power tail heavier than ~v^-0.12 (logt, nu < 0.12)."""
+    on partition_closed that shares nothing with it: within ~1e-13 relative;
+    DomainError for a power tail heavier than ~v^-0.12 (logt, nu < 0.12)."""
     return 2.0 * math.pi * math.exp(
         _log_integral(lambda t: log_g(spec, np.exp(2.0 * t)) + 2.0 * t, f"{spec.label()}: Z")
     )
@@ -833,36 +843,44 @@ def _log_mgf(spec: GeneratorSpec, s) -> np.ndarray | None:
     return out
 
 
-def _log_integral(log_f, what: str) -> float:
-    """log int e^log_f(t) dt over the line, t = log v, for a log_f that
-    peaks once and decays on both sides.
-
-    A scan on v = 2^(k/4), 2^-40 ... 1e149, finds the steps within e^-40 of
-    the peak. A step there across which log_f changes by more than 8 is
-    halved, with its neighbours, until none is: a narrow peak (large s) or a
-    steep edge (logpexp as xi -> -1). Each step then takes the 16-point
-    Gauss-Legendre rule on two panels. DomainError where log_f has not
-    decayed by v = 1e149; IntegrationError where rounding noise in log_f
-    (s v past ~1e13) keeps the steps from resolving.
-    """
-    t, f = _MGF_T, log_f(_MGF_T)
+def _log_integral(log_f, what: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """log int_lo^hi e^log_f(t) dt, t = log v, for a log_f that peaks once
+    and decays on both sides (or stops at lo or hi); -inf where e^log_f
+    underflows on every node. A scan on v = 2^(k/4), 2^-40 ... 1e149, clipped
+    to [lo, hi], finds the steps within e^-40 of the peak. A step there across
+    which log_f changes by more than 8 is halved, with its neighbours, until
+    none is: a narrow peak (large s) or a steep edge (logpexp as xi -> -1).
+    Each step takes the 16-point Gauss-Legendre rule on two panels; below the
+    first node t0 (v = 2^-40, or e^-40 e^hi where lower), e^f is exponential at the
+    first step's slope k > 0. DomainError where k <= 0 (the mass lies below
+    t0) or log_f has not decayed by v = 1e149 < hi; IntegrationError where
+    rounding noise in log_f (s v past ~1e13) keeps the steps from resolving."""
+    t0 = max(lo, min(_MGF_T[0], hi - 40.0))  # so that a short segment's head is negligible
+    t = np.r_[t0, _MGF_T[(_MGF_T > t0) & (_MGF_T < hi)], hi if hi < math.inf else []]
+    f = log_f(t)
+    if f.max() < -745.2:  # e^f is 0
+        return -math.inf
     with np.errstate(invalid="ignore"):  # differences of -inf are NaN, and compare False
         for _ in range(64):
             keep = np.maximum(f[:-1], f[1:]) >= f.max() - 40.0
-            if keep[-1]:
+            if hi == math.inf and keep[-1:].all():  # also where no step is left
                 raise DomainError(f"{what} needs v beyond 1e149")
             jump = keep & ~(np.abs(np.diff(f)) <= 8.0)
-            split = keep & (np.convolve(jump, [1, 1, 1], "same") > 0)
+            split = keep & (np.convolve(jump, [1, 1, 1])[1:-1] > 0)
             if not split.any() or t.size > 2 * _MGF_T.size:
                 break
             mid, at = 0.5 * (t[:-1] + t[1:])[split], np.flatnonzero(split) + 1
             t, f = np.insert(t, at, mid), np.insert(f, at, log_f(mid))
     if split.any():
         raise IntegrationError(f"{what} did not resolve")
-    lo, q = t[:-1][keep, None], 0.25 * np.diff(t)[keep, None]  # two panels of half-width q
-    fn = log_f((lo + q * np.r_[1.0 + _GL_X, 3.0 + _GL_X]).ravel())
+    k = (float(f[1]) - float(f[0])) / (t[1] - t0)
+    if lo < t0 and not k > 0.0:
+        raise DomainError(f"{what} has its mass below v = {math.exp(t0):.3g}")
+    a, q = t[:-1][keep, None], 0.25 * np.diff(t)[keep, None]  # two panels of half-width q
+    fn = log_f((a + q * np.r_[1.0 + _GL_X, 3.0 + _GL_X]).ravel())
     top = fn.max()
-    return top + math.log((q * np.r_[_GL_W, _GL_W]).ravel() @ np.exp(fn - top))
+    head = math.exp(f[0] - top) * -math.expm1(-k * (t0 - lo)) / k if lo < t0 else 0.0
+    return top + math.log((q * np.r_[_GL_W, _GL_W]).ravel() @ np.exp(fn - top) + head)
 
 
 def characteristic_generator(spec: GeneratorSpec, x: float) -> float | None:

@@ -6,12 +6,12 @@ imports a module on first use. The special functions themselves are
 state and test their own accuracy contracts. This stays a module of its own
 because the benchmark's tracer (``bench/spans.py``) names it.
 
-No blslab module imports scipy when it loads. ``scipy.special``,
-``scipy.integrate`` and ``scipy.optimize`` are each reached through a
-``LazyModule`` and imported by the first call that needs them, so
-densities, joint CDFs, radial quantiles, sampling and fits of the families
-whose generators are elementary (lognormal, logt, logpvii, loghyperbolic)
-import no scipy.
+No blslab module imports scipy when it loads. ``scipy.special`` and
+``scipy.optimize`` are reached through a ``LazyModule`` and imported by the
+first call that needs them, so every density, joint CDF, radial quantile,
+sample and fit of the families whose generators are elementary (lognormal,
+logt, logpvii, loghyperbolic) imports no scipy. No call reaches the
+``scipy.integrate`` that ``distribution`` binds for the benchmark's tracer.
 """
 
 from __future__ import annotations

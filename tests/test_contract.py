@@ -4,7 +4,8 @@ filter), for valid and hostile inputs alike.
 
 This first slice drives the density entry points of a point (log_g, g,
 mahalanobis_pdf, mahalanobis_sq, joint_log_pdf, joint_pdf and
-conditional_pdf_t2_given_t1), as floats and as arrays, over every family's
+conditional_pdf_t2_given_t1) and the score ratio r and its derivative r',
+as floats and as arrays, over every family's
 _PARAM_RULES range, under a fixed derandomized hypothesis profile. The
 arguments: 0, the smallest subnormal, the top of the doubles, +inf, NaN,
 negative values and log-uniform values between.
@@ -57,12 +58,18 @@ def _in_range(v, lo, may_be_inf) -> bool:
 @example(make_generator("loglaplace"), math.inf, math.inf, 0.4, float)
 @example(make_generator("logslash", nu=4.0), math.inf, math.inf, 0.4, np.float64)
 @example(make_generator("logslash", nu=4.0), 1.0, math.inf, 0.0, np.float64)
+# 2x overflowed in loglaplace's u = sqrt(2x) of the array r and r'
+@example(make_generator("loglaplace"), 1e308, 1.0, 0.0, float)
 def test_density_entry_points_give_an_in_range_value_or_a_bls_error(spec, a, b, rho, num):
     # log g is +inf, and so g and the densities, only at loglaplace's centre;
     # the form is +inf where t1 or t2 is, so the density is 0 there
     laplace = spec.id is GeneratorId.LAPLACE
     theta = BLSParams(*map(num, (1.0, 2.0, 0.5, 0.3, rho)))
     valid_x, valid_t = a >= 0.0, a > 0.0 and b > 0.0  # False at NaN
+    # r and r' are singular at 0 for loglaplace, logslash and logpexp with xi > 0
+    singular = spec.id in (GeneratorId.LAPLACE, GeneratorId.SLASH) or (
+        spec.id is GeneratorId.POWER_EXP and spec.params.xi > 0.0)
+    valid_r = valid_x and not (singular and a == 0.0)
     for kind in (float, lambda v: np.array([v, 1.0])):
         x, t1, t2 = kind(a), kind(a), kind(b)
         for fn, lo in ((gen.log_g, -math.inf), (gen.g, 0.0), (dist.mahalanobis_pdf, 0.0)):
@@ -70,6 +77,11 @@ def test_density_entry_points_give_an_in_range_value_or_a_bls_error(spec, a, b, 
             assert (got is not None) == valid_x, (fn.__name__, a)
             if valid_x:
                 assert _in_range(got, lo, laplace & (np.asarray(x) == 0.0)), (fn.__name__, a, got)
+        for fn in (gen.r, gen.dr):  # r <= 0 as g falls; either may be infinite
+            got = _outcome(lambda: fn(spec, x))
+            assert (got is not None) == valid_r, (fn.__name__, a)
+            if valid_r:
+                assert not np.isnan(got).any() and (fn is gen.dr or np.all(got <= 0.0)), (fn.__name__, a, got)
         xq = _outcome(lambda: dist.mahalanobis_sq(theta, t1, t2))
         assert (xq is not None) == valid_t, (a, b)
         if not valid_t:

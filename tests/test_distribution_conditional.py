@@ -9,6 +9,10 @@ density.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -20,15 +24,14 @@ from scipy import integrate, special, stats
 from blslab import distribution as dist
 from blslab import generators as gen
 from blslab.distribution import BLSParams
-from blslab.errors import BlsError, DomainError, IntegrationError, ZeroProbabilityError
+from blslab.errors import BlsError, DomainError, ZeroProbabilityError
 from blslab.generators import make_generator
 
 LN = make_generator("lognormal")
 LT4 = make_generator("logt", nu=4.0)
 SL4 = make_generator("logslash", nu=4.0)
 LAP = make_generator("loglaplace")
-# the loglaplace margin is Laplace(0, 1/sqrt 2). Its known misses, left out
-# below: |z| in [1e-10, 3e-7] (1.4e-8 off at z = 1e-8) and p <~ 1e-14
+# the loglaplace margin is Laplace(0, 1/sqrt 2)
 LAPLACE = stats.laplace(scale=1.0 / math.sqrt(2.0))
 
 THETA = BLSParams(1.0, 2.0, 0.5, 0.7, 0.5)
@@ -75,25 +78,145 @@ def _hyperbolic2_pdf(z):
          ("logt4", LT4, lambda z: stats.t.pdf(z, 4), [0.0, 1e-8, 8.0, 30.0]),
          ("loghyperbolic2", make_generator("loghyperbolic", nu=2.0), _hyperbolic2_pdf,
           [0.0, 1e-8, 8.0, 30.0]),
-         ("loglaplace", LAP, LAPLACE.pdf, [0.0, 0.7, -0.7, 8.0, 30.0]),
+         ("loglaplace", LAP, LAPLACE.pdf,
+          [0.0, 1e-10, -1e-10, 1e-8, -1e-8, 3e-7, -3e-7, 0.7, -0.7, 8.0, 30.0]),
      ] for z in zs],
 )
 def test_marginal_pdf_is_relatively_accurate_in_the_tails(spec, closed, z):
     # quad at epsabs=0: lognormal was 1.1e-6 off at z = 8 and loghyperbolic(2)
-    # 1.6e-4 off at z = 30 under an absolute tolerance of 1e-11
-    assert dist.marginal_pdf_z(spec, z) == pytest.approx(closed(z), rel=1e-10, abs=0.0)
+    # 1.6e-4 off at z = 30 under an absolute tolerance of 1e-11; at epsrel=1e-10,
+    # loglaplace was 1.4e-10, 1.4e-8 and 4.2e-7 off at z = 1e-10, 1e-8, 3e-7
+    assert dist.marginal_pdf_z(spec, z) == pytest.approx(closed(z), rel=1e-13, abs=0.0)
+
+
+def test_marginal_pdf_at_the_ends_of_the_scan():
+    # quad raised IntegrationError for logt(1e-12) (it had returned -3.2e-13
+    # before that check); the scan's exponential head below 2^-40 holds its mass
+    assert dist.marginal_pdf_z(make_generator("logt", nu=1e-12), 0.0) == pytest.approx(
+        stats.t.pdf(0.0, 1e-12), rel=1e-13, abs=0.0
+    )
+    # g(w^2) ~ exp(-1e-150 w): the mass lies far beyond 1e149
+    with pytest.raises(DomainError, match="beyond 1e149"):
+        dist.marginal_pdf_z(make_generator("loghyperbolic", nu=1e-150), 0.0)
+    # g(w^2) falls from w ~ 1e-25 on: the mass lies below 2^-40
+    with pytest.raises(DomainError, match="below"):
+        dist.marginal_pdf_z(make_generator("logpvii", xi=1.01, theta=1e-50), 0.0)
+
+
+def test_marginal_pdf_where_g_and_z_underflow_together():
+    # loghyperbolic(700): g(1 + w^2) <= e^-989 underflows, and quad of g
+    # returned 0, while the margin 2 a K1(nu a) / Z at z = 1 is 1.5e-125
+    with mp.workdps(30):
+        a, nu = mp.sqrt(2), mp.mpf(700)
+        want = 2 * a * mp.besselk(1, nu * a) / (2 * mp.pi * (nu + 1) * mp.exp(-nu) / nu**2)
+    got = dist.marginal_pdf_z(make_generator("loghyperbolic", nu=700.0), 1.0)
+    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+def _mp_margin(spec, z):
+    """The margin 2 int_0^inf g(z^2 + w^2) dw / Z in mpmath at the working
+    precision. mp.quad stops at an absolute error near 10^-dps, so the
+    integrand is scaled by 1 / g(z^2) for z != 0 (at 30 digits the loglogistic margin at
+    z = 8 was 9e-10 off without it), and it breaks at w = 2^k about every
+    scale of the integrand."""
+    p, x0 = spec.params, mp.mpf(z) ** 2
+    if spec.id is gen.GeneratorId.POWER_EXP:
+        xi = mp.mpf(p.xi)
+        big_z = 2 ** (xi + 1) * (1 + xi) * mp.gamma(1 + xi) * mp.pi
+        g = lambda x: mp.exp(-(x ** (1 / (1 + xi))) / 2)  # noqa: E731
+    elif spec.id is gen.GeneratorId.LOGISTIC:
+        big_z = mp.pi / 2
+        g = lambda x: mp.exp(-x) / (1 + mp.exp(-x)) ** 2  # noqa: E731
+    else:  # logslash(nu)
+        s = (mp.mpf(p.nu) + 1) / 2
+        big_z = mp.pi * 2 ** ((3 - mp.mpf(p.nu)) / 2) / (mp.mpf(p.nu) - 1)
+        g = lambda x: x ** -s * mp.gammainc(s, 0, x / 2)  # noqa: E731
+    breaks = [0] + [mp.mpf(2) ** k for k in range(-12, 12)] + [mp.inf]
+    c = g(x0) if z else 1  # slash's g(0) is a 0 * inf form in mpmath
+    return 2 * c * mp.quad(lambda w: g(x0 + w * w) / c, breaks) / big_z
 
 
 @pytest.mark.parametrize(
-    "spec", [make_generator("logt", nu=1e-12), make_generator("loghyperbolic", nu=1e-150)],
+    "spec",
+    [make_generator("logpexp", xi=0.5), make_generator("logpexp", xi=-0.5),
+     make_generator("loglogistic"), SL4],
     ids=lambda s: s.label(),
 )
-def test_marginal_pdf_raises_where_quadrature_fails(spec):
-    # near the lower end of nu the line integral at z = 0 is beyond quad;
-    # it returned -3.2e-13 (logt, true 5e-7) and 8.9e-298 (loghyperbolic,
-    # true ~3.2e-151) without a word
-    with pytest.raises(IntegrationError):
-        dist.marginal_pdf_z(spec, 0.0)
+def test_marginal_pdf_without_a_closed_form_matches_mpmath(spec):
+    for z in (0.0, 0.7, 3.0, 8.0):
+        with mp.workdps(30):
+            want = float(_mp_margin(spec, z))
+        if want < np.finfo(float).tiny:  # logpexp(-0.5) at z = 8: e^-2048
+            continue
+        assert dist.marginal_pdf_z(spec, z) == pytest.approx(want, rel=1e-13, abs=0.0), z
+
+
+def _mp_generator(spec):
+    if spec.id is gen.GeneratorId.LOGNORMAL:
+        return lambda x: mp.exp(-x / 2)
+    if spec.id is gen.GeneratorId.LAPLACE:
+        return lambda x: mp.besselk(0, mp.sqrt(2 * x))
+    return lambda x: (1 + x / 4) ** -3  # logt(4)
+
+
+@pytest.mark.parametrize("spec", [LN, LT4, LAP], ids=lambda s: s.label())
+@pytest.mark.parametrize(
+    "z, lo, hi",
+    [
+        (0.5, 1.0, 1.1),  # inside one scan step
+        (0.5, -1.1, -1.0),
+        (2.0, 5.0, 5.5),
+        (0.5, 1e-20, 2e-20),  # below the scan's first node, 2^-40
+        (0.5, -1e-13, 1e-13),
+        (0.5, -3e-13, 1.0),
+        # short sides at z = 0, where loglaplace's log-singular head is no
+        # exponential: from 2^-40 on, (0, 1e-8] was 2e-7 off and (0, 1e-13] 1e-3
+        (0.0, -1e-8, 1e-13),
+        (0.0, 0.0, 1e-3),
+        (1.5, 0.3, 2.0),  # lo > 0
+        (1.5, 2.0, math.inf),
+        (1.5, 1e-5, 1e-4),
+        (0.5, -2.0, 3.0),
+    ],
+)
+def test_line_mass_on_segments_matches_mpmath(spec, z, lo, hi):
+    g = _mp_generator(spec)
+    with mp.workdps(30):
+        big_z = mp.mpf(gen.partition_closed(spec))  # the double of pi or 2 pi
+        breaks = sorted({lo, hi, *(v for v in (0.0, 1.0, -1.0) if lo < v < hi)})
+        want = mp.quad(lambda w: g(mp.mpf(z) ** 2 + w * w), [mp.mpf(b) for b in breaks]) / big_z
+    got = dist._line_mass(spec, z, lo, hi)
+    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+def test_densities_of_the_line_mass_import_no_quadrature():
+    # the margin and both conditionals run on the generators' own scan: the
+    # elementary families import no scipy, the others no scipy.integrate
+    src = str(Path(gen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    script = (
+        "import sys\n"
+        "from blslab import distribution as dist\n"
+        "from blslab.generators import make_generator as mk\n"
+        "th = dist.BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)\n"
+        "def run(specs):\n"
+        "    for s in specs:\n"
+        "        dist.marginal_pdf_z(s, 0.7)\n"
+        "        dist.conditional_pdf_t2_given_t1(th, s, 1.2, 2.5)\n"
+        "        dist.conditional_pdf_t1_given_t2_in_interval(th, s, 1.2, (1.5, 3.0))\n"
+        "run([mk('lognormal'), mk('logt', nu=4.0), mk('logpvii', xi=5.0, theta=22.0),\n"
+        "     mk('loghyperbolic', nu=2.0)])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "run([mk('loglaplace'), mk('logslash', nu=4.0), mk('logpexp', xi=0.5), mk('loglogistic')])\n"
+        "print('scipy.special' in sys.modules, sorted(m for m in sys.modules if 'integrate' in m))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True []"]
 
 
 def test_marginal_slash_center_value():

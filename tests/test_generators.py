@@ -54,6 +54,10 @@ def test_partition_numeric_refuses_a_tail_it_cannot_reach():
     # g(v^2) v^2 ~ v^-0.02 has not decayed by v = 1e149
     with pytest.raises(DomainError, match="beyond 1e149"):
         gen.partition_numeric(make_generator("logpvii", xi=1.01, theta=1e-50))
+    # g(v^2) v^2 falls from v ~ 1e-25 on, below the scan's first node at
+    # 2^-40: the scan alone returned 1.7e-154 for Z = 7.9e-51
+    with pytest.raises(DomainError, match="mass below v = 9.09e-13"):
+        gen.partition_numeric(make_generator("logpvii", xi=5.0, theta=1e-50))
 
 
 def test_partition_known_values():
@@ -386,10 +390,9 @@ def test_cli_family_names_cover_all_eight():
     assert gen.FAMILY_NAMES["logt"] is GeneratorId.STUDENT_T
 
 
-def test_spec_label_and_key():
+def test_spec_label():
     spec = make_generator("logpvii", xi=5.0, theta=22.0)
     assert spec.label() == "logpvii(xi=5,theta=22)"
-    assert spec.key() == ("logpvii", None, 5.0, 22.0)
     assert make_generator("lognormal").label() == "lognormal"
 
 
@@ -610,6 +613,28 @@ def test_loglaplace_score_limits_near_the_subnormals():
     x = np.array([1e-100, 1e-5, 1.0])
     rx = gen.r(spec, x)
     assert _same(gen.dr(spec, x), (0.5 - rx) / x - rx * rx)
+
+
+def test_loglaplace_beyond_half_the_top_of_the_doubles():
+    # u = sqrt(2x) overflowed in 2x past X_MAX/2: log g was -inf, r was -0.0
+    # for a float, and the array r and r' raised an overflow warning. Now u
+    # is sqrt(2) sqrt(x) there, quietly, and a float and an array agree
+    import mpmath as mp
+
+    spec = make_generator("loglaplace")
+    xs = [1e308, 1.7e308, float(np.finfo(float).max)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = [fn(spec, np.array(xs)) for fn in (gen.log_g, gen.r, gen.dr)]
+        for i, x in enumerate(xs):
+            assert all(_same(fn(spec, x), g[i]) for fn, g in zip((gen.log_g, gen.r, gen.dr), got))
+    with mp.workdps(40):
+        us = [mp.sqrt(2 * mp.mpf(x)) for x in xs]
+        want_log_g = [float(mp.log(mp.besselk(0, u))) for u in us]
+        want_r = [float(-mp.besselk(1, u) / (u * mp.besselk(0, u))) for u in us]
+    assert got[0] == pytest.approx(want_log_g, rel=1e-15)  # ~ -1.84e154 at 1.7e308
+    assert got[1] == pytest.approx(want_r, rel=1e-14)  # ~ -5.4e-155
+    assert np.all(np.abs(got[2]) < 1e-300)  # r' ~ 1 / (u x) underflows
 
 
 def test_logt_score_where_theta_plus_x_overflows():
