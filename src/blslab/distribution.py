@@ -14,12 +14,12 @@ The squared Mahalanobis radius xq follows the radial law with density
 pi g(x) / Z. Its closed survival function S (``generators.radial_sf``) and
 inverse carry the radial CDF and quantile, ``generators.radial_draw`` the
 sampler; the joint and marginal CDFs and the probability of a strip
-lo < Z2 <= hi are one angle integral of S over the rays, with no
-truncation, and the marginal and conditional densities one line integral of
-g on the log-space panels of ``generators._log_integral``. Moments and the
-correlation are exact for every family, from the moment generating function
-``generators._log_mgf``. The special functions are the ``generators``
-kernels' own, each held to its own accuracy contract there.
+lo < Z2 <= hi are one angle integral of S over the rays, with no truncation
+and breaks below the region's own tail mass, and the marginal and conditional
+densities one line integral of g on the panels of ``generators._log_integral``.
+Moments and the correlation are exact for every family, from the moment
+generating function ``generators._log_mgf``. The special functions are the
+``generators`` kernels' own, each held to its own accuracy contract there.
 """
 
 from __future__ import annotations
@@ -252,19 +252,9 @@ def sample(theta: BLSParams, spec: GeneratorSpec, n: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # joint and marginal CDF: one angle rule over the closed radial law
 
-_TAIL_LEVELS = 0.5 ** np.arange(1, 41)  # radial tail probabilities 2^-1 ... 2^-40
 
-
-def _tail_radii(spec: GeneratorSpec) -> np.ndarray:
-    """The radii sqrt(isf(2^-k)), k = 1 ... 40, of the angle rule's tail
-    breaks, as far as they stay below sqrt(1e300)."""
-    q = _TAIL_LEVELS[_TAIL_LEVELS > gen.radial_sf(spec, 1e300)]  # finite radii only
-    return np.sqrt(gen.radial_isf(spec, q))
-
-
-def _wedge_prob(spec: GeneratorSpec, radii: np.ndarray, normals, d) -> float:
-    """P(n_i . z <= d_i for each unit row n_i of normals), z spherical, with
-    radii = _tail_radii(spec).
+def _wedge_prob(spec: GeneratorSpec, normals, d) -> float:
+    """P(n_i . z <= d_i for each unit row n_i of normals), z spherical.
 
     The ray at angle phi carries S(r_lo^2) - S(r_hi^2), or 0 if r_hi <= r_lo:
     with s_i = n_i . (cos phi, sin phi), r_hi is the least d_i / s_i over
@@ -272,12 +262,16 @@ def _wedge_prob(spec: GeneratorSpec, radii: np.ndarray, normals, d) -> float:
     of the 16-point Gauss-Legendre angle rule break at the apex of the wedge
     and its antipode (r_lo or r_hi switches rows), unless the two normals
     are parallel (a strip has no apex); about each angle where s_i = 0, at
-    offsets |d_i| 4^k / 64 from where S < 2^-40 (or 2^-50) up to pi, for the
-    |s|^nu edge of a power tail; and where d_i / s_i crosses a tail radius
-    sqrt(isf(2^-k)), so that a steep radial tail (logpexp as xi -> -1) is
-    cut into short panels.
+    offsets |d_i| 4^k / 64 up to pi from the last tail radius (or 2^-50),
+    for the |s|^nu edge of a power tail; and where d_i / s_i crosses one of
+    40 tail radii, rungs of spec._tail_ladder (levels set there) from the
+    first past max(0, -min d_i), a bound on the region's distance from the
+    origin. So a steep tail (logpexp as xi -> -1) is cut into short panels;
+    the error is ~1e-14 absolute, and relative where the region's mass lies
+    within those rungs (a half-plane or strip, not a wedge's deep corner).
     """
     normals, d = np.asarray(normals, dtype=float), np.asarray(d, dtype=float)
+    radii = spec._tail_ladder[np.searchsorted(spec._tail_ladder, max(0.0, -d.min())):][:40]
     r_max = radii[-1] if len(radii) else math.inf
     breaks, band = [], 0.0
     for (nx, ny), di in zip(normals, d):
@@ -329,16 +323,17 @@ def joint_cdf(theta: BLSParams, spec: GeneratorSpec, t1: float, t2: float) -> fl
         F(t1, t2) = (1/(2 pi)) int_0^{2 pi} [S(r_lo^2) - S(r_hi^2)]_+ dphi,
 
     by a fixed Gauss-Legendre rule on panels cut where the integrand is not
-    smooth or changes fast. No truncation radius, so every radial tail is
-    covered. Absolute error about 1e-14 or less for all eight families;
-    DomainError where the radial mass beyond the doubles may exceed that.
+    smooth or changes fast. No truncation radius. Error about 1e-14 absolute
+    for all eight families, relative in a one-sided lower tail but not deep
+    in the lower-left corner (lognormal, rho = 0.4: 3.1e-5 at a = b = -20);
+    DomainError where the radial mass beyond the doubles may exceed 1e-14.
     """
     if not (t1 > 0.0 and t2 > 0.0):
         raise DomainError("joint_cdf requires t1 > 0 and t2 > 0")
     a, b = standardize(theta, t1, t2)
     rho = theta.rho
     normals = [[1.0, 0.0], [rho, math.sqrt(1.0 - rho * rho)]]
-    return _wedge_prob(spec, _tail_radii(spec), normals, [a, b])
+    return _wedge_prob(spec, normals, [a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +380,21 @@ def marginal_cdf_z(spec: GeneratorSpec, zv: float) -> float:
         P(Z1 <= zv) = 1/2 + (1/(2 pi)) int_{-pi/2}^{pi/2} F(zv^2 / cos^2 phi) dphi
 
     with F = 1 - S the radial CDF, and P(Z1 <= -zv) = 1 - P(Z1 <= zv). No
-    truncation; absolute error about 1e-14 or less. DomainError where zv^2
-    is not finite, or where the radial mass beyond the doubles exceeds that
-    budget (logt with nu <~ 0.09 at |zv| >~ 2e140).
+    truncation; ~1e-14 absolute, and ~1e-13 relative for zv < 0 inside the
+    tail ladder. DomainError where zv^2 is not finite, or where the radial
+    mass past the doubles exceeds 1e-14 (logt, nu <~ 0.09, |zv| >~ 2e140).
     """
     zv = float(zv)
     if not math.isfinite(zv * zv):
         raise DomainError(f"marginal_cdf_z: z^2 is beyond the double range at z={zv}")
-    return _wedge_prob(spec, _tail_radii(spec), [[1.0, 0.0]], [zv])
+    return _wedge_prob(spec, [[1.0, 0.0]], [zv])
 
 
 def marginal_quantile(
     theta: BLSParams, spec: GeneratorSpec, component: int, p: float
 ) -> float:
-    """Marginal quantile of T_component (component is 1 or 2); DomainError
-    where it overflows, or underflows to 0."""
+    """Marginal quantile of T_component (component is 1 or 2), relative in
+    the tails; DomainError where it overflows, or underflows to 0."""
     if component not in (1, 2):
         raise DomainError(f"component must be 1 or 2, got {component}")
     p = float(p)
@@ -418,12 +413,10 @@ def marginal_quantile(
             raise DomainError(f"{spec.label()}: quantile at p={p} is beyond the double range")
         return t
 
-    radii = _tail_radii(spec)
-
     def f(zv):  # P(Z <= -zv) - tail, decreasing in zv; as marginal_cdf_z, zv^2 a double
         if not math.isfinite(zv * zv):
             raise DomainError(f"marginal_quantile: z^2 is beyond the double range at z={-zv}")
-        return _wedge_prob(spec, radii, [[1.0, 0.0]], [-zv]) - tail
+        return _wedge_prob(spec, [[1.0, 0.0]], [-zv]) - tail
 
     hi = 1.0
     while f(hi) > 0.0:
@@ -476,10 +469,10 @@ def conditional_pdf_t1_given_t2_in_interval(
     numerator is the line mass of g over the w-range of the interval at
     z1 (_line_mass, ~1e-13 relative) and the denominator P(lo < T2 <= hi)
     is one angle rule over the strip lo < T2 <= hi, the same route for
-    every family. The quotient is formed in logs, so that a subnormal t1 is
-    no 0/0. ZeroProbabilityError where that probability is below 1e-12;
-    DomainError where the line mass is out of the scan's reach (see
-    _line_mass) or the density exceeds the doubles.
+    every family, relative off the median. The quotient is formed in logs,
+    so that a subnormal t1 is no 0/0. ZeroProbabilityError where that
+    probability is below 1e-12; DomainError where the line mass is out of
+    the scan's reach (see _line_mass) or the density exceeds the doubles.
     """
     if not t1 > 0.0:
         raise DomainError("conditional density requires t1 > 0")
@@ -499,7 +492,7 @@ def conditional_pdf_t1_given_t2_in_interval(
 
     b_lo, b_hi = btilde(lo), btilde(hi)
     # P(b_lo < Z2 <= b_hi) as one strip; the angle rule takes an infinite end as it is
-    denom = _wedge_prob(spec, _tail_radii(spec), [[1.0, 0.0], [-1.0, 0.0]], [b_hi, -b_lo])
+    denom = _wedge_prob(spec, [[1.0, 0.0], [-1.0, 0.0]], [b_hi, -b_lo])
     if denom < 1e-12:
         raise ZeroProbabilityError("conditioning interval has zero probability")
     w_lo = (b_lo - rho * zt1) / c if np.isfinite(b_lo) else -math.inf

@@ -175,6 +175,13 @@ class GeneratorSpec:
         """log of the partition constant Z, taken once per spec."""
         return math.log(partition_closed(self))
 
+    @cached_property
+    def _tail_ladder(self) -> np.ndarray:
+        """Radii sqrt(isf(2^-k)), k = 1 ... 1022, below sqrt(1e300), once per
+        spec: the angle rule's tail break levels, from which it picks 40."""
+        q = np.ldexp(1.0, -np.arange(1, 1023))
+        return np.sqrt(radial_isf(self, q[q > radial_sf(self, 1e300)]))
+
     def param_text(self) -> str:
         """The extra parameters as "name=value,..."; "" for a family without any."""
         return ",".join(f"{n}={getattr(self.params, n):g}" for n in _PARAM_RULES[self.id])

@@ -190,8 +190,9 @@ def test_line_mass_on_segments_matches_mpmath(spec, z, lo, hi):
 
 
 def test_densities_of_the_line_mass_import_no_quadrature():
-    # the margin and both conditionals run on the generators' own scan: the
-    # elementary families import no scipy, the others no scipy.integrate
+    # the margin and both conditionals run on the generators' own scan, and
+    # the CDFs on the angle rule and the spec's tail ladder: the elementary
+    # families import no scipy, the others no scipy.integrate
     src = str(Path(gen.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -206,6 +207,8 @@ def test_densities_of_the_line_mass_import_no_quadrature():
         "        dist.marginal_pdf_z(s, 0.7)\n"
         "        dist.conditional_pdf_t2_given_t1(th, s, 1.2, 2.5)\n"
         "        dist.conditional_pdf_t1_given_t2_in_interval(th, s, 1.2, (1.5, 3.0))\n"
+        "        dist.joint_cdf(th, s, 0.3, 0.9)\n"
+        "        dist.marginal_cdf_z(s, -9.0)\n"
         "run([mk('lognormal'), mk('logt', nu=4.0), mk('logpvii', xi=5.0, theta=22.0),\n"
         "     mk('loghyperbolic', nu=2.0)])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
@@ -288,22 +291,25 @@ def _t4_ppf(p):
 
 
 @pytest.mark.parametrize(
-    "p", [1e-16, 1e-12, 1e-8, 0.01, 0.3, 0.7, 0.9, 0.99, 1 - 1e-6, 1 - 1e-8, 1 - 1e-12]
+    "p", [1e-300, 1e-100, 1e-30, 1e-16, 1e-12, 1e-8, 0.01, 0.3, 0.7, 0.9, 0.99,
+          1 - 1e-6, 1 - 1e-8, 1 - 1e-12]
 )
 def test_marginal_quantile_tails_match_closed_quantiles(p):
     # the lower tail is solved as P(Z <= -z) = min(p, 1 - p) itself, which
-    # p - 1/2 rounded away (lognormal was 0.063 off at p = 1e-16)
+    # p - 1/2 rounded away (lognormal was 0.063 off at p = 1e-16); below
+    # 1e-16 the angle rule's tail breaks must follow the root (lognormal was
+    # 9.6e-3 off in z at p = 1e-300)
     from scipy.special import ndtri
 
     th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
     z = ndtri(p) if p < 0.5 else -ndtri(1.0 - p)  # 1 - p is exact for p > 1/2
     want = 2.0 * math.exp(0.3 * z)
     assert dist.marginal_quantile(th, LN, 2, p) == pytest.approx(want, rel=1e-10)
+    z = LAPLACE.ppf(p) if p < 0.5 else -LAPLACE.ppf(1.0 - p)
+    assert dist.marginal_quantile(th, LAP, 2, p) == pytest.approx(2.0 * math.exp(0.3 * z), rel=1e-10)
     if p > 1e-16:  # logt(4) leaves the doubles there (the test above)
         want = 2.0 * math.exp(0.3 * _t4_ppf(p))
         assert dist.marginal_quantile(th, LT4, 2, p) == pytest.approx(want, rel=1e-10)
-        z = LAPLACE.ppf(p) if p < 0.5 else -LAPLACE.ppf(1.0 - p)
-        assert dist.marginal_quantile(th, LAP, 2, p) == pytest.approx(2.0 * math.exp(0.3 * z), rel=1e-10)
 
 
 SMALL_Z = [1e-7, -1e-7, 1e-4, -1e-4, 0.01, -0.01]
@@ -349,6 +355,35 @@ def test_marginal_cdf_of_heavy_logt_is_student_t(nu):
 @pytest.mark.parametrize("z", [-30.0, -8.0, -0.7, 0.7, 8.0])
 def test_marginal_cdf_of_loglaplace_is_laplace(z):
     assert dist.marginal_cdf_z(LAP, z) == pytest.approx(LAPLACE.cdf(z), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("z", [-8.0, -12.0, -20.0, -30.0, -37.0])
+def test_marginal_cdf_is_relative_in_the_lognormal_tail(z):
+    # the angle rule's tail breaks start below the mass of the half-plane (it
+    # was 0.32 off at z = -12 with breaks fixed at the levels 2^-1 ... 2^-40)
+    with mp.workdps(40):
+        want = mp.ncdf(z)
+    assert dist.marginal_cdf_z(LN, z) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1e-16, 1e-30, 1e-100, 1e-250])
+def test_marginal_cdf_is_relative_in_the_loglaplace_tail(p):
+    # the Laplace margin: P(Z1 <= z) = e^(sqrt(2) z) / 2 for z <= 0 (it was
+    # 0.044 off at p = 1e-30)
+    z = math.log(2.0 * p) / math.sqrt(2.0)
+    with mp.workdps(40):
+        want = mp.exp(mp.sqrt(2) * z) / 2
+    assert dist.marginal_cdf_z(LAP, z) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(6.5, 7.0), (7.0, 7.05), (-7.05, -6.9)])
+def test_strip_probability_is_relative_in_the_lognormal_tail(lo, hi):
+    # P(lo < Z2 <= hi) = 3.9e-11, 3.9e-13 and 1.7e-12: the interval
+    # conditional's denominator, relative where the strip lies off the origin
+    with mp.workdps(40):
+        want = mp.ncdf(hi) - mp.ncdf(lo)
+    got = dist._wedge_prob(LN, [[1.0, 0.0], [-1.0, 0.0]], [hi, -lo])
+    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("xi", [-0.5, -0.9, -0.99, -0.999])
@@ -493,7 +528,7 @@ def test_conditional_interval_lognormal_closed(lo, hi):
         )
 
 
-@pytest.mark.parametrize("lo, hi", [(0.0, 1.8), (5.0, 9.0), (2.0, math.inf), (0.0, math.inf)])
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.8), (5.0, 9.0), (6.5, 7.0), (2.0, math.inf), (0.0, math.inf)])
 @pytest.mark.parametrize("spec", [LN, LT4], ids=lambda s: s.label())
 def test_conditional_interval_matches_closed_oracles_in_the_tails(spec, lo, hi):
     # the closed lognormal branch, a difference of normal CDFs near 1, was

@@ -798,3 +798,46 @@ def test_each_end_accepts_the_last_value_and_rejects_the_next(family, last, past
     argv += [f"{flags[name]}={val!r}" for name, val in past.items()]
     assert dispatch(argv) == 1
     assert "requires a finite, non-subnormal" in capsys.readouterr().err
+
+
+_LADDER_SPECS = [make_generator(family, **last) for family, last, _ in _ENDS] + [
+    make_generator("lognormal"), make_generator("logt", nu=1e-10), make_generator("logt", nu=1e300),
+    make_generator("logpvii", xi=5.0, theta=1e-99), make_generator("loghyperbolic", nu=1e-150),
+    make_generator("loglaplace"), make_generator("logslash", nu=1.01), make_generator("logpexp", xi=-0.999),
+    make_generator("logpexp", xi=1.0), make_generator("loglogistic"),
+]
+
+
+@pytest.mark.parametrize("spec", _LADDER_SPECS, ids=lambda s: s.label())
+def test_tail_ladder_is_finite_and_non_decreasing_to_the_last_normal_level(spec):
+    # the angle rule's tail breaks sqrt(isf(2^-k)), k = 1 ... 1022, in order,
+    # as far as their radii stay below sqrt(1e300) (none for logt(1e-154))
+    ladder = spec._tail_ladder
+    assert np.all(ladder**2 <= 1e300)
+    assert np.all(np.isfinite(ladder)) and np.all(np.diff(ladder) >= 0.0)
+    if spec.id in (GeneratorId.LOGNORMAL, GeneratorId.LAPLACE, GeneratorId.LOGISTIC):
+        assert len(ladder) == 1022
+
+
+def test_tail_ladder_matches_closed_quantiles_and_stops_at_the_cutoff():
+    # lognormal: S(x) = e^(-x/2), so the rung at 2^-k is sqrt(2 k log 2);
+    # logt(1): S(x) = 1 / (1 + x), so it is sqrt(4^k - 1), and 4^k - 1 stays
+    # below 1e300 up to k = 498 (4^499 = 2.7e300)
+    k = np.arange(1, 1023, dtype=float)
+    ln = make_generator("lognormal")._tail_ladder
+    np.testing.assert_allclose(ln, np.sqrt(2.0 * k * math.log(2.0)), rtol=1e-14, atol=0.0)
+    t1 = make_generator("logt", nu=1.0)._tail_ladder
+    assert len(t1) == 498
+    np.testing.assert_allclose(t1, np.sqrt(np.exp2(2.0 * k[:498]) - 1.0), rtol=1e-12, atol=0.0)
+
+
+def test_tail_ladder_is_built_once_per_spec(monkeypatch):
+    calls = []
+    isf = gen.radial_isf
+    monkeypatch.setattr(gen, "radial_isf", lambda *a: calls.append(a) or isf(*a))
+    spec = make_generator("logslash", nu=4.0)
+    theta = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+    dist.joint_cdf(theta, spec, 1.3, 2.6)
+    dist.joint_cdf(theta, spec, 0.2, 0.9)
+    dist.marginal_quantile(theta, spec, 1, 1e-6)
+    assert len(calls) == 1
