@@ -76,41 +76,22 @@ def _families_arg(text: str):
     return families
 
 
-def _theta_arg(text: str) -> BLSParams:
-    parts = text.split(",")
-    if len(parts) != 5:
-        raise argparse.ArgumentTypeError(
-            f"--theta needs eta1,eta2,sigma1,sigma2,rho (5 values), got {text!r}"
-        )
-    try:
-        vals = [float(p) for p in parts]
-        return BLSParams(*vals)
-    except (ValueError, BlsError) as e:
-        raise argparse.ArgumentTypeError(f"bad --theta {text!r}: {e}") from None
+def _list_arg(convert, count=None, build=tuple):
+    """A comma-list flag type: `convert` on each item (`count` of them, if
+    given), then `build` on the values."""
+    def parse(text: str):
+        parts = text.split(",")
+        if count is not None and len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} comma-separated values, got {text!r}")
+        try:
+            return build(convert(p) for p in parts)
+        except (ValueError, BlsError) as e:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}: {e}") from None
+    return parse
 
 
-def _pair_arg(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected t1,t2 got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
-
-
-def _ints_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _floats_arg(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+_theta_arg = _list_arg(float, 5, lambda v: BLSParams(*v))
+_pair_arg = _list_arg(float, 2)
 
 
 _GRID_MAX = 10_000  # points a --*-grid may have; default_grid's largest has 151
@@ -134,24 +115,17 @@ def _grid_arg(text: str) -> tuple[float, ...]:
     return tuple(round(lo + i * step, 10) for i in range(count))
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return v
-
-
-def _seed_arg(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--seed must be an integer, got {text!r}") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError("--seed must be non-negative")
-    return v
+def _int_arg(lo: int):
+    """An integer flag type with values >= lo."""
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+        return v
+    return parse
 
 
 # --------------------------------------------------------------- manifest
@@ -181,8 +155,6 @@ def _jsonable(v):
         return [_jsonable(u) for u in v]
     if hasattr(v, "value"):  # enums
         return v.value
-    if isinstance(v, Path):
-        return str(v)
     return v
 
 
@@ -248,33 +220,22 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+_EVAL = {  # request flag -> value at its argument
+    "pdf": lambda theta, spec, t: joint_pdf(theta, spec, *t),
+    "logpdf": lambda theta, spec, t: joint_log_pdf(theta, spec, *t),
+    "cdf": lambda theta, spec, t: joint_cdf(theta, spec, *t),
+    "quantile": lambda theta, spec, p: mahalanobis_quantile(spec, p),
+}
+
+
 def _cmd_eval(ns, argv, t0):
     spec = _make_spec(ns)
-    requests = [
-        (kind, item)
-        for kind, items in (
-            ("pdf", ns.pdf),
-            ("logpdf", ns.logpdf),
-            ("cdf", ns.cdf),
-            ("quantile", ns.quantile),
-        )
-        for item in (items or [])
-    ]
+    requests = [(f, item) for kind, f in _EVAL.items() for item in getattr(ns, kind) or ()]
     if not requests:
         raise _UsageError(
             "eval: needs at least one of --pdf/--logpdf/--cdf/--quantile"
         )
-    lines = []
-    for kind, item in requests:
-        if kind == "pdf":
-            v = joint_pdf(ns.theta, spec, item[0], item[1])
-        elif kind == "logpdf":
-            v = joint_log_pdf(ns.theta, spec, item[0], item[1])
-        elif kind == "cdf":
-            v = joint_cdf(ns.theta, spec, item[0], item[1])
-        else:
-            v = mahalanobis_quantile(spec, item)
-        lines.append(_fmt(float(v)))
+    lines = [_fmt(float(f(ns.theta, spec, item))) for f, item in requests]
     _emit("\n".join(lines) + "\n", ns.out, ns, argv, t0)
 
 
@@ -374,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a synthetic sample, write CSV")
     _add_model_flags(p)
     p.add_argument("--theta", type=_theta_arg, required=True, help="eta1,eta2,sigma1,sigma2,rho")
-    p.add_argument("--n", type=_positive_int, required=True, help="sample size")
-    p.add_argument("--seed", type=_seed_arg, default=0, help="RNG seed (default 0)")
+    p.add_argument("--n", type=_int_arg(1), required=True, help="sample size")
+    p.add_argument("--seed", type=_int_arg(0), default=0, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sample)
 
@@ -395,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="true eta1,eta2,sigma1,sigma2,rho (rho is overridden per grid cell; "
         "default 1,1,0.5,0.5,0.5)",
     )
-    p.add_argument("--n", type=_ints_arg, required=True, help="sample sizes, comma-separated")
-    p.add_argument("--rho", type=_floats_arg, required=True, help="correlation grid, comma-separated")
-    p.add_argument("--reps", type=_positive_int, required=True, help="Monte Carlo replications per cell")
-    p.add_argument("--seed", type=_seed_arg, default=0, help="master seed (default 0)")
+    p.add_argument("--n", type=_list_arg(int), required=True, help="sample sizes, comma-separated")
+    p.add_argument("--rho", type=_list_arg(float), required=True, help="correlation grid, comma-separated")
+    p.add_argument("--reps", type=_int_arg(1), required=True, help="Monte Carlo replications per cell")
+    p.add_argument("--seed", type=_int_arg(0), default=0, help="master seed (default 0)")
     p.add_argument("--out", help="output TSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_simulate)
 

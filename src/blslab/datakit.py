@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,8 +26,9 @@ from .errors import (
     PositivityError,
     SingularInformationError,
 )
-from .estimation import FitResult, _with_se, as_sample_matrix, fit_mle, profile_fit
-from .generators import GeneratorId, GeneratorParams, _family_id, make_generator, radial_isf
+# fit_mle is not called here; bench/selftest.py checks that it stays bound
+from .estimation import FitResult, _with_se, as_sample_matrix, fit_mle, profile_fit  # noqa: F401
+from .generators import GeneratorId, GeneratorParams, _family_id, radial_isf
 
 __all__ = [
     "ColumnStats",
@@ -220,6 +222,16 @@ def summarize(ds: Dataset) -> SummaryStats:
 
 # ------------------------------------------------------------- comparison
 
+# the profile axes of each extra-parameter family, crossed in this order, in hundredths
+_GRID_AXES = {
+    GeneratorId.STUDENT_T: {"nu": range(200, 1600, 100)},
+    GeneratorId.PEARSON_VII: {"xi": (200, 300, 400, 500, 600, 800), "theta": (500, 1000, 1600, 2200, 3000)},
+    GeneratorId.HYPERBOLIC: {"nu": range(100, 700, 100)},
+    GeneratorId.SLASH: {"nu": range(200, 1100, 100)},
+    GeneratorId.POWER_EXP: {"xi": range(-50, 101)},
+}
+
+
 def default_grid(family: GeneratorId | str) -> list[GeneratorParams] | None:
     """Profiling grids for the extra-parameter families (None: no extras).
 
@@ -227,22 +239,11 @@ def default_grid(family: GeneratorId | str) -> list[GeneratorParams] | None:
     scales (see blslab.generators): at each xi every theta reaches the same
     maximum, and profile_fit then reports the smallest theta.
     """
-    family = _family_id(family)
-    if family is GeneratorId.STUDENT_T:
-        return [GeneratorParams(nu=float(v)) for v in range(2, 16)]
-    if family is GeneratorId.PEARSON_VII:
-        return [
-            GeneratorParams(xi=float(x), theta=float(th))
-            for x in (2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
-            for th in (5.0, 10.0, 16.0, 22.0, 30.0)
-        ]
-    if family is GeneratorId.HYPERBOLIC:
-        return [GeneratorParams(nu=float(v)) for v in range(1, 7)]
-    if family is GeneratorId.SLASH:
-        return [GeneratorParams(nu=float(v)) for v in range(2, 11)]
-    if family is GeneratorId.POWER_EXP:
-        return [GeneratorParams(xi=round(-0.5 + 0.01 * k, 2)) for k in range(151)]
-    return None
+    axes = _GRID_AXES.get(_family_id(family))
+    if axes is None:
+        return None
+    return [GeneratorParams(**{a: k / 100 for a, k in zip(axes, point)})
+            for point in itertools.product(*axes.values())]
 
 
 @dataclass(frozen=True)
@@ -299,11 +300,9 @@ class ModelComparison:
 
 
 def _fit_family(x: np.ndarray, family: GeneratorId, grid) -> FitResult:
-    # one fit (or profile); a singular information leaves std_errors None
-    if grid is None:
-        fit = fit_mle(x, make_generator(family), compute_se=False)
-    else:
-        fit = profile_fit(x, family, grid, compute_se=False)[1]
+    # one profile (a family without extras is a one-point grid); a singular
+    # information leaves std_errors None
+    fit = profile_fit(x, family, grid or [GeneratorParams()], compute_se=False)[1]
     try:
         return _with_se(fit, x)
     except SingularInformationError:

@@ -265,13 +265,20 @@ def _wedge_prob(spec: GeneratorSpec, normals, d) -> float:
     offsets |d_i| 4^k / 64 up to pi from the last tail radius (or 2^-50),
     for the |s|^nu edge of a power tail; and where d_i / s_i crosses one of
     40 tail radii, rungs of spec._tail_ladder (levels set there) from the
-    first past max(0, -min d_i), a bound on the region's distance from the
-    origin. So a steep tail (logpexp as xi -> -1) is cut into short panels;
-    the error is ~1e-14 absolute, and relative where the region's mass lies
-    within those rungs (a half-plane or strip, not a wedge's deep corner).
+    first past the region's distance from the origin: max(0, -d_j) with
+    d_j = min d_i, or the apex's norm where the foot d_j n_j breaks the other
+    constraint of a wedge. So a steep tail (logpexp as xi -> -1) is cut into
+    short panels; the error is ~1e-14 absolute, and relative where the
+    region's mass lies within those rungs.
     """
     normals, d = np.asarray(normals, dtype=float), np.asarray(d, dtype=float)
-    radii = spec._tail_ladder[np.searchsorted(spec._tail_ladder, max(0.0, -d.min())):][:40]
+    apex, dist = None, max(0.0, -d.min())
+    if len(d) == 2 and np.all(np.isfinite(d)) and np.linalg.det(normals) != 0.0:
+        apex = np.linalg.solve(normals, d)
+        j = int(np.argmin(d))  # the nearest point is the foot d_j n_j, or else the apex
+        if d[j] < 0.0 and d[j] * normals[j] @ normals[1 - j] > d[1 - j]:
+            dist = math.hypot(*apex)
+    radii = spec._tail_ladder[np.searchsorted(spec._tail_ladder, dist):][:40]
     r_max = radii[-1] if len(radii) else math.inf
     breaks, band = [], 0.0
     for (nx, ny), di in zip(normals, d):
@@ -288,8 +295,7 @@ def _wedge_prob(spec: GeneratorSpec, normals, d) -> float:
             breaks += [*(alpha + c), *(alpha - c)]
         for phi0 in (alpha + 0.5 * math.pi, alpha - 0.5 * math.pi):
             breaks += [phi0, *(phi0 - off), *(phi0 + off)]
-    if len(d) == 2 and np.all(np.isfinite(d)) and np.linalg.det(normals) != 0.0:
-        apex = np.linalg.solve(normals, d)
+    if apex is not None:
         phi = math.atan2(apex[1], apex[0])
         breaks += [phi, phi + math.pi]
     # within asin(|d_i| / sqrt(X_MAX)) of an angle where s_i = 0, (d_i / s_i)^2
@@ -324,9 +330,10 @@ def joint_cdf(theta: BLSParams, spec: GeneratorSpec, t1: float, t2: float) -> fl
 
     by a fixed Gauss-Legendre rule on panels cut where the integrand is not
     smooth or changes fast. No truncation radius. Error about 1e-14 absolute
-    for all eight families, relative in a one-sided lower tail but not deep
-    in the lower-left corner (lognormal, rho = 0.4: 3.1e-5 at a = b = -20);
-    DomainError where the radial mass beyond the doubles may exceed 1e-14.
+    for all eight families, and relative in the lower tails, the corner
+    included, while the region lies within the tail ladder (lognormal:
+    within 5e-13 to a = b = -20); DomainError where the radial mass beyond
+    the doubles may exceed 1e-14.
     """
     if not (t1 > 0.0 and t2 > 0.0):
         raise DomainError("joint_cdf requires t1 > 0 and t2 > 0")

@@ -307,10 +307,8 @@ def log_g(spec: GeneratorSpec, x):
         else:
             with np.errstate(over="ignore"):  # x^a overflows
                 out = -0.5 * np.power(x, a)
-    elif gid is GeneratorId.LOGISTIC:
+    else:  # loglogistic
         out = -x - 2.0 * np.log1p(np.exp(-x))
-    else:  # pragma: no cover
-        raise DomainError(f"unknown generator {gid}")
     return float(out) if one else out
 
 
@@ -361,10 +359,8 @@ def r(spec: GeneratorSpec, x):
     elif gid is GeneratorId.POWER_EXP:
         with np.errstate(over="ignore"):  # x^(-xi/(1+xi)) overflows for xi < 0
             out = -np.power(x, -p.xi / (1.0 + p.xi)) / (2.0 * (1.0 + p.xi))
-    elif gid is GeneratorId.LOGISTIC:
+    else:  # loglogistic
         out = -np.tanh(0.5 * x)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown generator {gid}")
     return _ret(out, x)
 
 
@@ -410,11 +406,9 @@ def dr(spec: GeneratorSpec, x):
         a = 1.0 + p.xi
         with np.errstate(divide="ignore", over="ignore"):
             out = p.xi / (2.0 * a * a) * np.power(x, -(1.0 + 2.0 * p.xi) / a)
-    elif gid is GeneratorId.LOGISTIC:
+    else:  # loglogistic
         e = np.exp(-x)
         out = -2.0 * e / ((1.0 + e) * (1.0 + e))
-    else:  # pragma: no cover
-        raise DomainError(f"unknown generator {gid}")
     return _ret(out, x)
 
 
@@ -498,9 +492,7 @@ def partition_closed(spec: GeneratorSpec) -> float:
             * math.exp(math.lgamma(1.0 + p.xi))
             * math.pi
         )
-    if gid is GeneratorId.LOGISTIC:
-        return 0.5 * math.pi
-    raise DomainError(f"unknown generator {gid}")  # pragma: no cover
+    return 0.5 * math.pi  # loglogistic
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +849,7 @@ def _log_integral(log_f, what: str, lo: float = -math.inf, hi: float = math.inf)
     to [lo, hi], finds the steps within e^-40 of the peak. A step there across
     which log_f changes by more than 8 is halved, with its neighbours, until
     none is: a narrow peak (large s) or a steep edge (logpexp as xi -> -1).
-    Each step takes the 16-point Gauss-Legendre rule on two panels; below the
+    Each step is one panel of the 16-point Gauss-Legendre rule; below the
     first node t0 (v = 2^-40, or e^-40 e^hi where lower), e^f is exponential at the
     first step's slope k > 0. DomainError where k <= 0 (the mass lies below
     t0) or log_f has not decayed by v = 1e149 < hi; IntegrationError where
@@ -883,11 +875,11 @@ def _log_integral(log_f, what: str, lo: float = -math.inf, hi: float = math.inf)
     k = (float(f[1]) - float(f[0])) / (t[1] - t0)
     if lo < t0 and not k > 0.0:
         raise DomainError(f"{what} has its mass below v = {math.exp(t0):.3g}")
-    a, q = t[:-1][keep, None], 0.25 * np.diff(t)[keep, None]  # two panels of half-width q
-    fn = log_f((a + q * np.r_[1.0 + _GL_X, 3.0 + _GL_X]).ravel())
+    a, q = t[:-1][keep, None], 0.5 * np.diff(t)[keep, None]  # one panel of half-width q
+    fn = log_f((a + q * (1.0 + _GL_X)).ravel())
     top = fn.max()
     head = math.exp(f[0] - top) * -math.expm1(-k * (t0 - lo)) / k if lo < t0 else 0.0
-    return top + math.log((q * np.r_[_GL_W, _GL_W]).ravel() @ np.exp(fn - top) + head)
+    return top + math.log((q * _GL_W).ravel() @ np.exp(fn - top) + head)
 
 
 def characteristic_generator(spec: GeneratorSpec, x: float) -> float | None:

@@ -105,11 +105,33 @@ def test_eval_cdf_of_a_law_whose_quantiles_leave_the_double_range(capsys):
         ["fit", "--model", "logt", "--nu-grid", "2:3:1e-6", "--data", FIXTURE_CSV],
         ["fit", "--model", "logt", "--nu-grid", "2:3:1e-12", "--data", FIXTURE_CSV],
         ["fit", "--model", "logt", "--nu-grid", "2:inf", "--data", FIXTURE_CSV],
+        # malformed comma lists, counts, seeds and grids
+        ["eval", "--model", "lognormal", "--theta", "1,1,1,1", "--pdf", "1,1"],
+        ["eval", "--model", "lognormal", "--theta", "1,x,1,1,0", "--pdf", "1,1"],
+        ["eval", "--model", "lognormal", "--theta", "1,1,1,1,0", "--pdf", "1,2,3"],
+        ["eval", "--model", "lognormal", "--theta", "1,1,1,1,0", "--pdf", "1,y"],
+        ["simulate", "--model", "lognormal", "--n", "50,x", "--rho", "0.5", "--reps", "2"],
+        ["simulate", "--model", "lognormal", "--n", "50", "--rho", "0.5,z", "--reps", "2"],
+        ["simulate", "--model", "lognormal", "--n", "50", "--rho", "0.5", "--reps", "0"],
+        ["simulate", "--model", "lognormal", "--n", "50", "--rho", "0.5", "--reps", "q"],
+        ["sample", "--model", "lognormal", "--theta", "1,1,1,1,0", "--n", "5", "--seed", "-1",
+         "--out", "never.csv"],
+        ["sample", "--model", "lognormal", "--theta", "1,1,1,1,0", "--n", "5", "--seed", "s",
+         "--out", "never.csv"],
+        ["fit", "--model", "logt", "--nu-grid", "2", "--data", FIXTURE_CSV],
+        ["fit", "--model", "logt", "--nu-grid", "a:3", "--data", FIXTURE_CSV],
+        ["fit", "--model", "logt", "--nu-grid", "3:2", "--data", FIXTURE_CSV],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
     assert dispatch(argv) == 1
     assert capsys.readouterr().err != ""
+
+
+def test_bad_theta_reports_the_parameter_rule(capsys):
+    argv = ["eval", "--model", "lognormal", "--theta", "1,1,0,1,0", "--pdf", "1,1"]
+    assert dispatch(argv) == 1
+    assert "sigma1 must be finite and > 0, got 0.0" in capsys.readouterr().err
 
 
 def test_manifest_fields_in_order():

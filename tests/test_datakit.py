@@ -233,6 +233,15 @@ def test_default_grids_match_documented_designs():
     assert pexp[0].xi == -0.5 and pexp[-1].xi == 1.0
     assert default_grid(GeneratorId.LOGNORMAL) is None
     assert default_grid(GeneratorId.LAPLACE) is None
+    # every grid point, in order
+    nus = {GeneratorId.STUDENT_T: range(2, 16), GeneratorId.HYPERBOLIC: range(1, 7),
+           GeneratorId.SLASH: range(2, 11)}
+    for family, vs in nus.items():
+        assert default_grid(family) == [GeneratorParams(nu=float(v)) for v in vs]
+    assert pvii == [GeneratorParams(xi=x, theta=th) for x in (2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
+                    for th in (5.0, 10.0, 16.0, 22.0, 30.0)]
+    assert pexp == [GeneratorParams(xi=round(-0.5 + 0.01 * k, 2)) for k in range(151)]
+    assert default_grid("loglogistic") is None
 
 
 # ------------------------------------------------------------ compare_models
@@ -348,7 +357,6 @@ def test_compare_fits_each_grid_point_once(singular, monkeypatch):
     calls, real = [], est.fit_mle
     counted = lambda *a, **kw: calls.append(a[1].label()) or real(*a, **kw)  # noqa: E731
     monkeypatch.setattr(est, "fit_mle", counted)
-    monkeypatch.setattr(dk, "fit_mle", counted)
     grid = [GeneratorParams(nu=v) for v in (2.0, 4.0, 8.0)]
     pairs = sample(BLSParams(1.0, 2.0, 0.5, 0.3, 0.4), make_generator("logt", nu=4.0), 60, seed=5)
     cmp = compare_models(Dataset(pairs), families=[GeneratorId.LOGNORMAL, GeneratorId.STUDENT_T],

@@ -136,14 +136,19 @@ def test_joint_cdf_lognormal_matches_bivariate_normal_at_edge_points():
         assert abs(dist.joint_cdf(th, LN, t1, t2) - ref) <= 1e-12
 
 
-@pytest.mark.parametrize("z1, z2", [(-8.0, -8.0), (-10.0, -2.0)])
-def test_joint_cdf_lognormal_is_relative_in_the_lower_left_tail(z1, z2):
+@pytest.mark.parametrize(
+    "z1, z2, rho, rel",
+    [(-8.0, -8.0, 0.4, 1e-12), (-10.0, -2.0, 0.4, 1e-12), (-20.0, -20.0, 0.4, 1e-11),
+     (-20.0, 5.0, -0.9, 1e-10), (-12.0, 3.0, -0.95, 1e-10), (-10.0, 5.0, -0.9, 1e-10)],
+)
+def test_joint_cdf_lognormal_is_relative_in_the_lower_left_tail(z1, z2, rho, rel):
     # int_-inf^a phi(x) Phi((b - rho x) / c) dx over x = a - u, scaled by its
-    # value at u = 0 so that mpmath's absolute stop is a relative one. These
-    # were 9.1e-12 and 8.2e-8 off with tail breaks fixed at 2^-1 ... 2^-40
+    # value at u = 0 so that mpmath's absolute stop is a relative one. The
+    # first two were 9.1e-12 and 8.2e-8 off with tail breaks fixed at
+    # 2^-1 ... 2^-40; the last four, 3.1e-5, 0.11, 0.22 and 1.6e-5 off with
+    # the breaks anchored at max(0, -min d), short of the wedge's apex or foot
     import mpmath as mp
 
-    rho = 0.4
     th = BLSParams(1.0, 1.0, 1.0, 1.0, rho)
     t1, t2 = math.exp(z1), math.exp(z2)
     a, b = dist.standardize(th, t1, t2)
@@ -153,7 +158,7 @@ def test_joint_cdf_lognormal_is_relative_in_the_lower_left_tail(z1, z2):
 
     with mp.workdps(40):
         want = f(0) * mp.quad(lambda u: f(u) / f(0), [0, 0.1, 1, 10, mp.inf])
-    assert dist.joint_cdf(th, LN, t1, t2) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert dist.joint_cdf(th, LN, t1, t2) == pytest.approx(float(want), rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("nu", [1.0, 4.0])
