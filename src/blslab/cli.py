@@ -254,14 +254,10 @@ def _cmd_fit(ns, argv, t0):
 
 def _cmd_simulate(ns, argv, t0):
     spec = _make_spec(ns)
-    config = MCConfig(
-        spec=spec,
-        true_theta=ns.theta,
-        sample_sizes=ns.n,
-        rho_values=ns.rho,
-        replications=ns.reps,
-        master_seed=ns.seed,
-    )
+    try:
+        config = MCConfig(spec, ns.theta, ns.n, ns.rho, ns.reps, ns.seed)
+    except BlsError as e:  # sample sizes and correlations are flags too
+        raise _UsageError(f"simulate: {e}") from None
     report = run_study(config)
     _emit(report.to_tsv(), ns.out, ns, argv, t0)
 

@@ -3,10 +3,10 @@
 The likelihood is maximized in the unconstrained parametrization
 phi = (log eta1, log eta2, log sigma1, log sigma2, atanh rho) by a damped
 Newton iteration (_newton) on the analytic log-likelihood, score and Hessian
-(_ll_score_hess; the Hessian uses the closed-form generators.dr = r'). A
-trial step is judged on the log-likelihood alone, so the score and Hessian
-are computed only at accepted points; estimates are reported in the
-original coordinates.
+(_ll_score_hess; the Hessian uses the closed-form r'). Each point takes one
+pass of generators._fit_kernel: a trial step is judged on its log g alone,
+and its r and r', which reuse log g's special-function values, are computed
+only at accepted points; estimates are reported in the original coordinates.
 Where the score ratio r is singular at 0 the likelihood is not smooth at the
 data pairs: the Bessel-K0 family's is unbounded (a logarithmic spike sits at
 every data pair), and the power-exponential family with xi > 0 has a cusp
@@ -74,10 +74,14 @@ def _log_sample(spec: GeneratorSpec, x: np.ndarray):
     return np.ascontiguousarray(logs.T), float(np.sum(logs)), spec.log_z
 
 
-def _ll_score_hess(phi: np.ndarray | list, spec: GeneratorSpec, lx, floor: float, cap: float = math.inf):
+def _ll_score_hess(
+    phi: np.ndarray | list, spec: GeneratorSpec, lx, floor: float, cap: float = math.inf, r_floor=None
+):
     """Log-likelihood, score and Hessian in phi, optionally winsorized, with
     lx = _log_sample(spec, x); where -ll > cap, r and r' are not computed and
-    the score and Hessian are None.
+    the score and Hessian are None. log g, r and r' come from one
+    generators._fit_kernel pass. r_floor = r(floor) is taken here where a
+    radius is clipped, unless given (once a Newton stage).
 
     phi = (log eta1, log eta2, log sigma1, log sigma2, atanh rho). With
     floor > 0 the kernel gets a C^1 linear extension below the floor:
@@ -108,17 +112,14 @@ def _ll_score_hess(phi: np.ndarray | list, spec: GeneratorSpec, lx, floor: float
     if low is not None and not low.any():
         low = None
     q_eff = q if low is None else np.maximum(q, floor)
-    base, G = gen.log_g(spec, q_eff), None
-    if low is not None:
-        # linear extension term; +0 for unclipped radii, where r is finite
-        G = gen.r(spec, q_eff)
-        base = base + G * (q - q_eff)
+    base, derivs = gen._fit_kernel(spec, q_eff)
+    if low is not None:  # linear extension term; -0 for unclipped radii
+        base = base + (gen.r(spec, floor) if r_floor is None else r_floor) * (q - q_eff)
     const = log_z + b1 + b2 - math.log(ch)
     ll = float(base.sum() - n * const - sum_logs)
     if -ll > cap:
         return ll, None, None
-    G = gen.r(spec, q_eff) if G is None else G
-    dG = gen.dr(spec, q_eff)
+    G, dG = derivs()
     if low is not None:
         dG[low] = 0.0
     # grad q: -dq/dz_k times 1/sigma_k is dq/da_k, and times z_k is dq/db_k
@@ -252,16 +253,16 @@ def _xq_floor(spec: GeneratorSpec, n: int) -> float:
     return _SPIKE_COEF / n if singular else 0.0
 
 
-def _objective(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float, cap: float = math.inf):
+def _objective(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float, cap: float = math.inf, r_floor=None):
     """Negative log-likelihood, its gradient and Hessian in phi, guarded; the
-    guard's values also where nll > cap."""
+    guard's values also where nll > cap. r_floor as in _ll_score_hess."""
     # the 60-box (NaN fails it) keeps exp() in range; no interior optimum
     # lives anywhere near it. rho must not round to +-1 either
     p = phi.tolist()
     if not (all(abs(v) <= 60.0 for v in p) and abs(math.tanh(p[4])) < 1.0):
         return _GUARD
     try:
-        ll, s, h = _ll_score_hess(p, spec, lx, floor, cap)
+        ll, s, h = _ll_score_hess(p, spec, lx, floor, cap, r_floor)
     except (DomainError, OverflowError):
         return _GUARD
     if not (math.isfinite(ll) and -ll <= cap and np.isfinite(s).all() and np.isfinite(h).all()):
@@ -282,9 +283,11 @@ def _newton(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float):
     lam grows tenfold on a rejected step and shrinks tenfold on an accepted
     one. A trial is judged on nll alone: the gradient, the Hessian and its
     eigenbasis come only at accepted points, and serve every trial from there.
-    Stops at a scaled gradient <= 1e-10, or when no step lowers nll.
+    Stops at a scaled gradient <= 1e-10, or when no step lowers nll. r(floor)
+    is taken once, for every trial.
     """
-    nll, grad, H = _objective(phi, spec, lx, floor)
+    r_floor = gen.r(spec, floor) if floor > 0.0 else None
+    nll, grad, H = _objective(phi, spec, lx, floor, r_floor=r_floor)
     lam, steps, new = 0.0, 0, True
     for _ in range(_MAX_TRIALS):
         if new:  # the stopping test, and one eigendecomposition for every trial from here
@@ -296,7 +299,7 @@ def _newton(phi: np.ndarray, spec: GeneratorSpec, lx, floor: float):
         step = -V @ (Vg / (aw + lam))
         cand = phi + step
         cap = nll + _ARMIJO * float(grad @ step) + _ROUNDING * max(1.0, abs(nll))
-        nll_c, grad_c, H_c = _objective(cand, spec, lx, floor, cap)
+        nll_c, grad_c, H_c = _objective(cand, spec, lx, floor, cap, r_floor)
         new = nll_c <= cap
         if new:
             phi, nll, grad, H = cand, nll_c, grad_c, H_c

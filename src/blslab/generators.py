@@ -37,7 +37,8 @@ incomplete gamma as gammainc * gamma, logpexp's radial law through
 gammainc, gammaincc and their inverses, and I0 as i0e. The accuracy contracts are the
 kernels' own: for x in [1e-8, 1e3], g of loglaplace and logslash is within
 1e-12 relative of 40-digit mpmath and log g within 1e-12 absolute, and
-radial_sf and radial_isf state theirs.
+radial_sf and radial_isf state theirs. A fit's _fit_kernel gives r and r' from
+the k0e or incomplete gamma of its log g, with the bits of the public calls.
 
 log_g and g give a 0-d argument the bits of the 1-element array's result.
 One expression serves both where it needs neither np.where nor
@@ -286,20 +287,15 @@ def log_g(spec: GeneratorSpec, x):
             k = special.k0e(u)
             out = np.log(k) - u if k > 0.0 else -math.inf
         else:
-            with np.errstate(divide="ignore"):
-                out = np.log(special.k0e(u)) - u
+            out = _laplace_log_g(u, special.k0e(u))
     elif gid is GeneratorId.SLASH:
         s = 0.5 * (p.nu + 1.0)
         if one and x < _SLASH_SERIES_X:
             out = np.log(_slash_g_series(s, 0.5 * x))
         elif one:
             out = np.log(_lower_gamma(s, 0.5 * x)) - s * np.log(x)
-        else:  # the closed form at x >= the switch, then the series below it
-            xc = np.maximum(x, _SLASH_SERIES_X)
-            out = np.log(_lower_gamma(s, 0.5 * xc)) - s * np.log(xc)
-            lo = x < _SLASH_SERIES_X
-            if lo.any():
-                out[lo] = np.log(_slash_g_series(s, 0.5 * x[lo]))
+        else:
+            out = _slash_log_g(s, x)[0]
     elif gid is GeneratorId.POWER_EXP:
         a = 1.0 / (1.0 + p.xi)
         if p.xi >= 0.0:  # a <= 1: x^a stays finite
@@ -352,10 +348,10 @@ def r(spec: GeneratorSpec, x):
     elif gid is GeneratorId.HYPERBOLIC:
         out = -0.5 * p.nu / np.sqrt(1.0 + x)
     elif gid is GeneratorId.LAPLACE:
-        out = _laplace_r(x)
+        u = _laplace_u(x)
+        out = _laplace_score(x, u, special.k0e(u))[0]
     elif gid is GeneratorId.SLASH:
-        s, sides, xc, _, P, M, h = _slash_score_parts(p, x)
-        out = _by_side(sides, -0.5 * s * P / M, h - s / xc)
+        out = _slash_score(p, x)
     elif gid is GeneratorId.POWER_EXP:
         with np.errstate(over="ignore"):  # x^(-xi/(1+xi)) overflows for xi < 0
             out = -np.power(x, -p.xi / (1.0 + p.xi)) / (2.0 * (1.0 + p.xi))
@@ -383,21 +379,10 @@ def dr(spec: GeneratorSpec, x):
         t = 1.0 / (1.0 + x)
         out = 0.25 * p.nu * t * np.sqrt(t)
     elif gid is GeneratorId.LAPLACE:
-        # g = K0(sqrt(2x)) solves 2x g'' + 2g' - g = 0; below x ~ 1e-155 the
-        # first term overflows first and r' ~ 1 / (2 x^2 log(1/x)) is +inf
-        rx = _laplace_r(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = (0.5 - rx) / x - rx * rx
-        out = np.fmin(out, np.inf)  # inf - inf is NaN there
+        u = _laplace_u(x)
+        out = _laplace_score(x, u, special.k0e(u))[1]
     elif gid is GeneratorId.SLASH:
-        s, sides, xc, y, P, M, h = _slash_score_parts(p, x)
-        dP = special.hyp1f1(2.0, s + 3.0, y) / ((s + 1.0) * (s + 2.0))
-        # h' = -h (1/2 + h + (1 - s)/x)
-        out = _by_side(
-            sides,
-            -0.25 * s * (dP - P * P) / (M * M),
-            s / xc / xc - h * (0.5 + h + (1.0 - s) / xc),
-        )
+        out = _slash_score(p, x, with_dr=True)[1]
     elif gid is GeneratorId.POWER_EXP and p.xi == 0.0:
         out = np.zeros_like(x)
     elif gid is GeneratorId.POWER_EXP:
@@ -424,30 +409,53 @@ def _laplace_u(x):
     return u
 
 
-def _laplace_r(x):
-    # r = -K1(u) / (u K0(u)), u = sqrt(2x), for x > 0. k0e and k1e both
-    # vanish at u = inf, where r ~ -1/u is -0: the quotient is NaN there and
-    # nowhere else, and fmin takes -0 for it. r ~ -1 / (2x log(1/x)) is -inf at 5e-324
-    u = _laplace_u(x)
+def _laplace_log_g(u, k0):
+    # log g = log K0(u) on an array, from u = sqrt(2x) and k0 = k0e(u)
+    with np.errstate(divide="ignore"):
+        return np.log(k0) - u
+
+
+def _laplace_score(x, u, k0):
+    # (r, r') at x > 0 from u = sqrt(2x) and k0 = k0e(u). r = -K1(u) / (u K0(u)):
+    # k0e and k1e both vanish at u = inf, where r ~ -1/u is -0: the quotient is
+    # NaN there and nowhere else, and fmin takes -0 for it; r ~ -1 / (2x log(1/x))
+    # is -inf at 5e-324. g solves 2x g'' + 2g' - g = 0, so r' = (1/2 - r)/x - r^2;
+    # below x ~ 1e-155 the first term overflows first and r' ~ 1 / (2 x^2
+    # log(1/x)) is +inf, which fmin takes for the NaN of inf - inf
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.fmin(-special.k1e(u) / (u * special.k0e(u)), -0.0)
+        rx = np.fmin(-special.k1e(u) / (u * k0), -0.0)
+        return rx, np.fmin((0.5 - rx) / x - rx * rx, np.inf)
 
 
-def _slash_score_parts(p: GeneratorParams, x):
-    """The parts of logslash's r and r' on each side of the switch at x =
-    max(1, s/2), each evaluated only on its own side: s, the masks of x below
-    the switch and above it, x above it, y = x/2 below it with P and M there,
-    and h above it.
+def _slash_log_g(s: float, x: np.ndarray):
+    # log g on an array, the closed form at x >= the series switch and the
+    # series below it, and gamma(s, y) at y = max(x, the switch) / 2, which
+    # _slash_score reuses above its own switch
+    xc = np.maximum(x, _SLASH_SERIES_X)
+    lg = _lower_gamma(s, 0.5 * xc)
+    out = np.log(lg)
+    out -= np.multiply(s, np.log(xc, out=xc), out=xc)  # in xc's place: log g holds 3 arrays at once
+    lo = x < _SLASH_SERIES_X
+    if lo.any():
+        out[lo] = np.log(_slash_g_series(s, 0.5 * x[lo]))
+    return out, lg
+
+
+def _slash_score(p: GeneratorParams, x, lg=None, with_dr=False):
+    """logslash's r at x > 0, or (r, r') with_dr, from the same parts. Each
+    side of the switch at x = max(1, s/2) is evaluated only on its own side.
 
     Below the switch r = -(s/2) P/M and r' = -(s/4)(P' - P^2)/M^2, free of
     the closed form's 0/0 cancellation: M(y) = sum_k y^k / (s+1)_k is
     Kummer's 1F1(1; s+1; y) = e^y s gamma(s, y) y^-s, P = (M - 1)/y =
     1F1(1; s+2; y) / (s+1) and P' = 1F1(2; s+3; y) / ((s+1)(s+2)), and the
     series ratio y / (s + k) stays below 1/4. Above it r = h - s/x with
-    h = (s/x) e^-y / S, S = s gamma(s, y) y^-s. Once e^-y underflows
-    (x > 1490) h is 0 and r = -s/x exactly; S follows it to 0 beyond
-    x ~ 1e123 (s = 2.5). S falls with y, so while e^-y > 0 (y < 745.2) S >
-    S(745.2) > 1e-75 (nu <= 90), and max(S, tiny) is S; h = 0 where e^-y = 0.
+    h = (s/x) e^-y / S, S = s gamma(s, y) y^-s, with gamma(s, y) taken from
+    lg, the second value of _slash_log_g(s, x), where given. Once e^-y
+    underflows (x > 1490) h is 0 and r = -s/x exactly; S follows it to 0
+    beyond x ~ 1e123 (s = 2.5). S falls with y, so while e^-y > 0 (y <
+    745.2) S > S(745.2) > 1e-75 (nu <= 90), and max(S, tiny) is S; h = 0
+    where e^-y = 0.
     """
     s = 0.5 * (p.nu + 1.0)
     x = np.asarray(x)
@@ -455,9 +463,32 @@ def _slash_score_parts(p: GeneratorParams, x):
     y, xc = 0.5 * x[lo], x[hi]
     yc = 0.5 * xc
     P = special.hyp1f1(1.0, s + 2.0, y) / (s + 1.0)
-    S = s * _lower_gamma(s, yc) * np.power(yc, -s)
+    M = 1.0 + y * P
+    S = s * (_lower_gamma(s, yc) if lg is None else lg[hi]) * np.power(yc, -s)
     h = (s / xc) * np.exp(-yc) / np.maximum(S, _TINY)
-    return s, sides, xc, y, P, 1.0 + y * P, h
+    r = _by_side(sides, -0.5 * s * P / M, h - s / xc)
+    if not with_dr:
+        return r
+    dP = special.hyp1f1(2.0, s + 3.0, y) / ((s + 1.0) * (s + 2.0))
+    above = s / xc / xc - h * (0.5 + h + (1.0 - s) / xc)  # h' = -h (1/2 + h + (1 - s)/x)
+    return r, _by_side(sides, -0.25 * s * (dP - P * P) / (M * M), above)
+
+
+def _fit_kernel(spec: GeneratorSpec, q: np.ndarray):
+    """log g at the squared radii q (a float array) of a Newton point, and a
+    thunk for (r, r') there, with the bits of log_g, r and dr. loglaplace and
+    logslash check q once, and their r and r' reuse k0e(sqrt(2q)) or gamma(s,
+    q/2); the closed families call log_g, r and dr. DomainError for q < 0 or
+    NaN, and where r is singular at q = 0 (from the thunk for logpexp)."""
+    if spec.id not in _SINGULAR_AT_0:
+        return log_g(spec, q), lambda: (r(spec, q), dr(spec, q))
+    q = _score_arg(spec, q)
+    if spec.id is GeneratorId.LAPLACE:
+        u = _laplace_u(q)
+        k0 = special.k0e(u)
+        return _laplace_log_g(u, k0), lambda: _laplace_score(q, u, k0)
+    out, lg = _slash_log_g(0.5 * (spec.params.nu + 1.0), q)
+    return out, lambda: _slash_score(spec.params, q, lg, with_dr=True)
 
 
 def _by_side(sides, below, above):

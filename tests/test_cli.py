@@ -12,6 +12,7 @@ import blslab
 from blslab.cli import RunManifest, build_parser, dispatch
 from blslab.datakit import COMPARISON_COLUMNS, Dataset, load_csv, save_csv
 from blslab.distribution import BLSParams, joint_cdf, sample
+from blslab.errors import DomainError
 from blslab.estimation import fit_mle, profile_fit
 from blslab.generators import GeneratorId, GeneratorParams, make_generator
 
@@ -276,6 +277,27 @@ def test_simulate_has_no_threads_flag(capsys):
             "--reps", "10", "--seed", "1", "--threads", "3"]
     assert dispatch(argv) == 1
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,rule", [("--n", "5", ">= 10"), ("--rho", "1.5", "(-1, 1)")])
+def test_simulate_out_of_range_flags_exit_1(flag, value, rule, capsys):
+    # MCConfig's checks of the sample sizes and correlations are flag mistakes
+    argv = ["simulate", "--model", "lognormal", "--n", "50", "--rho", "0.5", "--reps", "2"]
+    argv[argv.index(flag) + 1] = value
+    assert dispatch(argv) == 1
+    assert rule in capsys.readouterr().err
+
+
+def test_simulate_numerical_failure_in_the_study_exits_2(monkeypatch, capsys):
+    import blslab.cli as cli
+
+    def failing_study(config):
+        raise DomainError("a radial draw exceeds the double range")
+
+    monkeypatch.setattr(cli, "run_study", failing_study)
+    argv = ["simulate", "--model", "lognormal", "--n", "50", "--rho", "0.5", "--reps", "2"]
+    assert dispatch(argv) == 2
+    assert "DomainError: a radial draw" in capsys.readouterr().err
 
 
 def test_simulate_writes_tsv_and_manifest(tmp_path):

@@ -9,6 +9,7 @@ for standard errors.
 import json
 import math
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -244,10 +245,11 @@ def test_fit_result_information_criteria():
 
 
 def test_newton_takes_derivatives_only_at_accepted_points(monkeypatch):
-    # a trial is judged on log g alone: r' runs at each homotopy stage's
-    # start and at each accepted step, and the eigendecomposition at most as
-    # often; on this sample Armijo rejects trials, which cost log g only
-    calls = {"log_g": 0, "dr": 0, "eigh": 0}
+    # a trial is judged on the kernel's value half alone: its derivative
+    # half (r and r') runs at each homotopy stage's start and at each
+    # accepted step, and the eigendecomposition at most as often; on this
+    # sample Armijo rejects trials, which cost the value half only
+    calls = {"value": 0, "derivs": 0, "eigh": 0}
 
     def counted(name, f):
         def wrapper(*a, **k):
@@ -255,14 +257,71 @@ def test_newton_takes_derivatives_only_at_accepted_points(monkeypatch):
             return f(*a, **k)
         return wrapper
 
+    def kernel(spec, q, _kernel=gen._fit_kernel):
+        calls["value"] += 1
+        value, derivs = _kernel(spec, q)
+        return value, counted("derivs", derivs)
+
     x = dist.sample(BLSParams(1.0, 1.0, 0.5, 0.5, 0.5), LAP, 100, seed=1)
-    for mod, name in ((gen, "log_g"), (gen, "dr"), (np.linalg, "eigh")):
-        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    monkeypatch.setattr(gen, "_fit_kernel", kernel)
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     fit = est.fit_mle(x, LAP, compute_se=False)
     assert fit.converged
-    assert calls["dr"] == fit.iterations + 2  # two stages: floors 1e-2 and 0.05/n
-    assert calls["eigh"] <= calls["dr"]
-    assert calls["log_g"] > calls["dr"]
+    assert calls["derivs"] == fit.iterations + 2  # two stages: floors 1e-2 and 0.05/n
+    assert calls["eigh"] <= calls["derivs"]
+    assert calls["value"] > calls["derivs"]
+
+
+@pytest.mark.parametrize("spec", [LAP, SL4], ids=lambda s: s.label())
+def test_fit_evaluates_each_special_function_once_per_kernel_half(spec, monkeypatch):
+    # a value half takes one k0e (loglaplace) or one gammainc (logslash); a
+    # derivative half reuses it: one k1e and no k0e, or one each of
+    # hyp1f1(1, .) and hyp1f1(2, .) and no gammainc. Outside the kernel, a
+    # winsorized stage takes r(floor) once (one k0e and one k1e), and each
+    # start the exact log-likelihood of its end point (one k0e)
+    calls, halves, stages, starts = Counter(), [], [0], [0]
+
+    def counted(name, f):
+        def wrapper(*a):
+            calls[f"{name}({a[0]:g})" if name == "hyp1f1" else name] += 1
+            return f(*a)
+        return wrapper
+
+    def half(kind, f):
+        def wrapper(*a):
+            before = Counter(calls)
+            out = f(*a)
+            halves.append((kind, calls - before))
+            if kind == "value":
+                return out[0], half("derivs", out[1])
+            return out
+        return wrapper
+
+    def tally(box, f):
+        def wrapper(*a):
+            box[0] += 1
+            return f(*a)
+        return wrapper
+
+    x = dist.sample(BLSParams(1.0, 1.0, 0.5, 0.5, 0.5), spec, 100, seed=3)
+    for name in ("k0e", "k1e", "gammainc", "hyp1f1"):
+        monkeypatch.setattr(gen.special, name, counted(name, getattr(gen.special, name)))
+    monkeypatch.setattr(gen, "_fit_kernel", half("value", gen._fit_kernel))
+    monkeypatch.setattr(est, "_newton", tally(stages, est._newton))
+    monkeypatch.setattr(est, "_minimize_from", tally(starts, est._minimize_from))
+    fit = est.fit_mle(x, spec, compute_se=False)
+    assert fit.converged
+    if spec is LAP:
+        per_half = {"value": {"k0e": 1}, "derivs": {"k1e": 1}}
+        outside = {"k0e": stages[0] + starts[0], "k1e": stages[0]}
+    else:
+        per_half = {"value": {"gammainc": 1}, "derivs": {"hyp1f1(1)": 1, "hyp1f1(2)": 1}}
+        outside = {}
+    values = [kind for kind, _ in halves].count("value")
+    assert fit.iterations + stages[0] == len(halves) - values <= values
+    for kind, used in halves:
+        assert used == per_half[kind], (kind, used)
+    assert calls - sum((used for _, used in halves), Counter()) == outside
 
 
 _OFF_DOMAIN = [math.nan, math.inf, -math.inf, 60.5, -60.5]
@@ -279,7 +338,8 @@ def test_objective_guards_every_coordinate(k, bad, monkeypatch):
     phi = est._theta_to_phi(THETA)
     assert est._objective(phi, SL4, lx, 0.0)[0] < 0.5 * est._BAD_NLL
     phi[k] = bad
-    monkeypatch.setattr(gen, "log_g", None)  # not to be called
+    monkeypatch.setattr(gen, "log_g", None)  # neither is to be called
+    monkeypatch.setattr(gen, "_fit_kernel", None)
     assert est._objective(phi, SL4, lx, 0.0) is est._GUARD
 
 
@@ -289,6 +349,7 @@ def test_objective_guards_a_rho_that_rounds_to_one(c, monkeypatch):
     phi = np.array([*THETA.logs[:4], c])
     assert abs(math.tanh(c)) == 1.0
     monkeypatch.setattr(gen, "log_g", None)
+    monkeypatch.setattr(gen, "_fit_kernel", None)
     assert est._objective(phi, SL4, est._log_sample(SL4, x), 0.0) is est._GUARD
 
 

@@ -1,6 +1,7 @@
 """Generator registry: partition constants, score ratios, parameter rules."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -707,6 +708,59 @@ def test_every_kernel_is_finite_or_its_limit_across_the_accepted_ranges(spec, xs
             pass  # the quantile is past the doubles
         else:
             assert 0.0 <= root < math.inf
+
+
+# the fit kernel's branch points: logslash's series switch at 1e-5 and its
+# score switch at max(1, s/2) (drawn beside KERNEL_X, and added per spec),
+# and loglaplace's sqrt(2) sqrt(x) above X_MAX/2
+_FIT_X = st.one_of(
+    KERNEL_X,
+    st.sampled_from(_EDGE_POINTS[1:] + [0.5 * _X_MAX, float(np.nextafter(0.5 * _X_MAX, math.inf))]),
+    st.floats(0.5, 50.0),
+)
+
+
+def _score_switch_points(spec):
+    # logslash's score switch x = max(1, s/2) and the double below it
+    if spec.id is not GeneratorId.SLASH:
+        return []
+    at = max(1.0, 0.25 * (spec.params.nu + 1.0))
+    return [float(np.nextafter(at, 0.0)), at]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(ACCEPTED_SPECS, st.lists(_FIT_X, min_size=1, max_size=8))
+def test_fit_kernel_has_the_bits_of_log_g_r_and_dr(spec, xs):
+    # the fit's one kernel pass gives every family's log g, r and r' bit for
+    # bit, -0 and the infinities included, without a RuntimeWarning
+    x = np.array(xs + _score_switch_points(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value, derivs = gen._fit_kernel(spec, x)
+        got = (value, *derivs())
+        want = (gen.log_g(spec, x), gen.r(spec, x), gen.dr(spec, x))
+    for name, a, b in zip(("log g", "r", "r'"), got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, x, a, b)
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, -1.0])
+@pytest.mark.parametrize("spec", SPECS + _BRANCH_SPECS, ids=lambda s: s.label())
+def test_fit_kernel_raises_where_r_does(spec, bad):
+    # the DomainError of r for x = 0 where r is singular, and for NaN and
+    # x < 0; elsewhere the kernel's values at 0 are r's and r''s
+    x = np.array([1.0, bad, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            want = gen.r(spec, x), gen.dr(spec, x)
+        except DomainError as e:
+            with pytest.raises(DomainError, match=re.escape(str(e))):
+                gen._fit_kernel(spec, x)[1]()
+            return
+        got = gen._fit_kernel(spec, x)[1]()
+    assert bad == 0.0
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 _SCALE = st.floats(math.log(5e-324), math.log(1e3)).map(lambda t: min(math.exp(t), 1e3))
