@@ -16,7 +16,8 @@ inverse carry the radial CDF and quantile, ``generators.radial_draw`` the
 sampler; the joint and marginal CDFs and the probability of a strip
 lo < Z2 <= hi are one angle integral of S over the rays, with no truncation
 and breaks below the region's own tail mass, and the marginal and conditional
-densities one line integral of g on the panels of ``generators._log_integral``.
+densities the log of one line integral of g on the panels of
+``generators._log_integral``, so that a conditional is a difference of logs.
 Moments and the correlation are exact for every family, from the moment
 generating function ``generators._log_mgf``. The special functions are the
 ``generators`` kernels' own, each held to its own accuracy contract there.
@@ -347,25 +348,28 @@ def joint_cdf(theta: BLSParams, spec: GeneratorSpec, t1: float, t2: float) -> fl
 # marginal law of the standardized component
 
 
-def _line_mass(spec: GeneratorSpec, z: float, lo: float, hi: float) -> float:
-    """int_lo^hi g(z^2 + w^2) dw / Z, within ~1e-13 relative to its own size
-    (plus eps |log a| / log(b/a) from the logs of the ends of a narrow [a, b]).
+def _log_line_mass(spec: GeneratorSpec, z: float, lo: float, hi: float) -> float:
+    """log int_lo^hi g(z^2 + w^2) dw / Z, within ~1e-13 + a few eps |log
+    mass|, relative in the mass however far below the doubles (plus eps
+    |log a| / log(b/a) from the logs of the ends of a narrow [a, b]).
 
     The marginal density of Z1 at z is the whole line; the conditional
     densities are ratios with a segment of it. One generators._log_integral
     over t = log |w| on each side of w = 0, where loglaplace's g is singular
-    at z = 0, run once for equal sides; 0 where the mass underflows.
-    DomainError where it lies below the scan, |w| < min(2^-40, e^-40 b) on
-    [0, b] (logpvii with theta ~ 1e-50 at z = 0), or beyond 1e149 on an
-    unbounded side."""
+    at z = 0, run once for equal sides; -inf only where g is 0 on every node.
+    DomainError where the mass lies below the scan, |w| < min(2^-40, e^-40 b)
+    on [0, b] (logpvii with theta ~ 1e-50 at z = 0, and loglaplace at z = 0
+    for b <~ 1e-145, where z^2 + w^2 underflows to g's singular 0), or
+    beyond 1e149 on an unbounded side."""
     zq, what = z * z, f"{spec.label()}: the line mass at z={z}"
 
     def log_f(t):  # log of g(z^2 + w^2) w / Z at w = e^t
         return gen.log_g(spec, zq + np.exp(2.0 * t)) + t - spec.log_z
 
     sides = Counter(ab for ab in ((max(lo, 0.0), hi), (max(-hi, 0.0), -lo)) if ab[0] < ab[1])
-    return math.fsum(k * math.exp(gen._log_integral(log_f, what, math.log(a) if a > 0.0 else -math.inf, math.log(b)))
-                     for (a, b), k in sides.items())
+    return float(np.logaddexp.reduce(
+        [math.log(k) + gen._log_integral(log_f, what, math.log(a) if a > 0.0 else -math.inf, math.log(b))
+         for (a, b), k in sides.items()], initial=-math.inf))
 
 
 def marginal_pdf_z(spec: GeneratorSpec, zv: float) -> float:
@@ -373,11 +377,11 @@ def marginal_pdf_z(spec: GeneratorSpec, zv: float) -> float:
 
         f(z) = int_-inf^inf g(z^2 + w^2) dw / Z,
 
-    within ~1e-13 relative, in the tails as well, and 0 where it underflows.
-    DomainError where the mass lies below |w| = 2^-40 or beyond 1e149
-    (see _line_mass).
+    the exponential of _log_line_mass: within ~1e-13 + a few eps |log f(zv)|
+    relative, in the tails as well, and 0 where it underflows. DomainError
+    where the mass lies below |w| = 2^-40 or beyond 1e149 (see _log_line_mass).
     """
-    return _line_mass(spec, float(zv), -math.inf, math.inf)
+    return math.exp(_log_line_mass(spec, float(zv), -math.inf, math.inf))
 
 
 def marginal_cdf_z(spec: GeneratorSpec, zv: float) -> float:
@@ -449,19 +453,21 @@ def conditional_pdf_t2_given_t1(
     """Density of T2 given T1 = t1: joint density over the T1 marginal.
 
     Formed in logs and without the factor 1/(sigma1 t1) that both share, so
-    that a subnormal t1 is no 0/0. +inf at the loglaplace centre, as
-    joint_pdf; ZeroProbabilityError where the T1 marginal density is 0;
+    that neither a subnormal t1 nor a margin below the doubles is a 0/0:
+    ~1e-13 + a few eps |log f_Z1(z1)| relative, the problem's own
+    conditioning in t1. +inf at the loglaplace centre, as joint_pdf;
+    ZeroProbabilityError only where the log margin is -inf (_log_line_mass);
     DomainError where a finite density exceeds the doubles.
     """
     if not (t1 > 0.0 and t2 > 0.0):
         raise DomainError("conditional density requires t1 > 0 and t2 > 0")
     t1, t2 = float(t1), float(t2)
     zt1, _ = standardize(theta, t1, t2)
-    marg_z = marginal_pdf_z(spec, zt1)
-    if marg_z <= 0.0:
+    log_marg = _log_line_mass(spec, zt1, -math.inf, math.inf)
+    if log_marg == -math.inf:
         raise ZeroProbabilityError(f"T1 marginal density vanishes at t1={t1}")
     log_joint = joint_log_pdf(theta, spec, t1, t2) + theta.logs[2] + math.log(t1)
-    return _exp_density(spec, log_joint - math.log(marg_z))
+    return _exp_density(spec, log_joint - log_marg)
 
 
 def conditional_pdf_t1_given_t2_in_interval(
@@ -473,41 +479,30 @@ def conditional_pdf_t1_given_t2_in_interval(
     """Density of T1 given T2 in (lo, hi], 0 <= lo < hi <= inf.
 
     With z1 the standardized t1 and w = (z2 - rho z1) / sqrt(1 - rho^2), the
-    numerator is the line mass of g over the w-range of the interval at
-    z1 (_line_mass, ~1e-13 relative) and the denominator P(lo < T2 <= hi)
-    is one angle rule over the strip lo < T2 <= hi, the same route for
-    every family, relative off the median. The quotient is formed in logs,
-    so that a subnormal t1 is no 0/0. ZeroProbabilityError where that
-    probability is below 1e-12; DomainError where the line mass is out of
-    the scan's reach (see _line_mass) or the density exceeds the doubles.
+    numerator is the line mass of g over the w-range of the interval at z1
+    (_log_line_mass) and the denominator P(lo < T2 <= hi) one angle rule
+    over the strip lo < T2 <= hi, the same route for every family, relative
+    off the median (to P ~ 1e-185 for lognormal). The quotient is formed in
+    logs, so that neither a subnormal t1 nor a tiny strip is a 0/0: ~1e-13 +
+    a few eps |log mass| relative. ZeroProbabilityError only where P is 0 in
+    doubles; DomainError where the line mass is out of the scan's reach or
+    the density exceeds the doubles.
     """
     if not t1 > 0.0:
         raise DomainError("conditional density requires t1 > 0")
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi):
         raise DomainError(f"interval must satisfy 0 <= lo < hi, got ({lo}, {hi})")
-    rho = theta.rho
-    c = math.sqrt(1.0 - rho * rho)
     zt1 = (math.log(t1) - theta.logs[0]) / theta.sigma1
-
-    def btilde(v):
-        if v <= 0.0:
-            return -math.inf
-        if math.isinf(v):
-            return math.inf
-        return (math.log(v) - theta.logs[1]) / theta.sigma2
-
-    b_lo, b_hi = btilde(lo), btilde(hi)
-    # P(b_lo < Z2 <= b_hi) as one strip; the angle rule takes an infinite end as it is
-    denom = _wedge_prob(spec, [[1.0, 0.0], [-1.0, 0.0]], [b_hi, -b_lo])
-    if denom < 1e-12:
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf, log inf = inf
+        b = (np.log([lo, hi]) - theta.logs[1]) / theta.sigma2
+        w = (b - theta.rho * zt1) / math.sqrt(1.0 - theta.rho * theta.rho)
+    # P(b[0] < Z2 <= b[1]) as one strip; the angle rule takes an infinite end as it is
+    prob = _wedge_prob(spec, [[1.0, 0.0], [-1.0, 0.0]], [b[1], -b[0]])
+    if prob == 0.0:
         raise ZeroProbabilityError("conditioning interval has zero probability")
-    w_lo = (b_lo - rho * zt1) / c if np.isfinite(b_lo) else -math.inf
-    w_hi = (b_hi - rho * zt1) / c if np.isfinite(b_hi) else math.inf
-    mass = _line_mass(spec, zt1, w_lo, w_hi)
-    if mass == 0.0:
-        return 0.0
-    return _exp_density(spec, math.log(mass / denom) - theta.logs[2] - math.log(t1))
+    log_mass = _log_line_mass(spec, zt1, *w.tolist())
+    return _exp_density(spec, log_mass - math.log(prob) - theta.logs[2] - math.log(t1))
 
 
 # ---------------------------------------------------------------------------

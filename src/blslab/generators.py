@@ -875,21 +875,24 @@ def _log_mgf(spec: GeneratorSpec, s) -> np.ndarray | None:
 
 def _log_integral(log_f, what: str, lo: float = -math.inf, hi: float = math.inf) -> float:
     """log int_lo^hi e^log_f(t) dt, t = log v, for a log_f that peaks once
-    and decays on both sides (or stops at lo or hi); -inf where e^log_f
-    underflows on every node. A scan on v = 2^(k/4), 2^-40 ... 1e149, clipped
+    and decays on both sides (or stops at lo or hi); -inf only where log_f
+    is -inf on every node. A scan on v = 2^(k/4), 2^-40 ... 1e149, clipped
     to [lo, hi], finds the steps within e^-40 of the peak. A step there across
     which log_f changes by more than 8 is halved, with its neighbours, until
     none is: a narrow peak (large s) or a steep edge (logpexp as xi -> -1).
     Each step is one panel of the 16-point Gauss-Legendre rule; below the
     first node t0 (v = 2^-40, or e^-40 e^hi where lower), e^f is exponential at the
-    first step's slope k > 0. DomainError where k <= 0 (the mass lies below
-    t0) or log_f has not decayed by v = 1e149 < hi; IntegrationError where
-    rounding noise in log_f (s v past ~1e13) keeps the steps from resolving."""
+    first step's slope k > 0. DomainError where k <= 0 or log_f is +inf on a
+    node (the mass lies below t0) or log_f has not decayed by v = 1e149 < hi;
+    IntegrationError where rounding noise in log_f (s v past ~1e13) keeps
+    the steps from resolving."""
     t0 = max(lo, min(_MGF_T[0], hi - 40.0))  # so that a short segment's head is negligible
     t = np.r_[t0, _MGF_T[(_MGF_T > t0) & (_MGF_T < hi)], hi if hi < math.inf else []]
     f = log_f(t)
-    if f.max() < -745.2:  # e^f is 0
+    if f.max() == -math.inf:
         return -math.inf
+    if f.max() == math.inf:
+        raise DomainError(f"{what} has its mass below the scan's reach: log_f is +inf at v = {math.exp(t0):.3g}")
     with np.errstate(invalid="ignore"):  # differences of -inf are NaN, and compare False
         for _ in range(64):
             keep = np.maximum(f[:-1], f[1:]) >= f.max() - 40.0

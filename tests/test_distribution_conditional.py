@@ -113,24 +113,28 @@ def test_marginal_pdf_where_g_and_z_underflow_together():
     assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
+def _mp_law(spec):
+    """(g, Z) in mpmath for logpexp, loglogistic and logslash."""
+    p = spec.params
+    if spec.id is gen.GeneratorId.POWER_EXP:
+        xi = mp.mpf(p.xi)
+        big_z = 2 ** (xi + 1) * (1 + xi) * mp.gamma(1 + xi) * mp.pi
+        return lambda x: mp.exp(-(x ** (1 / (1 + xi))) / 2), big_z
+    if spec.id is gen.GeneratorId.LOGISTIC:
+        return lambda x: mp.exp(-x) / (1 + mp.exp(-x)) ** 2, mp.pi / 2
+    s = (mp.mpf(p.nu) + 1) / 2  # logslash(nu)
+    big_z = mp.pi * 2 ** ((3 - mp.mpf(p.nu)) / 2) / (mp.mpf(p.nu) - 1)
+    return lambda x: x ** -s * mp.gammainc(s, 0, x / 2), big_z
+
+
 def _mp_margin(spec, z):
     """The margin 2 int_0^inf g(z^2 + w^2) dw / Z in mpmath at the working
     precision. mp.quad stops at an absolute error near 10^-dps, so the
     integrand is scaled by 1 / g(z^2) for z != 0 (at 30 digits the loglogistic margin at
     z = 8 was 9e-10 off without it), and it breaks at w = 2^k about every
     scale of the integrand."""
-    p, x0 = spec.params, mp.mpf(z) ** 2
-    if spec.id is gen.GeneratorId.POWER_EXP:
-        xi = mp.mpf(p.xi)
-        big_z = 2 ** (xi + 1) * (1 + xi) * mp.gamma(1 + xi) * mp.pi
-        g = lambda x: mp.exp(-(x ** (1 / (1 + xi))) / 2)  # noqa: E731
-    elif spec.id is gen.GeneratorId.LOGISTIC:
-        big_z = mp.pi / 2
-        g = lambda x: mp.exp(-x) / (1 + mp.exp(-x)) ** 2  # noqa: E731
-    else:  # logslash(nu)
-        s = (mp.mpf(p.nu) + 1) / 2
-        big_z = mp.pi * 2 ** ((3 - mp.mpf(p.nu)) / 2) / (mp.mpf(p.nu) - 1)
-        g = lambda x: x ** -s * mp.gammainc(s, 0, x / 2)  # noqa: E731
+    g, big_z = _mp_law(spec)
+    x0 = mp.mpf(z) ** 2
     breaks = [0] + [mp.mpf(2) ** k for k in range(-12, 12)] + [mp.inf]
     c = g(x0) if z else 1  # slash's g(0) is a 0 * inf form in mpmath
     return 2 * c * mp.quad(lambda w: g(x0 + w * w) / c, breaks) / big_z
@@ -173,6 +177,7 @@ def _mp_generator(spec):
         # exponential: from 2^-40 on, (0, 1e-8] was 2e-7 off and (0, 1e-13] 1e-3
         (0.0, -1e-8, 1e-13),
         (0.0, 0.0, 1e-3),
+        (0.0, 0.0, 1e-100),  # just above where z^2 + w^2 underflows at the scan's first nodes
         (1.5, 0.3, 2.0),  # lo > 0
         (1.5, 2.0, math.inf),
         (1.5, 1e-5, 1e-4),
@@ -185,20 +190,30 @@ def test_line_mass_on_segments_matches_mpmath(spec, z, lo, hi):
         big_z = mp.mpf(gen.partition_closed(spec))  # the double of pi or 2 pi
         breaks = sorted({lo, hi, *(v for v in (0.0, 1.0, -1.0) if lo < v < hi)})
         want = mp.quad(lambda w: g(mp.mpf(z) ** 2 + w * w), [mp.mpf(b) for b in breaks]) / big_z
-    got = dist._line_mass(spec, z, lo, hi)
+    got = math.exp(dist._log_line_mass(spec, z, lo, hi))
     assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+def test_line_mass_below_the_scan_at_the_singular_centre():
+    # on (0, b] at z = 0, z^2 + w^2 underflows to loglaplace's singular g(0)
+    # at the scan's first nodes for b <~ 1e-145: the steps never resolved
+    # there and raised IntegrationError (b = 1e-100 resolves: see above)
+    for b in (1e-150, 1e-300):
+        with pytest.raises(DomainError, match="below the scan's reach"):
+            dist._log_line_mass(LAP, 0.0, 0.0, b)
 
 
 def test_densities_of_the_line_mass_import_no_quadrature():
     # the margin and both conditionals run on the generators' own scan, and
     # the CDFs on the angle rule and the spec's tail ladder: the elementary
-    # families import no scipy, the others no scipy.integrate
+    # families import no scipy, the others no scipy.integrate. So do the far
+    # tails: T2 | T1 at z1 = 40 and a strip z2 in (8, 9], P = 6e-16 for lognormal
     src = str(Path(gen.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
     script = (
-        "import sys\n"
+        "import math, sys\n"
         "from blslab import distribution as dist\n"
         "from blslab.generators import make_generator as mk\n"
         "th = dist.BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)\n"
@@ -206,7 +221,9 @@ def test_densities_of_the_line_mass_import_no_quadrature():
         "    for s in specs:\n"
         "        dist.marginal_pdf_z(s, 0.7)\n"
         "        dist.conditional_pdf_t2_given_t1(th, s, 1.2, 2.5)\n"
+        "        dist.conditional_pdf_t2_given_t1(th, s, math.exp(20.0), 2.5)\n"  # z1 = 40
         "        dist.conditional_pdf_t1_given_t2_in_interval(th, s, 1.2, (1.5, 3.0))\n"
+        "        dist.conditional_pdf_t1_given_t2_in_interval(th, s, 1.2, (2.0 * math.exp(2.4), 2.0 * math.exp(2.7)))\n"
         "        dist.joint_cdf(th, s, 0.3, 0.9)\n"
         "        dist.marginal_cdf_z(s, -9.0)\n"
         "run([mk('lognormal'), mk('logt', nu=4.0), mk('logpvii', xi=5.0, theta=22.0),\n"
@@ -485,6 +502,47 @@ def test_conditional_t2_given_t1_integrates_to_one(spec, tol):
     assert val == pytest.approx(1.0, abs=max(tol, 5e-6))
 
 
+TAIL_THETA = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
+
+
+def _check_given_t1_in_the_tail(spec, z1, w, g, big_z, margin):
+    """T2 | T1 at z1 and w = (z2 - rho z1) / sqrt(1 - rho^2) against
+    g(xq) / (sigma2 sqrt(1 - rho^2) t2 Z f_Z1(z1)) in mpmath at the doubles
+    t1 and t2, with the margin f_Z1 = margin(z1). The bound 1e-13 + 4 eps
+    |log f_Z1(z1)| is the problem's own conditioning in t1, as z1^2 enters g."""
+    th = TAIL_THETA
+    z2 = th.rho * z1 + math.sqrt(1.0 - th.rho**2) * w
+    t1, t2 = th.eta1 * math.exp(th.sigma1 * z1), th.eta2 * math.exp(th.sigma2 * z2)
+    with mp.workdps(40):
+        rho = mp.mpf(th.rho)
+        c = mp.sqrt(1 - rho * rho)
+        z1, z2 = ((mp.log(t) - mp.log(e)) / s for t, e, s in ((t1, th.eta1, th.sigma1), (t2, th.eta2, th.sigma2)))
+        f_z1 = margin(z1)
+        want = g(z1 * z1 + ((z2 - rho * z1) / c) ** 2) / (th.sigma2 * c * t2 * big_z * f_z1)
+        bound = 1e-13 + 4.0 * np.finfo(float).eps * abs(float(mp.log(f_z1)))
+    got = dist.conditional_pdf_t2_given_t1(th, spec, t1, t2)
+    assert got == pytest.approx(float(want), rel=bound, abs=0.0)
+
+
+@pytest.mark.parametrize("z1", [38.0, 38.5, 40.0, 100.0, 1000.0])
+def test_conditional_t2_given_t1_lognormal_past_the_underflow_of_the_margin(z1):
+    # the margin, exponentiated between two logs, is subnormal from z1 ~ 37.7
+    # and 0 from z1 ~ 38.6: T2 | T1 was 4.4e-10 off at z1 = 38, 9.8e-2 at 38.5
+    # and a ZeroProbabilityError past that, while the conditional is O(1)
+    _check_given_t1_in_the_tail(LN, z1, 0.7, lambda x: mp.exp(-x / 2), 2 * mp.pi, mp.npdf)
+
+
+@pytest.mark.parametrize(
+    "spec, z1, w",
+    [(make_generator("logpexp", xi=-0.5), 10.0, 0.02), (make_generator("logpexp", xi=-0.5), 30.0, 0.02),
+     (make_generator("loglogistic"), 30.0, 0.7)],
+    ids=["logpexp(-0.5)-10", "logpexp(-0.5)-30", "loglogistic-30"],
+)
+def test_conditional_t2_given_t1_past_the_underflow_of_the_margin_matches_mpmath(spec, z1, w):
+    # the margins are ~e^-5000, e^-405000 and e^-900: each raised ZeroProbabilityError
+    _check_given_t1_in_the_tail(spec, z1, w, *_mp_law(spec), lambda z: _mp_margin(spec, z))
+
+
 # ---------------------------------------------------------------------------
 # conditional density of T1 given T2 in an interval
 
@@ -664,6 +722,29 @@ def test_conditional_interval_validation():
         dist.conditional_pdf_t1_given_t2_in_interval(THETA, LN, 0.0, (1.0, 2.0))
 
 
+def _mp_normal_strip(a, b):
+    # P(a < X <= b), X standard normal, from the tail where it does not cancel
+    return mp.ncdf(-a) - mp.ncdf(-b) if a >= 0 else mp.ncdf(b) - mp.ncdf(a)
+
+
+@pytest.mark.parametrize("z_lo, z_hi", [(8.0, 9.0), (10.0, 10.5), (-12.0, -11.0), (-30.0, -29.0)])
+def test_conditional_interval_with_a_tiny_strip_matches_mpmath(z_lo, z_hi):
+    # P(z_lo < Z2 <= z_hi) = 6.2e-16, 7.6e-24, 1.9e-28 and 3.3e-185: each
+    # raised ZeroProbabilityError under the old floor P < 1e-12
+    th = TAIL_THETA
+    lo, hi = (th.eta2 * math.exp(th.sigma2 * z) for z in (z_lo, z_hi))
+    for t1 in (0.05, 1.2, 40.0):
+        with mp.workdps(40):
+            rho = mp.mpf(th.rho)
+            c = mp.sqrt(1 - rho * rho)
+            z1 = (mp.log(t1) - mp.log(th.eta1)) / th.sigma1
+            a, b = ((mp.log(v) - mp.log(th.eta2)) / th.sigma2 for v in (lo, hi))
+            want = mp.npdf(z1) * _mp_normal_strip((a - rho * z1) / c, (b - rho * z1) / c) / (
+                th.sigma1 * t1 * _mp_normal_strip(a, b))
+        got = dist.conditional_pdf_t1_given_t2_in_interval(th, LN, t1, (lo, hi))
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), t1
+
+
 def test_conditional_interval_zero_probability():
     tiny = BLSParams(1.0, 1.0, 0.1, 0.1, 0.0)
     with pytest.raises(ZeroProbabilityError):
@@ -678,26 +759,38 @@ _POSITIVE = st.one_of(
 )
 
 
+_SCALES = st.sampled_from([1e-3, 0.5, 10.0])
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(
     st.sampled_from(
         [LN, make_generator("logt", nu=0.05), LT4, make_generator("loglaplace"), SL4,
          make_generator("logpexp", xi=-0.5)]
     ),
+    _SCALES, _SCALES, st.sampled_from([-0.99, 0.4, 0.99]),
     _POSITIVE, _POSITIVE, _POSITIVE, _POSITIVE,
 )
-def test_conditionals_are_finite_or_a_bls_error(spec, t1, t2, lo, hi):
+def test_conditionals_are_finite_or_a_bls_error(spec, sigma1, sigma2, rho, t1, t2, lo, hi):
     # t1 sigma1 underflows to 0 at a subnormal t1, where both conditionals
     # raised a bare ZeroDivisionError; each value is now a finite density or
-    # a BlsError (ZeroProbabilityError where the margin vanishes, DomainError
-    # where the density leaves the doubles)
-    th = BLSParams(1.0, 2.0, 0.5, 0.3, 0.4)
-    for call in (
-        lambda: dist.conditional_pdf_t2_given_t1(th, spec, t1, t2),
-        lambda: dist.conditional_pdf_t1_given_t2_in_interval(th, spec, t1, (min(lo, hi), max(lo, hi))),
+    # a BlsError (DomainError where the density leaves the doubles), and a
+    # ZeroProbabilityError is honest: the log margin at z1 is -inf, or the
+    # strip's probability is 0 in doubles
+    th = BLSParams(1.0, 2.0, sigma1, sigma2, rho)
+    lo, hi = min(lo, hi), max(lo, hi)
+    b_lo, b_hi = dist.standardize(th, lo, hi)
+    for call, vanishes in (
+        (lambda: dist.conditional_pdf_t2_given_t1(th, spec, t1, t2),
+         lambda: dist._log_line_mass(spec, dist.standardize(th, t1, t2)[0], -math.inf, math.inf) == -math.inf),
+        (lambda: dist.conditional_pdf_t1_given_t2_in_interval(th, spec, t1, (lo, hi)),
+         lambda: dist._wedge_prob(spec, [[1.0, 0.0], [-1.0, 0.0]], [b_hi, -b_lo]) == 0.0),
     ):
         try:
             val = call()
+        except ZeroProbabilityError:
+            assert vanishes(), (spec.label(), th, t1, t2, lo, hi)
+            continue
         except BlsError:
             continue
-        assert 0.0 <= val < math.inf, (spec.label(), t1, t2, lo, hi, val)
+        assert 0.0 <= val < math.inf, (spec.label(), th, t1, t2, lo, hi, val)
